@@ -419,15 +419,27 @@ class StarProduct:
         return star_by_reduction(f, g, self.table, self.step_limit)
 
     def __call__(self, f: Polynomial, g: Polynomial) -> Polynomial:
+        """f * g: the bilinear extension of ``mono``, or reduction without one.
+
+        The closed-form route sums every term pair into one dict and builds
+        a single Polynomial, so in float mode coefficients below the ring's
+        ``drop_tol`` are dropped once, on the finished sum, not on every
+        partial sum.
+        """
         if self.mono is None:
             if self.table is None:
                 raise CatalogError(f"{self.name} has neither closed form nor table")
             return star_by_reduction(f, g, self.table, self.step_limit).result
-        acc = Polynomial.zero(self.ring, self.dim, self.kind)
+        out: Dict[Exponent, object] = {}
         for K, a in f.terms.items():
             for L, b in g.terms.items():
-                acc = acc + self.mono(K, L).scale(a * b)
-        return acc
+                ab = a * b
+                for M, c in self.mono(K, L).terms.items():
+                    if M in out:
+                        out[M] = out[M] + c * ab
+                    else:
+                        out[M] = c * ab
+        return Polynomial(self.ring, self.dim, out, self.kind)
 
 
 @dataclass

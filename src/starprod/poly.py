@@ -329,9 +329,6 @@ class NcPolynomial:
                 out[K] = c
         return Polynomial(self.ring, self.dim, out, kind)
 
-    def all_standard(self) -> bool:
-        return all(is_standard(word) for word in self.terms)
-
     def __add__(self, other):
         if not isinstance(other, NcPolynomial):
             return NotImplemented

@@ -219,8 +219,8 @@ def macgyver_continuity_probe(star: StarProduct, C: float,
 
     violations = []
     if star.table is not None:
-        for K in _exponent_ball(star.dim, sweep_degree):
-            for L in _exponent_ball(star.dim, sweep_degree):
+        for K in exponent_ball(star.dim, sweep_degree):
+            for L in exponent_ball(star.dim, sweep_degree):
                 trace = star.traced_monomials(K, L)
                 size = sum(K) + sum(L)
                 if trace.reduction_count > alpha * size * size:
@@ -251,7 +251,8 @@ def macgyver_continuity_probe(star: StarProduct, C: float,
                    {"Q": Q, "C_prime": c_prime, "hypothesis_violations": violations})
 
 
-def _exponent_ball(dim: int, max_total: int) -> List[Exponent]:
+def exponent_ball(dim: int, max_total: int) -> List[Exponent]:
+    """All exponent tuples with total degree <= max_total."""
     out = []
 
     def walk(prefix, remaining, positions):
@@ -264,11 +265,6 @@ def _exponent_ball(dim: int, max_total: int) -> List[Exponent]:
     for total in range(max_total + 1):
         walk((), total, dim)
     return out
-
-
-def exponent_ball(dim: int, max_total: int) -> List[Exponent]:
-    """All exponent tuples with total degree <= max_total."""
-    return _exponent_ball(dim, max_total)
 
 
 # -- classical limit ---------------------------------------------------------------

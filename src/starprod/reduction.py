@@ -135,8 +135,7 @@ def reduce_once(f: NcPolynomial, table: RelationTable,
         for tail_word, tail_coeff in tails.get((i, j), ()):
             accumulate(prefix + tail_word + suffix, coeff * tail_coeff)
 
-    cleaned = {w: c for w, c in out.items() if not ring.is_zero(c)}
-    return NcPolynomial(ring, f.dim, cleaned), changed, fired
+    return NcPolynomial(ring, f.dim, out), changed, fired
 
 
 def reduce_to_standard(f: NcPolynomial, table: RelationTable,

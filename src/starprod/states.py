@@ -178,7 +178,8 @@ def gram_matrix(state: StateFunctional, degree: int,
     With q = e^(-hbar) the product contributes the prefactor
     e^(-hbar * sum_{i<j} rev(K)_j L_i) on w^(rev(K)+L).  ``deformed=False``
     evaluates with the plain point evaluation instead (the functional that
-    loses positivity for hbar > 0).
+    loses positivity for hbar > 0).  Many entries share one exponent
+    rev(K) + L; each distinct exponent is evaluated once per call.
     """
     if degree < 0:
         raise StateError("degree must be non-negative")
@@ -186,6 +187,8 @@ def gram_matrix(state: StateFunctional, degree: int,
     n = len(basis)
     M = np.zeros((n, n), dtype=complex)
     h = state.hbar
+    evaluate = state.eval_monomial if deformed else state.eval_plain
+    values: Dict[Exponent, complex] = {}
     for a, K in enumerate(basis):
         K_rev = tuple(reversed(K))
         for b, L in enumerate(basis):
@@ -196,7 +199,9 @@ def gram_matrix(state: StateFunctional, degree: int,
                     prefix += L[j - 1]
                 inv += K_rev[j] * prefix
             J = tuple(x + y for x, y in zip(K_rev, L))
-            value = state.eval_monomial(J) if deformed else state.eval_plain(J)
+            value = values.get(J)
+            if value is None:
+                value = values[J] = evaluate(J)
             M[a, b] = math.exp(-h * inv) * value
     return basis, M
 

@@ -19,9 +19,7 @@ tails start at order t.
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Optional
 
 from .params import ParameterCatalog
 from .parsing import parse_poly
@@ -52,10 +50,3 @@ def table_from_dict(spec: Dict, hbar: Optional[complex] = None,
         tails[(i, j)] = parse_poly(entry["tail"], dim, ring, kind, params=env)
     table = RelationTable(ring, dim, kind, tails, name=spec.get("name", "file"))
     return table
-
-
-def load_table(path: Union[str, Path], hbar: Optional[complex] = None,
-               ring: Optional[Ring] = None) -> RelationTable:
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    return table_from_dict(spec, hbar=hbar, ring=ring)

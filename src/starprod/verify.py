@@ -47,7 +47,7 @@ from .probes import (
     submultiplicativity_probe,
 )
 from .qcomb import q_multinomial
-from .reduction import check_overlaps, jacobi_check, poisson_from_table
+from .reduction import check_overlaps, jacobi_check, poisson_bracket, poisson_from_table
 from .scalars import GaussRational, RationalQRing, RationalRing, make_ring
 from .states import (
     StateFunctional,
@@ -289,16 +289,11 @@ def suite_first_order(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
         antisym = first_order_commutator(f, g, inst.table)
         f0 = f.map_coefficients(lambda s: s.coefficient(0), base)
         g0 = g.map_coefficients(lambda s: s.coefficient(0), base)
-        bracket = poisson_bracket_scaled(eta, f0, g0, i_unit)
+        bracket = poisson_bracket(eta, f0, g0).scale(i_unit)
         rows.append((digest_of("B1", repr(f.terms), repr(g.terms)), antisym == bracket))
     cases, ok = _bool_cases(rows)
     return ProbeReport("first_order", ok,
                        min((c.margin for c in cases), default=BIG_MARGIN), cases)
-
-
-def poisson_bracket_scaled(eta, f, g, i_unit):
-    from .reduction import poisson_bracket
-    return poisson_bracket(eta, f, g).scale(i_unit)
 
 
 def suite_q_identities(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:

@@ -28,9 +28,14 @@ from starprod.catalog import (
     wick_star,
     word_weight,
 )
-from starprod.params import ParameterRule
+from starprod.params import ParameterCatalog, ParameterRule
 from starprod.poly import Polynomial
-from starprod.probes import exponent_ball, random_polynomial
+from starprod.probes import (
+    exponent_ball,
+    random_coefficient,
+    random_exponent,
+    random_polynomial,
+)
 from starprod.qcomb import PoleAtRootOfUnity
 from starprod.reduction import poisson_from_table, star_by_reduction
 from starprod.scalars import GaussRational, SeriesRing, make_ring
@@ -430,3 +435,71 @@ def test_symmetrized_associativity_as_rational_function_identity():
         lhs = coeff(K, L) * coeff(plus(K, L), M)
         rhs = coeff(L, M) * coeff(K, plus(L, M))
         assert lhs == rhs, (K, L, M)
+
+
+# -- the bilinear extension on multi-term polynomials --------------------------------
+
+
+def _const(text):
+    return ParameterRule.parse(f"const:{text}")
+
+
+def _closed_form_catalog(name, ring, hbar=None):
+    """A closed-form catalog that also has a table; constant parameters when exact."""
+    if name == "quantum_weyl":
+        ring = SeriesRing(order=4, exact=True) if ring.exact else ring
+        return build_catalog("quantum_weyl", ring, 2, hbar=hbar, options={"lambda": 1})
+    if name.startswith("nonquadratic"):
+        rules = ParameterCatalog({"p": _const("7/5"), "q": _const("5/4"), "r": _const("4/3")})
+        name, options = "nonquadratic", {"N": int(name[-1])}
+    else:
+        rules = ParameterCatalog({"q": _const("5/4" if name == "log_canonical" else "3/4")})
+        options = None
+    return build_catalog(name, ring, 3, rules if ring.exact else None, hbar, options)
+
+
+CLOSED_FORM_CATALOGS = ("log_canonical", "wick_log_canonical", "nonquadratic0",
+                        "nonquadratic1", "nonquadratic2", "quantum_weyl")
+
+
+def _multi_term(rng, ring, dim, kind):
+    """Three terms of distinct total degree 1, 2, 3."""
+    return Polynomial(ring, dim, {random_exponent(rng, dim, k): random_coefficient(rng, ring)
+                                  for k in (1, 2, 3)}, kind)
+
+
+def _partly_cancelling(rng, g, ring):
+    """h sharing monomials with -g: one term cancels exactly, one in part, one is new."""
+    (K0, c0), (K1, c1) = list(g.terms.items())[:2]
+    out = {K0: -c0, K1: random_coefficient(rng, ring) - c1,
+           random_exponent(rng, g.dim, 4): random_coefficient(rng, ring)}
+    return Polynomial(ring, g.dim, out, g.kind)
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_CATALOGS)
+def test_bilinear_closed_form_matches_reduction_exact(name):
+    inst = _closed_form_catalog(name, R)
+    assert inst.star.mono is not None and inst.reduction_star is not None
+    rng = random.Random(f"bilinear:{name}")
+    for _ in range(4):
+        f = _multi_term(rng, inst.ring, inst.dim, inst.kind)
+        g = _multi_term(rng, inst.ring, inst.dim, inst.kind)
+        h = _partly_cancelling(rng, g, inst.ring)
+        assert set(g.terms) - set((g + h).terms)
+        assert inst.star(f, g) == inst.reduction_star(f, g)
+        assert inst.star(f, g + h) == inst.star(f, g) + inst.star(f, h)
+        assert inst.star(f, g + h) == inst.reduction_star(f, g + h)
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_CATALOGS)
+def test_bilinear_closed_form_matches_reduction_complex(name):
+    inst = _closed_form_catalog(name, C, hbar=0.3)
+    rng = random.Random(f"bilinear-complex:{name}")
+    for _ in range(4):
+        f = _multi_term(rng, C, inst.dim, inst.kind)
+        g = _multi_term(rng, C, inst.dim, inst.kind)
+        h = _partly_cancelling(rng, g, C)
+        for lhs, rhs in ((inst.star(f, g), inst.reduction_star(f, g)),
+                         (inst.star(f, g + h), inst.star(f, g) + inst.star(f, h))):
+            scale = max((abs(c) for c in rhs.terms.values()), default=1.0)
+            assert lhs.close_to(rhs, tol=1e-10, scale=scale), (name, f, g)

@@ -108,19 +108,21 @@ def test_gram_degree_zero():
 
 
 def test_gram_entries_are_deformed_star_squares():
-    # M[K, L] agrees with delta(conj(w^K) * w^L) computed by rewriting
-    rng = random.Random(5)
-    d, hbar = 3, 0.6
-    z = random_wick_point(rng, d)
-    state = StateFunctional(z, hbar)
-    basis, M = gram_matrix(state, 2)
-    table = wick_log_canonical_table(C, d, complex(math.exp(-hbar)))
-    for a, K in enumerate(basis):
-        for b, L in enumerate(basis):
-            wK = Polynomial.monomial(C, d, K, kind="w").conjugate()
-            wL = Polynomial.monomial(C, d, L, kind="w")
-            product = star_by_reduction(wK, wL, table).result
-            assert M[a, b] == pytest.approx(state(product), abs=1e-10)
+    # M[K, L] agrees with delta(conj(w^K) * w^L) computed by rewriting, on
+    # both branches of the deformed evaluation
+    d = 3
+    for hbar in (0.6, -0.6):
+        rng = random.Random(5)
+        z = random_wick_point(rng, d)
+        state = StateFunctional(z, hbar)
+        basis, M = gram_matrix(state, 2)
+        table = wick_log_canonical_table(C, d, complex(math.exp(-hbar)))
+        for a, K in enumerate(basis):
+            for b, L in enumerate(basis):
+                wK = Polynomial.monomial(C, d, K, kind="w").conjugate()
+                wL = Polynomial.monomial(C, d, L, kind="w")
+                product = star_by_reduction(wK, wL, table).result
+                assert M[a, b] == pytest.approx(state(product), abs=1e-10), (hbar, K, L)
 
 
 def test_psd_check_identity_and_witness_matrix():
