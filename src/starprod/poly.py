@@ -314,8 +314,25 @@ class NcPolynomial:
         self.terms = clean
 
     @classmethod
+    def from_checked(cls, ring: Ring, dim: int, terms: Mapping[Word, object]) -> "NcPolynomial":
+        """Build from word tuples whose letters are known to lie in 1..dim.
+
+        Drops zero coefficients as the constructor does but checks no letter:
+        for words assembled from words of polynomials and tables of the same
+        dimension, which were checked when they were made.
+        """
+        self = object.__new__(cls)
+        self.ring = ring
+        self.dim = dim
+        is_zero = ring.is_zero
+        self.terms = {w: c for w, c in terms.items() if not is_zero(c)}
+        return self
+
+    @classmethod
     def from_polynomial(cls, f: Polynomial) -> "NcPolynomial":
-        return cls(f.ring, f.dim, {exponent_to_word(K): c for K, c in f.terms.items()})
+        # an exponent of length dim only spells letters 1..dim
+        return cls.from_checked(f.ring, f.dim,
+                                {exponent_to_word(K): c for K, c in f.terms.items()})
 
     def to_polynomial(self, kind: str = "x") -> Polynomial:
         out: Dict[Exponent, object] = {}
@@ -341,8 +358,8 @@ class NcPolynomial:
         return NcPolynomial(self.ring, self.dim, out)
 
     def scale(self, scalar) -> "NcPolynomial":
-        return NcPolynomial(self.ring, self.dim,
-                            {w: c * scalar for w, c in self.terms.items()})
+        return NcPolynomial.from_checked(self.ring, self.dim,
+                                         {w: c * scalar for w, c in self.terms.items()})
 
     def concat(self, other: "NcPolynomial") -> "NcPolynomial":
         out: Dict[Word, object] = {}

@@ -110,6 +110,10 @@ def reduce_once(f: NcPolynomial, table: RelationTable,
     Returns (rewritten, changed, replacements); replacements counts the
     words in which a rule fired.
     """
+    # f's words and the tails were checked against the dimension when they
+    # were made, so the rewritten words need no letter check
+    if f.dim != table.dim:
+        raise TableError("polynomial dimension does not match the table")
     tails = table.tail_words()
     out: Dict[Word, object] = {}
     ring = table.ring
@@ -135,7 +139,7 @@ def reduce_once(f: NcPolynomial, table: RelationTable,
         for tail_word, tail_coeff in tails.get((i, j), ()):
             accumulate(prefix + tail_word + suffix, coeff * tail_coeff)
 
-    return NcPolynomial(ring, f.dim, out), changed, fired
+    return NcPolynomial.from_checked(ring, f.dim, out), changed, fired
 
 
 def reduce_to_standard(f: NcPolynomial, table: RelationTable,

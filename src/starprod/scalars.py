@@ -20,7 +20,6 @@ anti-automorphism on every type; it fixes t and q.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Union
@@ -166,7 +165,7 @@ class GaussRational:
         return self._a == 0 and self._b == 0
 
     def __bool__(self):
-        return not self.is_zero()
+        return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -198,6 +197,28 @@ def _entry_is_zero(entry, tol: float) -> bool:
     if isinstance(entry, GaussRational):
         return entry.is_zero()
     return abs(entry) <= tol
+
+
+def _convolve(p, q, length: int) -> list:
+    """Entries 0..length-1 of the Cauchy product of coefficient sequences.
+
+    Zero entries on either side are skipped, and a slot holds its first
+    product as it is rather than a sum with zero.  Slots no product reaches
+    are None.  Each slot sums its products in order of the left index, as
+    the dense schoolbook product does.
+    """
+    out = [None] * length
+    right = [(j, b) for j, b in enumerate(q[:length]) if b]
+    for i, a in enumerate(p[:length]):
+        if not a:
+            continue
+        limit = length - i
+        for j, b in right:
+            if j >= limit:
+                break
+            c = out[i + j]
+            out[i + j] = a * b if c is None else c + a * b
+    return out
 
 
 class TruncSeries:
@@ -283,16 +304,12 @@ class TruncSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = self.order
+        out = _convolve(self.coeffs, o.coeffs, len(self.coeffs))
         zero = self._zero_entry()
-        out = [zero] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if _entry_is_zero(a, 0.0 if isinstance(a, GaussRational) else 1e-300):
-                continue
-            for j in range(0, n + 1 - i):
-                b = o.coeffs[j]
-                out[i + j] = out[i + j] + a * b
-        return TruncSeries(out)
+        if isinstance(zero, GaussRational):
+            return TruncSeries(zero if c is None else c for c in out)
+        # a sum over +0.0 never ends at -0.0; adding 0j keeps that sign of zero
+        return TruncSeries(zero if c is None else c + zero for c in out)
 
     __rmul__ = __mul__
 
@@ -358,7 +375,7 @@ class TruncSeries:
         if o is None:
             return NotImplemented
         return all(
-            _entry_is_zero(a - b, 0.0 if isinstance(a, GaussRational) else 0.0)
+            _entry_is_zero(a - b, 0.0)
             for a, b in zip(self.coeffs, o.coeffs)
         )
 
@@ -395,13 +412,8 @@ def _pmul(p, q):
     if not p or not q:
         return ()
     zero = GaussRational(0)
-    out = [zero] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(q):
-            out[i + j] = out[i + j] + a * b
-    return _ptrim(out)
+    return _ptrim([zero if c is None else c
+                   for c in _convolve(p, q, len(p) + len(q) - 1)])
 
 
 def _pdivmod(p, q):
@@ -441,7 +453,12 @@ class RationalQ:
     """Rational function in one indeterminate q over GaussRational.
 
     Stored gcd-reduced with monic denominator, so structural equality is
-    mathematical equality.
+    mathematical equality.  A monomial denominator c*q^k, which the
+    q-multinomials (c*q^0) and their images under q -> 1/q have, is reduced
+    without a polynomial gcd: with v the lesser of k and the order of the
+    numerator at q = 0, the numerator is shifted down by v and divided by c,
+    and the denominator becomes q^(k-v).  That is the normal form the gcd
+    reduction gives.
     """
 
     __slots__ = ("num", "den")
@@ -460,6 +477,20 @@ class RationalQ:
         if not num:
             self.num = ()
             self.den = (GaussRational(1),)
+            return
+        k = len(den) - 1
+        if not any(den[:k]):
+            # den = c*q^k, whose gcd with num is a power of q (see above)
+            v = 0
+            while v < k and not num[v]:
+                v += 1
+            c = den[k]
+            if c == 1:
+                self.num = num[v:]
+            else:
+                lead_inv = c.inverse()
+                self.num = tuple(a * lead_inv for a in num[v:])
+            self.den = (GaussRational(0),) * (k - v) + (GaussRational(1),)
             return
         g = _pgcd(num, den)
         if len(g) > 1:
@@ -826,7 +857,3 @@ def scalar_power(ring: Ring, base, exponent: int):
     if exponent >= 0:
         return base ** exponent
     return ring.inverse(base) ** (-exponent)
-
-
-def exp_complex(z: complex) -> complex:
-    return cmath.exp(z)

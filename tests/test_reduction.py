@@ -51,6 +51,19 @@ def test_reduce_once_keeps_standard_words():
     assert out.terms == f.terms
 
 
+def test_nc_polynomial_rejects_letters_outside_the_dimension():
+    for word in ((1, 3), (0, 1), (2, -1)):
+        with pytest.raises(ValueError):
+            NcPolynomial(R, 2, {word: R.one})
+
+
+def test_reduce_once_rejects_a_dimension_other_than_the_table():
+    # the rewrite loop checks no letter, so words enter only at the table's dimension
+    tab = log_canonical_table(R, 3, Q32)
+    with pytest.raises(TableError):
+        reduce_once(NcPolynomial(R, 2, {(2, 1): R.one}), tab)
+
+
 def test_reduce_once_picks_rightmost_pair():
     tab = log_canonical_table(R, 3, Q32)
     f = NcPolynomial(R, 3, {(3, 2, 1): R.one})

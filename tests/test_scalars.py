@@ -13,6 +13,8 @@ from starprod.scalars import (
     RationalQ,
     RationalQRing,
     SeriesRing,
+    TruncSeries,
+    _pmul,
     make_ring,
 )
 
@@ -141,6 +143,86 @@ def test_rational_q_normalization():
     half = RationalQ.constant(2) / (q * 2 - 2)
     assert half.den[-1] == GaussRational(1)
     assert half * (q - 1) == RationalQ.constant(1)
+
+
+def _dense_product(p, q, length, zero):
+    """Schoolbook product: every pair of entries added into zero placeholders."""
+    out = [zero] * length
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            if i + j < length:
+                out[i + j] = out[i + j] + a * b
+    return out
+
+
+def _trimmed(p):
+    p = list(p)
+    while p and p[-1].is_zero():
+        p.pop()
+    return tuple(p)
+
+
+ZERO_Q = GaussRational(0)
+
+
+def _with_zeros(entries, zero, **sizes):
+    """Coefficient tuples in which zero entries are common."""
+    return st.lists(st.one_of(entries, st.just(zero)), **sizes).map(tuple)
+
+
+@given(st.integers(0, 3), _with_zeros(gauss_rationals(), ZERO_Q, max_size=5),
+       gauss_rationals().filter(bool), st.integers(0, 4),
+       st.lists(gauss_rationals(), min_size=2, max_size=3).filter(
+           lambda w: sum(map(bool, w)) >= 2))
+def test_rational_q_monomial_denominator_matches_gcd_reduction(lead, body, c, k, w):
+    # num / (c q^k) against num*w / (c q^k * w): w is no monomial, so the
+    # second takes the polynomial gcd; both must store the same normal form
+    num = (ZERO_Q,) * lead + body
+    den = (ZERO_Q,) * k + (c,)
+    direct = RationalQ(num, den)
+    reduced = RationalQ(_pmul(_trimmed(num), w), _pmul(den, w))
+    assert (direct.num, direct.den) == (reduced.num, reduced.den)
+    assert direct == reduced and hash(direct) == hash(reduced)
+    trimmed = _trimmed(num)
+    if trimmed:
+        v = min(k, next(n for n, a in enumerate(trimmed) if a))
+        assert direct.den == (ZERO_Q,) * (k - v) + (GaussRational(1),)
+        assert direct.num == tuple(a / c for a in trimmed[v:])
+    else:
+        assert (direct.num, direct.den) == ((), (GaussRational(1),))
+
+
+@given(_with_zeros(gauss_rationals(), ZERO_Q, max_size=6),
+       _with_zeros(gauss_rationals(), ZERO_Q, max_size=6))
+def test_pmul_matches_dense_product(p, q):
+    if not p or not q:
+        assert _pmul(p, q) == ()
+        return
+    assert _pmul(p, q) == _trimmed(_dense_product(p, q, len(p) + len(q) - 1, ZERO_Q))
+
+
+def _signed_complex():
+    # products of these have parts that are exactly zero, of either sign
+    part = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -2.0, 1e-300, -3e-200])
+    return st.one_of(bounded_complex(), st.builds(complex, part, part))
+
+
+def _bits(z: complex):
+    return z.real.hex(), z.imag.hex()
+
+
+@given(st.integers(1, 7), st.data())
+def test_trunc_series_product_matches_dense_product(n, data):
+    for entries, zero in ((gauss_rationals(), ZERO_Q), (_signed_complex(), 0j)):
+        a = data.draw(_with_zeros(entries, zero, min_size=n, max_size=n))
+        b = data.draw(_with_zeros(entries, zero, min_size=n, max_size=n))
+        product = (TruncSeries(a) * TruncSeries(b)).coeffs
+        dense = _dense_product(a, b, n, zero)
+        if zero == 0j:
+            # bit for bit, the sign of a zero part included
+            assert [_bits(z) for z in product] == [_bits(z) for z in dense]
+        else:
+            assert product == tuple(dense)
 
 
 def test_rational_q_evaluate():
