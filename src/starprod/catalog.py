@@ -22,6 +22,7 @@ by the CLI:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -104,8 +105,7 @@ def quantum_weyl_table(ring: Ring, p, q) -> RelationTable:
 
 def translated_table(base: RelationTable, offsets: Sequence) -> RelationTable:
     """Table of the pull-back product: every tail is shifted by the offsets."""
-    offs = [base.ring.coerce(c) if type(c) is not type(base.ring.zero) else c
-            for c in offsets]
+    offs = [base.ring.coerce(c) for c in offsets]
     tails = {pair: tail.shift(offs) for pair, tail in base.tails.items()}
     return RelationTable(base.ring, base.dim, base.kind, tails,
                          name=f"translated({base.name})")
@@ -281,7 +281,7 @@ def translated_star(f: Polynomial, g: Polynomial, base: RelationTable,
                     offsets: Sequence, step_limit: int = DEFAULT_STEP_LIMIT) -> Polynomial:
     """Pull-back product T(T^(-1) f * T^(-1) g) under T(x_i) = x_i + c_i."""
     ring = base.ring
-    offs = [ring.coerce(c) if type(c) is not type(ring.zero) else c for c in offsets]
+    offs = [ring.coerce(c) for c in offsets]
     neg = [-c for c in offs]
     inner = star_by_reduction(f.shift(neg), g.shift(neg), base, step_limit).result
     return inner.shift(offs)
@@ -442,8 +442,18 @@ class StarProduct:
         return Polynomial(self.ring, self.dim, out, self.kind)
 
 
+MonomialRoute = Callable[[Exponent, Exponent], Polynomial]
+
+
 @dataclass
 class CatalogInstance:
+    """A built catalog entry.
+
+    ``oracle`` holds the two computations of ``x^K * x^L`` that cross-check
+    each other, as (route, reference): a closed form against rewriting, or,
+    for a table with no closed form, rightmost against leftmost rewriting.
+    """
+
     name: str
     ring: Ring
     dim: int
@@ -451,8 +461,22 @@ class CatalogInstance:
     star: StarProduct
     table: Optional[RelationTable]
     reduction_star: Optional[StarProduct]
+    oracle: Tuple[MonomialRoute, MonomialRoute]
     params: Dict[str, object] = field(default_factory=dict)
     options: Dict[str, object] = field(default_factory=dict)
+
+
+def rewriting_routes(table: RelationTable) -> Tuple[MonomialRoute, MonomialRoute]:
+    """Rightmost against leftmost rewriting: the normal form of an
+    associative table does not depend on the order of the rewrites."""
+    def route(strategy: str) -> MonomialRoute:
+        def product(K: Exponent, L: Exponent) -> Polynomial:
+            f = Polynomial.monomial(table.ring, table.dim, K, kind=table.kind)
+            g = Polynomial.monomial(table.ring, table.dim, L, kind=table.kind)
+            return star_by_reduction(f, g, table, strategy=strategy).result
+        return product
+
+    return route("rightmost"), route("leftmost")
 
 
 def default_rules(name: str, options: Optional[Dict] = None) -> ParameterCatalog:
@@ -483,6 +507,7 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
     if rules is None:
         rules = default_rules(name, options)
     scalars = rules.resolve(ring, hbar)
+    oracle = None
 
     if name == "log_canonical":
         dim = d or 2
@@ -523,6 +548,10 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
         table = None
         mono = lambda K, L: symmetrized_star(K, L, q, ring)
         star = StarProduct(name, ring, dim, "x", None, mono)
+        # built on first use: a series ring with a constant q has no such table
+        averaging_table = functools.cache(lambda: log_canonical_table(ring, dim, q))
+        oracle = (star.monomial_product,
+                  lambda K, L: symmetrized_star_by_averaging(K, L, averaging_table()))
     else:  # translated
         offsets = options.get("c", (1, -1))
         offsets = [Fraction(str(c)) for c in offsets]
@@ -535,12 +564,19 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
         table = translated_table(base, offsets)
         star = StarProduct(name, ring, dim, "x", table, None)
         options["base_table"] = base
+        oracle = (lambda K, L: translated_star(Polynomial.monomial(ring, dim, K),
+                                               Polynomial.monomial(ring, dim, L),
+                                               base, offsets),
+                  star.monomial_product)
 
     reduction_star = None
     if table is not None:
         reduction_star = StarProduct(name + "(reduction)", ring, dim, star.kind, table, None)
+    if oracle is None:
+        oracle = ((star.monomial_product, reduction_star.monomial_product)
+                  if star.mono is not None else rewriting_routes(table))
     return CatalogInstance(name, ring, dim, star.kind, star, table, reduction_star,
-                           scalars, options)
+                           oracle, scalars, options)
 
 
 def catalog_poisson(name: str, d: Optional[int] = None,

@@ -186,7 +186,6 @@ def cmd_eval(catalog, phi, d, params, hbar_text, ring_name, truncation, lhs, rhs
 @click.option("--spec", "spec_path", type=click.Path(exists=True), default=None,
               help="run-spec JSON; defaults to the bundled suite")
 @click.option("--seed", type=int, default=None)
-@click.option("--jobs", type=int, default=1)
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--csv", "csv_path", type=click.Path(), default=None,
               help="write per-case rows to this CSV file")
@@ -196,7 +195,7 @@ def cmd_eval(catalog, phi, d, params, hbar_text, ring_name, truncation, lhs, rhs
               help="include per-case rows in the JSON report")
 @click.option("--timings", "include_timings", is_flag=True, default=False,
               help="include wall-clock timings (breaks byte-for-byte determinism)")
-def cmd_verify(spec_path, seed, jobs, out_path, csv_path, as_json,
+def cmd_verify(spec_path, seed, out_path, csv_path, as_json,
                include_cases, include_timings):
     """Run verification suites; exit 0 only if every probe passes."""
     try:
@@ -206,7 +205,7 @@ def cmd_verify(spec_path, seed, jobs, out_path, csv_path, as_json,
         else:
             spec = DEFAULT_RUNSPEC
         actual_seed = _resolve_seed(seed, spec)
-        results = run_suites(spec, seed=actual_seed, jobs=max(1, jobs))
+        results = run_suites(spec, seed=actual_seed)
     except CONFIG_ERRORS as exc:
         _fail(str(exc), 2)
         return

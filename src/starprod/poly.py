@@ -216,8 +216,7 @@ class Polynomial:
 
     def shift(self, offsets) -> "Polynomial":
         """Substitute generator i -> generator i + offsets[i-1]."""
-        offsets = [self.ring.coerce(c) if type(c) is not type(self.ring.zero) else c
-                   for c in offsets]
+        offsets = [self.ring.coerce(c) for c in offsets]
         if len(offsets) != self.dim:
             raise DimensionMismatch("offset vector length must equal the dimension")
         shifted_vars = [

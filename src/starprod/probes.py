@@ -49,21 +49,10 @@ class ProbeReport:
     cases: List[ProbeCase] = field(default_factory=list)
     meta: Dict = field(default_factory=dict)
 
-    def to_dict(self, include_cases: bool = False) -> Dict:
-        out = {
-            "kind": self.kind,
-            "pass": self.passed,
-            "worst_margin": self.worst_margin,
-            "case_count": len(self.cases),
-        }
-        if self.meta:
-            out["meta"] = self.meta
-        if include_cases:
-            out["cases"] = [c.to_row() for c in self.cases]
-        return out
 
-
-def _finish(kind: str, cases: List[ProbeCase], passed: bool, meta: Optional[Dict] = None) -> ProbeReport:
+def finish_report(kind: str, cases: List[ProbeCase], passed: bool,
+                  meta: Optional[Dict] = None) -> ProbeReport:
+    """The report of a probe; its worst margin is the least margin of its cases."""
     worst = min((c.margin for c in cases), default=BIG_MARGIN)
     return ProbeReport(kind, passed, worst, cases, meta or {})
 
@@ -140,7 +129,7 @@ def degree_filtration_check(star: Callable[[Polynomial, Polynomial], Polynomial]
         margin = BIG_MARGIN if lhs == float("inf") else lhs - rhs
         ok = ok and margin >= 0
         cases.append(ProbeCase(_poly_digest(f, g), min(lhs, BIG_MARGIN), rhs, margin))
-    return _finish("degree_filtration", cases, ok)
+    return finish_report("degree_filtration", cases, ok)
 
 
 # -- submultiplicativity --------------------------------------------------------------
@@ -174,7 +163,7 @@ def submultiplicativity_probe(star: Callable[[Polynomial, Polynomial], Polynomia
     for _ in range(samples):
         run_case(random_polynomial(rng, ring, dim, max_degree, terms, kind),
                  random_polynomial(rng, ring, dim, max_degree, terms, kind))
-    return _finish("submultiplicativity", cases, ok)
+    return finish_report("submultiplicativity", cases, ok)
 
 
 # -- squared-exponent continuity --------------------------------------------------------
@@ -247,8 +236,8 @@ def macgyver_continuity_probe(star: StarProduct, C: float,
             ok = False
         cases.append(ProbeCase(_poly_digest(f, g), lhs, rhs, margin))
     passed = ok and not violations
-    return _finish("macgyver_continuity", cases, passed,
-                   {"Q": Q, "C_prime": c_prime, "hypothesis_violations": violations})
+    return finish_report("macgyver_continuity", cases, passed,
+                         {"Q": Q, "C_prime": c_prime, "hypothesis_violations": violations})
 
 
 def exponent_ball(dim: int, max_total: int) -> List[Exponent]:
@@ -341,7 +330,7 @@ def classical_limit_probe(star_at: Callable[[float], Callable[[Polynomial, Polyn
             ok = False
         cases.append(ProbeCase(_poly_digest(f, g), final, case_tol, margin))
     meta = {"orders": orders, "hbar_min": hbars[-1]}
-    return _finish("classical_limit", cases, ok, meta)
+    return finish_report("classical_limit", cases, ok, meta)
 
 
 # -- series coefficients ---------------------------------------------------------------
@@ -435,4 +424,4 @@ def symmetrized_growth_probe(q: complex, dim: int, rho: Sequence[float],
                 ok = False
             cases.append(ProbeCase(digest_of("symgrowth", str(K), str(L)),
                                    lhs, rhs, margin))
-    return _finish("symmetrized_growth", cases, ok, {"bound": bound})
+    return finish_report("symmetrized_growth", cases, ok, {"bound": bound})

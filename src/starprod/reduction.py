@@ -65,10 +65,6 @@ class RelationTable:
             return self.tails[(i, j)]
         return Polynomial.zero(self.ring, self.dim, self.kind)
 
-    @property
-    def is_series(self) -> bool:
-        return isinstance(self.ring, SeriesRing)
-
     def tail_words(self) -> Dict[Tuple[int, int], List[Tuple[Word, object]]]:
         """Tails pre-embedded as standard words, cached for the rewrite loop."""
         cached = getattr(self, "_tail_words", None)
@@ -273,9 +269,7 @@ def poisson_bracket(eta: PoissonStructure, f: Polynomial, g: Polynomial) -> Poly
             if b.is_zero():
                 continue
             if b.ring is not f.ring:
-                b = Polynomial(f.ring, b.dim,
-                               {K: f.ring.coerce(c) if type(c) is not type(f.ring.zero) else c
-                                for K, c in b.terms.items()}, b.kind)
+                b = b.map_coefficients(f.ring.coerce, f.ring)
             result = result + b * (df_j * g.derivative(i) - f.derivative(i) * dg_j)
     return result
 

@@ -29,7 +29,43 @@ Rationalish = Union[int, Fraction]
 _new_object = object.__new__
 
 
-class GaussRational:
+class _FieldOps:
+    """Division and square-and-multiply powers for the scalar classes.
+
+    A subclass supplies ``_coerce`` (None for a foreign operand),
+    ``inverse``, ``__mul__`` and ``_unit``, its multiplicative identity.
+    """
+
+    __slots__ = ()
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
+
+    def __rtruediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return o * self.inverse()
+
+    def __pow__(self, n: int):
+        if not isinstance(n, int):
+            return NotImplemented
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = self._unit()
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+
+class GaussRational(_FieldOps):
     """Exact complex number with rational real and imaginary parts.
 
     Stored as three integers ``(a, b, d)`` meaning ``(a + b*i) / d``, in the
@@ -130,31 +166,8 @@ class GaussRational:
             raise ZeroDivisionError("inverse of zero GaussRational")
         return GaussRational._make(a * d, -b * d, n)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = GaussRational(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _unit(self) -> "GaussRational":
+        return GaussRational(1)
 
     def conjugate(self) -> "GaussRational":
         out = _new_object(GaussRational)
@@ -221,7 +234,7 @@ def _convolve(p, q, length: int) -> list:
     return out
 
 
-class TruncSeries:
+class TruncSeries(_FieldOps):
     """Power series in t truncated at a fixed order.
 
     Coefficients are stored densely as ``coeffs[k]`` for t^k, all of one
@@ -332,31 +345,8 @@ class TruncSeries:
             out.append(-(inv0 * acc))
         return TruncSeries(out)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = TruncSeries.constant(self._one_entry(), self.order)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _unit(self) -> "TruncSeries":
+        return TruncSeries.constant(self._one_entry(), self.order)
 
     def conjugate(self) -> "TruncSeries":
         return TruncSeries(a.conjugate() for a in self.coeffs)
@@ -449,7 +439,7 @@ def _pmonic(p):
     return tuple(a * inv for a in p)
 
 
-class RationalQ:
+class RationalQ(_FieldOps):
     """Rational function in one indeterminate q over GaussRational.
 
     Stored gcd-reduced with monic denominator, so structural equality is
@@ -559,31 +549,8 @@ class RationalQ:
             raise ZeroDivisionError("inverse of zero rational function")
         return RationalQ(self.den, self.num)
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
-
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int):
-            return NotImplemented
-        if n < 0:
-            return self.inverse() ** (-n)
-        result = RationalQ.constant(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
+    def _unit(self) -> "RationalQ":
+        return RationalQ.constant(1)
 
     def conjugate(self) -> "RationalQ":
         return RationalQ(

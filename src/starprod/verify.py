@@ -14,7 +14,6 @@ import json
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
@@ -25,9 +24,9 @@ from .catalog import (
     build_catalog,
     catalog_poisson,
     log_canonical_table,
+    rewriting_routes,
     symmetrized_star,
     symmetrized_star_by_averaging,
-    translated_star,
     wick_involution_condition,
 )
 from .params import ParameterCatalog
@@ -40,6 +39,7 @@ from .probes import (
     degree_filtration_check,
     digest_of,
     exponent_ball,
+    finish_report,
     first_order_commutator,
     generator_product_bound,
     macgyver_continuity_probe,
@@ -87,7 +87,7 @@ class RunContext:
             table = table_from_dict(self.table_spec, hbar=hbar, ring=ring)
             star = StarProduct(self.label, ring, table.dim, table.kind, table, None)
             return CatalogInstance(self.label, ring, table.dim, table.kind,
-                                   star, table, star, {}, {})
+                                   star, table, star, rewriting_routes(table))
         return build_catalog(self.catalog_name, ring, self.d, self.rules,
                              hbar, dict(self.options))
 
@@ -103,10 +103,12 @@ class RunContext:
 # signature: fn(ctx, cfg, rng, hbar) -> ProbeReport
 
 
-def _bool_cases(rows: List[Tuple[str, bool]]) -> Tuple[List[ProbeCase], bool]:
+def _bool_report(kind: str, rows: List[Tuple[str, bool]],
+                 meta: Optional[Dict] = None) -> ProbeReport:
+    """One case per (digest, verdict) row: margin 1.0 if it holds, -1.0 if not."""
     cases = [ProbeCase(digest, 0.0 if ok else 1.0, 0.0, 1.0 if ok else -1.0)
              for digest, ok in rows]
-    return cases, all(ok for _, ok in rows)
+    return finish_report(kind, cases, all(ok for _, ok in rows), meta)
 
 
 def suite_overlaps(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -120,82 +122,42 @@ def suite_overlaps(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
                 rows.append((digest_of("overlap", str((i, j, k))), (i, j, k) not in failed))
     if not rows:
         rows.append((digest_of("overlap", "no-triples"), True))
-    cases, ok = _bool_cases(rows)
-    return ProbeReport("overlaps", ok and report.ok,
-                       min((c.margin for c in cases), default=BIG_MARGIN), cases,
-                       {"failures": len(report.failures)})
+    return _bool_report("overlaps", rows, {"failures": len(report.failures)})
 
 
 def suite_jacobi(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     eta = ctx.poisson(order=int(cfg.get("order", 4)))
     ok = jacobi_check(eta, tol=float(cfg.get("tol", 1e-10)))
-    cases, _ = _bool_cases([(digest_of("jacobi", ctx.label), ok)])
-    return ProbeReport("jacobi", ok, cases[0].margin, cases)
+    return _bool_report("jacobi", [(digest_of("jacobi", ctx.label), ok)])
 
 
 def suite_oracle(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
-    """Closed form against reduction on a full monomial sweep."""
+    """The instance's route against its reference on a full monomial sweep."""
     inst = ctx.instance(hbar=hbar)
-    max_degree = int(cfg.get("max_degree", 3))
     tol = float(cfg.get("tol", 1e-10))
     ring = inst.ring
+    route, reference = inst.oracle
+    ball = exponent_ball(inst.dim, int(cfg.get("max_degree", 3)))
     cases = []
     ok = True
-    ball = exponent_ball(inst.dim, max_degree)
-
-    def compare(K, L, closed: Polynomial, reduced: Polynomial):
-        nonlocal ok
-        if ring.exact:
-            good = closed == reduced
-            margin = 1.0 if good else -1.0
-            lhs = 0.0 if good else 1.0
-        else:
-            keys = set(closed.terms) | set(reduced.terms)
-            zero = ring.zero
-            diff = max((abs(ring.to_complex(closed.terms.get(M, zero))
-                            - ring.to_complex(reduced.terms.get(M, zero)))
-                        for M in keys), default=0.0)
-            scale = max((abs(ring.to_complex(c)) for c in reduced.terms.values()),
-                        default=1.0)
-            good = diff <= tol * max(1.0, scale)
-            margin = tol * max(1.0, scale) - diff
-            lhs = diff
-        if not good:
-            ok = False
-        cases.append(ProbeCase(digest_of("oracle", str(K), str(L)), lhs, tol, margin))
-
-    if ctx.catalog_name == "translated":
-        base = inst.options["base_table"]
-        offsets = inst.options["c"]
-        for K in ball:
-            for L in ball:
-                f = Polynomial.monomial(ring, inst.dim, K, kind=inst.kind)
-                g = Polynomial.monomial(ring, inst.dim, L, kind=inst.kind)
-                compare(K, L, translated_star(f, g, base, offsets),
-                        inst.reduction_star(f, g))
-    elif ctx.catalog_name == "symmetrized_log_canonical":
-        table = log_canonical_table(ring, inst.dim, inst.params["q"])
-        for K in ball:
-            for L in ball:
-                compare(K, L, inst.star.monomial_product(K, L),
-                        symmetrized_star_by_averaging(K, L, table))
-    elif inst.star.mono is not None:
-        for K in ball:
-            for L in ball:
-                compare(K, L, inst.star.monomial_product(K, L),
-                        inst.reduction_star.monomial_product(K, L))
-    else:
-        # no closed form: check independence of the rewriting strategy instead
-        from .reduction import star_by_reduction
-        for K in ball:
-            for L in ball:
-                f = Polynomial.monomial(ring, inst.dim, K, kind=inst.kind)
-                g = Polynomial.monomial(ring, inst.dim, L, kind=inst.kind)
-                right = star_by_reduction(f, g, inst.table, strategy="rightmost").result
-                left = star_by_reduction(f, g, inst.table, strategy="leftmost").result
-                compare(K, L, right, left)
-    worst = min((c.margin for c in cases), default=BIG_MARGIN)
-    return ProbeReport("oracle", ok, worst, cases)
+    for K in ball:
+        for L in ball:
+            got, expected = route(K, L), reference(K, L)
+            if ring.exact:
+                good = got == expected
+                lhs, margin = (0.0, 1.0) if good else (1.0, -1.0)
+            else:
+                zero = ring.zero
+                lhs = max((abs(ring.to_complex(got.terms.get(M, zero))
+                               - ring.to_complex(expected.terms.get(M, zero)))
+                           for M in set(got.terms) | set(expected.terms)), default=0.0)
+                scale = max((abs(ring.to_complex(c)) for c in expected.terms.values()),
+                            default=1.0)
+                good = lhs <= tol * max(1.0, scale)
+                margin = tol * max(1.0, scale) - lhs
+            ok = ok and good
+            cases.append(ProbeCase(digest_of("oracle", str(K), str(L)), lhs, tol, margin))
+    return finish_report("oracle", cases, ok)
 
 
 def suite_degree_filtration(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -291,9 +253,7 @@ def suite_first_order(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
         g0 = g.map_coefficients(lambda s: s.coefficient(0), base)
         bracket = poisson_bracket(eta, f0, g0).scale(i_unit)
         rows.append((digest_of("B1", repr(f.terms), repr(g.terms)), antisym == bracket))
-    cases, ok = _bool_cases(rows)
-    return ProbeReport("first_order", ok,
-                       min((c.margin for c in cases), default=BIG_MARGIN), cases)
+    return _bool_report("first_order", rows)
 
 
 def suite_q_identities(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -314,9 +274,7 @@ def suite_q_identities(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
             mirrored = q ** pair_sum * q_multinomial(K, ring.inverse(q), ring)
             ok = ok and value == mirrored
             rows.append((digest_of("qmult", str(dim), str(K)), ok))
-    cases, ok = _bool_cases(rows)
-    return ProbeReport("q_identities", ok,
-                       min((c.margin for c in cases), default=BIG_MARGIN), cases)
+    return _bool_report("q_identities", rows)
 
 
 def suite_sigma_oracle(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -333,16 +291,13 @@ def suite_sigma_oracle(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
                 oracle = symmetrized_star_by_averaging(K, L, table)
                 rows.append((digest_of("sigma", q_text, str(K), str(L)),
                              closed == oracle))
-    cases, ok = _bool_cases(rows)
-    return ProbeReport("sigma_oracle", ok,
-                       min((c.margin for c in cases), default=BIG_MARGIN), cases)
+    return _bool_report("sigma_oracle", rows)
 
 
 def suite_wick_involution(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     inst = ctx.instance(hbar=hbar)
     ok = wick_involution_condition(inst.table, tol=float(cfg.get("tol", 1e-10)))
-    cases, _ = _bool_cases([(digest_of("wick-involution", ctx.label), ok)])
-    return ProbeReport("wick_involution", ok, cases[0].margin, cases)
+    return _bool_report("wick_involution", [(digest_of("wick-involution", ctx.label), ok)])
 
 
 def suite_states_psd(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -361,8 +316,7 @@ def suite_states_psd(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
                     ok = False
                 cases.append(ProbeCase(digest_of("psd", str(dim), repr(h), repr(z.z)),
                                        res.min_eigenvalue, 0.0, margin))
-    return ProbeReport("states_psd", ok,
-                       min((c.margin for c in cases), default=BIG_MARGIN), cases)
+    return finish_report("states_psd", cases, ok)
 
 
 def suite_witness(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -382,8 +336,7 @@ def suite_witness(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
                 ok = False
             cases.append(ProbeCase(digest_of("witness", str(dim), repr(h)),
                                    err, tol, margin))
-    return ProbeReport("witness", ok,
-                       min((c.margin for c in cases), default=BIG_MARGIN), cases)
+    return finish_report("witness", cases, ok)
 
 
 def suite_psi(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -430,8 +383,7 @@ def suite_psi(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
             if worst > tol:
                 ok = False
             cases.append(ProbeCase(digest_of("psi", str(dim), repr(h)), worst, tol, margin))
-    return ProbeReport("psi", ok,
-                       min((c.margin for c in cases), default=BIG_MARGIN), cases)
+    return finish_report("psi", cases, ok)
 
 
 def suite_gns(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -449,8 +401,7 @@ def suite_gns(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
                 ok = False
             cases.append(ProbeCase(digest_of("gns", repr(h), repr(z.z)),
                                    data.adjoint_residual, tol, margin))
-    return ProbeReport("gns", ok,
-                       min((c.margin for c in cases), default=BIG_MARGIN), cases)
+    return finish_report("gns", cases, ok)
 
 
 def suite_separation(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -461,9 +412,7 @@ def suite_separation(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
         f = random_polynomial(rng, ring, dim, int(cfg.get("max_degree", 2)), 2, "w")
         result = point_separation_probe(f, float(cfg.get("hbar", 0.5)), rng)
         rows.append((digest_of("separation", repr(sorted(f.terms))), result.separated))
-    cases, ok = _bool_cases(rows)
-    return ProbeReport("separation", ok,
-                       min((c.margin for c in cases), default=BIG_MARGIN), cases)
+    return _bool_report("separation", rows)
 
 
 SUITES: Dict[str, Tuple[Callable, bool]] = {
@@ -547,7 +496,7 @@ class SuiteResult:
         return out
 
 
-def run_suites(spec: Dict, seed: Optional[int] = None, jobs: int = 1) -> List[SuiteResult]:
+def run_suites(spec: Dict, seed: Optional[int] = None) -> List[SuiteResult]:
     actual_seed = spec.get("seed", 42) if seed is None else seed
     tasks = []
     for run_idx, run in enumerate(spec.get("runs", [])):
@@ -574,11 +523,7 @@ def run_suites(spec: Dict, seed: Optional[int] = None, jobs: int = 1) -> List[Su
                                  {"error": f"{type(exc).__name__}: {exc}"})
         return SuiteResult(ctx.label, kind, h, report, time.monotonic() - start)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(execute, tasks))
-    else:
-        results = [execute(t) for t in tasks]
+    results = [execute(t) for t in tasks]
     results.sort(key=lambda r: (r.catalog, r.probe, repr(r.hbar)))
     return results
 

@@ -7,13 +7,6 @@ import pytest
 from click.testing import CliRunner
 
 from starprod.cli import main
-from starprod.verify import (
-    DEFAULT_RUNSPEC,
-    assemble_report,
-    cases_to_csv_rows,
-    report_to_json,
-    run_suites,
-)
 
 SMALL_SPEC = {
     "schema": "starprod/1",
@@ -158,14 +151,11 @@ def test_verify_deterministic_bytes(runner, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_verify_jobs_do_not_change_the_output():
-    # the bundled suite run on two threads writes the same bytes as on one
-    outputs = []
-    for jobs in (1, 2):
-        results = run_suites(DEFAULT_RUNSPEC, seed=42, jobs=jobs)
-        outputs.append((report_to_json(assemble_report(results, 42, include_cases=True)),
-                        cases_to_csv_rows(results)))
-    assert outputs[0] == outputs[1]
+def test_verify_jobs_option_is_a_usage_error(runner):
+    # suites run serially in one process; there is no worker-count option
+    result = runner.invoke(main, ["verify", "--jobs", "2"])
+    assert result.exit_code == 2
+    assert "--jobs" in result.output
 
 
 def test_verify_csv_cases(runner, tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import gauss_rationals
 from starprod.parsing import ParseError, format_poly, parse_poly
 from starprod.poly import DimensionMismatch, Polynomial, exponent_to_word, word_to_exponent
-from starprod.scalars import GaussRational, make_ring
+from starprod.scalars import GaussRational, RingError, make_ring
 
 R = make_ring("rational")
 C = make_ring("complex")
@@ -83,6 +83,13 @@ def test_shift_expands_binomially():
     f = parse_poly("x1^2", 2, R)
     shifted = f.shift([GaussRational(1), GaussRational(0)])
     assert shifted == parse_poly("x1^2 + 2*x1 + 1", 2, R)
+
+
+def test_shift_rejects_an_offset_of_another_truncation_order():
+    ring = make_ring("series", truncation_order=4)
+    other = make_ring("series", truncation_order=2).one
+    with pytest.raises(RingError, match="truncation order"):
+        Polynomial.variable(ring, 2, 1).shift([other, ring.zero])
 
 
 def test_evaluate():
