@@ -41,10 +41,11 @@ from .reduction import (
     PoissonStructure,
     ReductionTrace,
     RelationTable,
+    normal_form_sum,
     poisson_from_table,
-    reduce_to_standard,
     star_by_reduction,
 )
+from .reduction import star as table_star
 from .scalars import ComplexRing, RationalRing, Ring, SeriesRing, scalar_power
 
 CATALOG_IDS = (
@@ -283,7 +284,7 @@ def translated_star(f: Polynomial, g: Polynomial, base: RelationTable,
     ring = base.ring
     offs = [ring.coerce(c) for c in offsets]
     neg = [-c for c in offs]
-    inner = star_by_reduction(f.shift(neg), g.shift(neg), base, step_limit).result
+    inner = table_star(f.shift(neg), g.shift(neg), base, step_limit)
     return inner.shift(offs)
 
 
@@ -340,16 +341,13 @@ def symmetrized_star_by_averaging(K: Exponent, L: Exponent, table: RelationTable
     dim = table.dim
     u = _symmetrized_word(K, ring, dim)
     v = _symmetrized_word(L, ring, dim)
-    product, _, _ = reduce_to_standard(u.concat(v), table, step_limit)
-    h = product.to_polynomial(table.kind)
+    h = normal_form_sum(u.concat(v), table, step_limit)
 
     sigma_cache: Dict[Exponent, Polynomial] = cache if cache is not None else {}
 
     def sigma_reduced(M: Exponent) -> Polynomial:
         if M not in sigma_cache:
-            nc = _symmetrized_word(M, ring, dim)
-            normal, _, _ = reduce_to_standard(nc, table, step_limit)
-            sigma_cache[M] = normal.to_polynomial(table.kind)
+            sigma_cache[M] = normal_form_sum(_symmetrized_word(M, ring, dim), table, step_limit)
         return sigma_cache[M]
 
     # solve sigma(g) = h on the monomial basis
@@ -409,7 +407,11 @@ class StarProduct:
     def monomial_product(self, K: Exponent, L: Exponent) -> Polynomial:
         if self.mono is not None:
             return self.mono(tuple(K), tuple(L))
-        return self.traced_monomials(K, L).result
+        if self.table is None:
+            raise CatalogError(f"{self.name} has neither closed form nor table")
+        return table_star(Polynomial.monomial(self.ring, self.dim, K, kind=self.kind),
+                          Polynomial.monomial(self.ring, self.dim, L, kind=self.kind),
+                          self.table, self.step_limit)
 
     def traced_monomials(self, K: Exponent, L: Exponent) -> ReductionTrace:
         if self.table is None:
@@ -419,7 +421,7 @@ class StarProduct:
         return star_by_reduction(f, g, self.table, self.step_limit)
 
     def __call__(self, f: Polynomial, g: Polynomial) -> Polynomial:
-        """f * g: the bilinear extension of ``mono``, or reduction without one.
+        """f * g: the bilinear extension of ``mono``, or the table's rewriting.
 
         The closed-form route sums every term pair into one dict and builds
         a single Polynomial, so in float mode coefficients below the ring's
@@ -429,7 +431,7 @@ class StarProduct:
         if self.mono is None:
             if self.table is None:
                 raise CatalogError(f"{self.name} has neither closed form nor table")
-            return star_by_reduction(f, g, self.table, self.step_limit).result
+            return table_star(f, g, self.table, self.step_limit)
         out: Dict[Exponent, object] = {}
         for K, a in f.terms.items():
             for L, b in g.terms.items():
@@ -467,16 +469,20 @@ class CatalogInstance:
 
 
 def rewriting_routes(table: RelationTable) -> Tuple[MonomialRoute, MonomialRoute]:
-    """Rightmost against leftmost rewriting: the normal form of an
-    associative table does not depend on the order of the rewrites."""
-    def route(strategy: str) -> MonomialRoute:
-        def product(K: Exponent, L: Exponent) -> Polynomial:
-            f = Polynomial.monomial(table.ring, table.dim, K, kind=table.kind)
-            g = Polynomial.monomial(table.ring, table.dim, L, kind=table.kind)
-            return star_by_reduction(f, g, table, strategy=strategy).result
-        return product
+    """Rightmost (through the table's memo) against leftmost rewriting (the
+    pass route): the normal form of an associative table does not depend on
+    the order of the rewrites."""
+    def monomials(K: Exponent, L: Exponent) -> Tuple[Polynomial, Polynomial]:
+        return (Polynomial.monomial(table.ring, table.dim, K, kind=table.kind),
+                Polynomial.monomial(table.ring, table.dim, L, kind=table.kind))
 
-    return route("rightmost"), route("leftmost")
+    def rightmost(K: Exponent, L: Exponent) -> Polynomial:
+        return table_star(*monomials(K, L), table)
+
+    def leftmost(K: Exponent, L: Exponent) -> Polynomial:
+        return star_by_reduction(*monomials(K, L), table, strategy="leftmost").result
+
+    return rightmost, leftmost
 
 
 def default_rules(name: str, options: Optional[Dict] = None) -> ParameterCatalog:

@@ -16,6 +16,7 @@ correspond bijectively to exponent tuples.
 
 from __future__ import annotations
 
+from operator import le
 from typing import Dict, Mapping, Tuple
 
 from .scalars import Ring
@@ -40,7 +41,7 @@ def word_to_exponent(word: Word, dim: int) -> Exponent:
 
 
 def is_standard(word: Word) -> bool:
-    return all(word[k] <= word[k + 1] for k in range(len(word) - 1))
+    return all(map(le, word, word[1:]))
 
 
 def inversion_weight(K: Exponent, L: Exponent) -> int:

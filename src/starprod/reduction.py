@@ -3,26 +3,63 @@
 A RelationTable holds, for every generator pair i < j, a commutative "tail"
 polynomial tail(i, j).  The rewriting rule replaces an adjacent descent
 x_j x_i (j > i) inside a word by x_i x_j plus the tail re-embedded as a
-standard word.  Iterating the rule on the concatenation of the standard
-words of f and g until every word is standard computes the star product
-f * g in the monomial basis.
+standard word.  Rewriting the concatenation of the standard words of f and
+g until every word is standard computes the star product f * g in the
+monomial basis.  ``reduce_once`` is the one rewrite step; two routes drive
+it.
 
-One reduction step rewrites, in every word of the current linear
-combination, the rightmost adjacent descent (a leftmost strategy exists for
-cross-checking order independence).  In series mode tails start at order t,
-so rewriting terminates by truncation; in evaluated mode a step limit
-guards against runaway tables.
+The memo route (``star`` and ``normal_form_sum``) rests on rightmost
+rewriting being linear: the normal form NF(w) of a word does not depend on
+its coefficient, so each table memoizes ``RelationTable.normal_form`` for
+every non-standard word it meets, as exponents and coefficients, and
+f * g = sum of a*b*NF(word(K) + word(L)) is summed into one dict.  On a
+miss, a word a + s (one letter before a standard word s) is rewritten once
+by ``reduce_once`` and NF(a + s) is the sum of c * NF(w') over the words
+c w' that come out.  A longer word p + a + s first reduces its suffix a + s,
+as the rightmost strategy does, so NF(p + a + s) is the sum of
+c * NF(p + word(M)) over the terms c x^M of NF(a + s).  Keys are words, so
+every product on a table reuses the suffixes earlier products reduced.  The
+route serves every exact product: ``StarProduct`` without a closed form,
+the rightmost route of ``rewriting_routes``, ``check_overlaps``,
+``translated_star`` and the averaging oracle.  It computes the rightmost
+normal form even where the order of rewrites matters (a table that does not
+associate), so it gives what the pass route gives.
+
+The pass route (``reduce_to_standard``, ``star_by_reduction``) rewrites, in
+every word of the current linear combination, the rightmost adjacent descent
+(a leftmost strategy exists for cross-checking order independence) until
+every word is standard.  It keeps the count of whole passes, which the
+reduction-count law, ``star eval`` and the continuity hypotheses read.
+Tables over a floating ring stay on it as well: the memo adds terms in
+another order, which would change complex results in the last bits.
+
+In series mode tails start at order t, so rewriting terminates by
+truncation; the memo keys series words by the t-order they still need (a
+tail coefficient of t-valuation v lowers it by v, and none left means zero).
+In evaluated mode a step limit on replacements or memo misses, and a cap on
+the letters rewritten, guard against runaway tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .poly import NcPolynomial, Polynomial, Word, exponent_to_word
-from .scalars import ComplexRing, Ring, SeriesRing
+from .poly import (
+    Exponent,
+    NcPolynomial,
+    Polynomial,
+    Word,
+    exponent_to_word,
+    is_standard,
+    word_to_exponent,
+)
+from .scalars import ComplexRing, GaussRational, Ring, SeriesRing
 
 DEFAULT_STEP_LIMIT = 10 ** 6
+
+# A normal form: (exponent, coefficient) pairs with nonzero coefficients.
+NormalForm = Tuple[Tuple[Exponent, object], ...]
 
 
 class StepLimitExceeded(RuntimeError):
@@ -31,6 +68,18 @@ class StepLimitExceeded(RuntimeError):
 
 class TableError(ValueError):
     pass
+
+
+def _work_cap(step_limit: int) -> int:
+    """Letters a run may rewrite before it counts as exploded."""
+    return max(10 ** 6, 10 * step_limit)
+
+
+def _step_limit_error(table: "RelationTable", done: str, step_limit: int,
+                      widest: int) -> StepLimitExceeded:
+    return StepLimitExceeded(
+        f"table {table.name}: stopped at step limit {step_limit} after {done}; "
+        f"widest intermediate {widest} terms; the table may not terminate")
 
 
 @dataclass
@@ -42,6 +91,10 @@ class RelationTable:
     kind: str = "x"
     tails: Dict[Tuple[int, int], Polynomial] = field(default_factory=dict)
     name: str = "custom"
+    # normal forms of non-standard words, filled by normal_form and keyed by
+    # (word, t-orders still needed); the budget is None off series rings
+    _normal_forms: Dict[object, NormalForm] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normalized = {}
@@ -59,6 +112,12 @@ class RelationTable:
                         raise TableError(
                             f"tail for ({i}, {j}) has a nonzero constant order in t; "
                             "series tails must start at order t")
+        # the memo keeps one object per exact complex rational it stores, and
+        # the unit among them, so that it can skip multiplying by it; a series
+        # word needs all orders of t up to the truncation
+        self._coefficients: Dict[Tuple[int, int, int], GaussRational] = {}
+        self._one = _interned(self._coefficients, self.ring.one)
+        self._budget = self.ring.order + 1 if isinstance(self.ring, SeriesRing) else None
 
     def tail(self, i: int, j: int) -> Polynomial:
         if (i, j) in self.tails:
@@ -74,6 +133,156 @@ class RelationTable:
                 cached[(i, j)] = [(exponent_to_word(K), c) for K, c in tail.terms.items()]
             self._tail_words = cached
         return cached
+
+    def normal_form(self, word: Word, misses: Optional["MemoMisses"] = None) -> NormalForm:
+        """Rightmost normal form of a non-standard word, memoized on the table.
+
+        Only for exact rings.  A standard word is its own normal form and is
+        not stored.  Misses are charged to ``misses`` (by default a fresh
+        count under DEFAULT_STEP_LIMIT).
+        """
+        if is_standard(word):
+            return ((word_to_exponent(word, self.dim), self._one),)
+        key = (word, self._budget)
+        found = self._normal_forms.get(key)
+        if found is None:
+            found = self._resolve(key, misses or MemoMisses(self, DEFAULT_STEP_LIMIT))
+        return found
+
+    def _resolve(self, root, misses: "MemoMisses") -> NormalForm:
+        """Fill the memo for ``root`` and every word its normal form needs.
+
+        Each missing word is one ``_expand`` generator, which yields the
+        keys it still needs; they run on an explicit stack, so no recursion
+        limit applies.  Needing a word that is still being expanded means
+        the rewriting cycles.
+        """
+        memo = self._normal_forms
+        stack = []
+        expanding = set()
+        need, value = root, None
+        while True:
+            if need is not None:
+                if need in expanding:
+                    raise StepLimitExceeded(
+                        f"table {self.name}: rewriting comes back to a word it is still "
+                        f"reducing, after {misses.count} memo misses; the table does not "
+                        "terminate")
+                misses.open(need[0])
+                expanding.add(need)
+                stack.append((need, self._expand(need, misses)))
+            key, task = stack[-1]
+            try:
+                need = task.send(value)
+                value = None
+            except StopIteration as done:
+                value = memo[key] = done.value
+                misses.close(key[0])
+                expanding.discard(key)
+                stack.pop()
+                if not stack:
+                    return value
+                need = None
+
+    def _expand(self, key, misses: "MemoMisses"):
+        """The normal form of one non-standard word, as a generator.
+
+        A word a + s, with s standard, is rewritten once by ``reduce_once``.
+        A longer word p + a + s reduces its suffix a + s first, as the
+        rightmost strategy does, so NF(p + a + s) is the sum of
+        c * NF(p + word(M)) over the terms c x^M of NF(a + s).
+        """
+        word, budget = key
+        memo, ring, dim = self._normal_forms, self.ring, self.dim
+        one = self._one
+        start = len(word) - 1
+        while start > 1 and word[start - 1] <= word[start]:
+            start -= 1
+        if start == 1:
+            rewritten, _, _ = reduce_once(NcPolynomial.from_checked(ring, dim, {word: one}),
+                                          self)
+            parts = rewritten.terms.items()
+        else:
+            head = (word[start - 1:], budget)
+            found = memo.get(head)
+            if found is None:
+                found = yield head
+            prefix = word[:start - 1]
+            parts = [(prefix + exponent_to_word(M), c) for M, c in found]
+        out: Dict[Exponent, object] = {}
+        for w, c in parts:
+            left = budget
+            if budget is not None:
+                left -= _valuation(c)
+                if left <= 0:
+                    continue
+            if is_standard(w):
+                M = word_to_exponent(w, dim)
+                out[M] = out[M] + c if M in out else c
+                continue
+            child = (w, left)
+            found = memo.get(child)
+            if found is None:
+                found = yield child
+            for M, d in found:
+                if c is not one:
+                    d = d * c
+                out[M] = out[M] + d if M in out else d
+        pool = self._coefficients
+        found = tuple((M, _interned(pool, d)) for M, d in out.items() if not ring.is_zero(d))
+        if len(found) > misses.widest:
+            misses.widest = len(found)
+        return found
+
+
+def _interned(pool: Dict, c):
+    """The pool's object equal to a GaussRational ``c``; other values as they are.
+
+    Keyed by the normal-form fields, because hashing a GaussRational
+    builds two Fractions.
+    """
+    if type(c) is GaussRational:
+        return pool.setdefault(c.fields(), c)
+    return c
+
+
+def _valuation(c) -> int:
+    """Lowest order in t with a nonzero entry of an exact series."""
+    for k, entry in enumerate(c.coeffs):
+        if entry:
+            return k
+    return len(c.coeffs)
+
+
+class MemoMisses:
+    """Memo misses of one product, held to its step limit.
+
+    Each miss expands one word.  The product stops when its misses pass the
+    step limit, when the letters of the words it expanded pass the letter
+    cap of the pass route, or when the words open at once hold a tenth of
+    that cap.  ``widest`` is the most terms in a normal form built.
+    """
+
+    __slots__ = ("table", "step_limit", "work_cap", "count", "work", "held", "widest")
+
+    def __init__(self, table: RelationTable, step_limit: int):
+        self.table = table
+        self.step_limit = step_limit
+        self.work_cap = _work_cap(step_limit)
+        self.count = self.work = self.held = self.widest = 0
+
+    def open(self, word: Word):
+        self.count += 1
+        self.work += len(word)
+        self.held += len(word)
+        if (self.count > self.step_limit or self.work > self.work_cap
+                or 10 * self.held > self.work_cap):
+            raise _step_limit_error(
+                self.table, f"{self.count} memo misses and {self.work} letters rewritten",
+                self.step_limit, self.widest)
+
+    def close(self, word: Word):
+        self.held -= len(word)
 
 
 @dataclass
@@ -150,7 +359,7 @@ def reduce_to_standard(f: NcPolynomial, table: RelationTable,
     count = 0
     total_fired = 0
     work = 0
-    work_cap = max(10 ** 6, 10 * step_limit)
+    work_cap = _work_cap(step_limit)
     widest = len(f.terms)
     current = f
     while True:
@@ -160,30 +369,70 @@ def reduce_to_standard(f: NcPolynomial, table: RelationTable,
             return current, count, widest
         count += 1
         total_fired += fired
-        if total_fired > step_limit:
-            raise StepLimitExceeded(
-                f"more than {step_limit} replacements; the table may not terminate")
         work += sum(len(w) for w in current.terms)
-        if work > work_cap:
-            raise StepLimitExceeded(
-                "rewriting workload exploded; the table may not terminate")
+        if total_fired > step_limit or work > work_cap:
+            raise _step_limit_error(
+                table, f"{total_fired} replacements in {count} passes and {work} letters "
+                "rewritten", step_limit, widest)
+
+
+def _check_operands(f: Polynomial, g: Polynomial, table: RelationTable):
+    if f.dim != table.dim or g.dim != table.dim:
+        raise TableError("polynomial dimension does not match the table")
+    if f.kind != table.kind or g.kind != table.kind:
+        raise TableError("polynomial kind does not match the table")
 
 
 def star_by_reduction(f: Polynomial, g: Polynomial, table: RelationTable,
                       step_limit: int = DEFAULT_STEP_LIMIT,
                       strategy: str = "rightmost") -> ReductionTrace:
-    """Star product of commutative polynomials through word rewriting."""
-    if f.dim != table.dim or g.dim != table.dim:
-        raise TableError("polynomial dimension does not match the table")
-    if f.kind != table.kind or g.kind != table.kind:
-        raise TableError("polynomial kind does not match the table")
+    """Star product of commutative polynomials through the pass route."""
+    _check_operands(f, g, table)
     concat = NcPolynomial.from_polynomial(f).concat(NcPolynomial.from_polynomial(g))
     normal, count, widest = reduce_to_standard(concat, table, step_limit, strategy)
     return ReductionTrace(normal.to_polynomial(table.kind), count, widest)
 
 
-def star(f: Polynomial, g: Polynomial, table: RelationTable, **kwargs) -> Polynomial:
-    return star_by_reduction(f, g, table, **kwargs).result
+def _sum_normal_forms(terms: Iterable[Tuple[Word, object]], table: RelationTable,
+                      step_limit: int) -> Polynomial:
+    """sum of c * NF(w) over (w, c), into one dict and one Polynomial."""
+    misses = MemoMisses(table, step_limit)
+    normal_form, one = table.normal_form, table._one
+    out: Dict[Exponent, object] = {}
+    for word, c in terms:
+        for M, d in normal_form(word, misses):
+            d = c if d is one else d * c
+            out[M] = out[M] + d if M in out else d
+    return Polynomial(table.ring, table.dim, out, table.kind)
+
+
+def star(f: Polynomial, g: Polynomial, table: RelationTable,
+         step_limit: int = DEFAULT_STEP_LIMIT) -> Polynomial:
+    """f * g = sum of a*b*NF(word(K) + word(L)) through the table's memo.
+
+    Tables over a floating ring take the pass route instead.
+    """
+    if not table.ring.exact:
+        return star_by_reduction(f, g, table, step_limit).result
+    _check_operands(f, g, table)
+    right = [(exponent_to_word(L), b) for L, b in g.terms.items()]
+    return _sum_normal_forms(((exponent_to_word(K) + v, a * b)
+                              for K, a in f.terms.items() for v, b in right),
+                             table, step_limit)
+
+
+def normal_form_sum(f: NcPolynomial, table: RelationTable,
+                    step_limit: int = DEFAULT_STEP_LIMIT) -> Polynomial:
+    """The standard form of a word combination, as a commutative polynomial.
+
+    Through the table's memo; tables over a floating ring take the pass
+    route instead.
+    """
+    if f.dim != table.dim:
+        raise TableError("polynomial dimension does not match the table")
+    if not table.ring.exact:
+        return reduce_to_standard(f, table, step_limit)[0].to_polynomial(table.kind)
+    return _sum_normal_forms(f.terms.items(), table, step_limit)
 
 
 # -- associativity on generator triples -----------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Union
+from typing import Iterable, Tuple, Union
 
 Rationalish = Union[int, Fraction]
 
@@ -107,6 +107,10 @@ class GaussRational(_FieldOps):
     @property
     def im(self) -> Fraction:
         return Fraction(self._b, self._d)
+
+    def fields(self) -> Tuple[int, int, int]:
+        """(a, b, d) of the normal form: equal values have equal fields."""
+        return self._a, self._b, self._d
 
     @staticmethod
     def i() -> "GaussRational":

@@ -1,5 +1,6 @@
 """The star command line: eval, verify, report, gram, gns."""
 
+import hashlib
 import json
 import math
 
@@ -149,6 +150,19 @@ def test_verify_deterministic_bytes(runner, tmp_path):
         assert result.exit_code == 0
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_default_verify_report_is_pinned(runner, tmp_path):
+    # the bundled suite at seed 42, byte for byte: a change to any product
+    # route, float rounding included, shows up here
+    report, cases = tmp_path / "report.json", tmp_path / "cases.csv"
+    result = runner.invoke(main, ["verify", "--seed", "42", "--out", str(report),
+                                  "--csv", str(cases)])
+    assert result.exit_code == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == \
+        "33da3a4672d0b45f930dea7167f729de37bc8981bef9c6244caa49a77e042e50"
+    assert hashlib.sha256(cases.read_bytes()).hexdigest() == \
+        "49d4bc5779abd23c834350fc12f78897622f89d2b9167f202a4a304f79d710f9"
 
 
 def test_verify_jobs_option_is_a_usage_error(runner):

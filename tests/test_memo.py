@@ -1,0 +1,175 @@
+"""The memo route of the rewrite engine against the pass route.
+
+``reduction.star`` (and every exact product built on it) sums memoized
+normal forms of words; ``star_by_reduction`` rewrites whole linear
+combinations pass by pass.  Both follow the rightmost strategy, so over an
+exact ring they must agree to the last digit, even on a table where the
+order of rewrites matters.
+"""
+
+import itertools
+import random
+from fractions import Fraction
+
+import pytest
+
+from starprod.catalog import StarProduct, build_catalog, nonquadratic_table, rewriting_routes
+from starprod.params import ParameterCatalog, ParameterRule
+from starprod.poly import NcPolynomial, Polynomial
+from starprod.probes import exponent_ball, random_polynomial
+from starprod.reduction import (
+    RelationTable,
+    StepLimitExceeded,
+    check_overlaps,
+    normal_form_sum,
+    reduce_to_standard,
+    star,
+    star_by_reduction,
+)
+from starprod.scalars import GaussRational, SeriesRing, make_ring
+
+R = make_ring("rational")
+SERIES = SeriesRing(order=4, exact=True)
+
+
+def _const(text):
+    return ParameterCatalog({"q": ParameterRule.parse(f"const:{text}")})
+
+
+NQ_RULES = ParameterCatalog({name: ParameterRule.parse(f"const:{value}")
+                             for name, value in (("p", "7/5"), ("q", "5/4"), ("r", "4/3"))})
+
+
+def _criterion_1_catalogs():
+    """The exact catalogs of acceptance criterion 1, in its order."""
+    return [
+        build_catalog("log_canonical", R, 3, _const("5/4")),
+        build_catalog("wick_log_canonical", R, 3, _const("3/4")),
+        *(build_catalog("nonquadratic", R, 3, NQ_RULES, options={"N": n}) for n in (0, 1, 2)),
+        build_catalog("quantum_weyl", SERIES, 2, options={"lambda": 1}),
+        build_catalog("translated", R, 2, _const("5/4"), options={"c": ["1", "-1"]}),
+    ]
+
+
+def _by_passes(f, g, table):
+    return star_by_reduction(f, g, table).result
+
+
+def test_memo_route_equals_pass_route_on_criterion_1_triples():
+    # the same draws as criterion 1; the first 5 triples of each catalog are compared
+    rng = random.Random(101)
+    for inst in _criterion_1_catalogs():
+        table, memo = inst.table, inst.reduction_star
+        for n in range(200):
+            f, g, h = (random_polynomial(rng, inst.ring, inst.dim, 4, 3, inst.kind)
+                       for _ in range(3))
+            if n >= 5:
+                continue
+            fg, gh = memo(f, g), memo(g, h)
+            assert fg == _by_passes(f, g, table), (inst.name, n)
+            assert gh == _by_passes(g, h, table), (inst.name, n)
+            assert memo(fg, h) == _by_passes(fg, h, table), (inst.name, n)
+            assert memo(f, gh) == _by_passes(f, gh, table), (inst.name, n)
+
+
+@pytest.mark.parametrize("name,ring,d,rules,options", [
+    ("log_canonical", R, 2, _const("5/4"), {}),
+    ("log_canonical", R, 3, _const("5/4"), {}),
+    ("wick_log_canonical", R, 2, _const("3/4"), {}),
+    ("wick_log_canonical", R, 3, _const("3/4"), {}),
+    ("nonquadratic", R, 3, NQ_RULES, {"N": 2}),
+    ("quantum_weyl", SERIES, 2, None, {"lambda": 1}),
+])
+def test_memo_route_equals_pass_route_on_criterion_2_sweeps(name, ring, d, rules, options):
+    inst = build_catalog(name, ring, d, rules, options=options)
+    for K in exponent_ball(d, 5):
+        for L in exponent_ball(d, 5):
+            f = Polynomial.monomial(ring, d, K, kind=inst.kind)
+            g = Polynomial.monomial(ring, d, L, kind=inst.kind)
+            assert inst.reduction_star.monomial_product(K, L) == \
+                _by_passes(f, g, inst.table), (K, L)
+
+
+def test_memo_keeps_the_rightmost_strategy_where_the_order_of_rewrites_matters():
+    # criterion 9's table: s = 2 is not 1/r, so the overlap (1, 2, 3) fails
+    p, q, r, s = (GaussRational(Fraction(7, 5)), GaussRational(Fraction(5, 4)),
+                  GaussRational(Fraction(4, 3)), GaussRational(2))
+    table = nonquadratic_table(R, 2, p, q, r, s=s)
+    report = check_overlaps(table)
+    assert [(i, j, k) for i, j, k, _ in report.failures] == [(1, 2, 3)]
+    one = GaussRational(1)
+    assert report.failures[0][3].terms == {(3, 0, 0): (p - one) * (r * s - one)}
+    # every word of up to five letters: the memo gives the rightmost normal
+    # form, and on x3 x2 x1 that is not the leftmost one
+    for n in range(6):
+        for word in itertools.product((1, 2, 3), repeat=n):
+            nc = NcPolynomial(R, 3, {word: R.one})
+            rightmost = reduce_to_standard(nc, table)[0].to_polynomial()
+            assert normal_form_sum(nc, table) == rightmost, word
+    nc = NcPolynomial(R, 3, {(3, 2, 1): R.one})
+    leftmost = reduce_to_standard(nc, table, strategy="leftmost")[0].to_polynomial()
+    assert normal_form_sum(nc, table) != leftmost
+
+
+def _monomial(dim, K):
+    return Polynomial.monomial(R, dim, K)
+
+
+def _tail(dim, K):
+    return Polynomial(R, dim, {K: R.one})
+
+
+def test_step_limit_stops_every_memo_route():
+    # x2 x1 -> x1 x2 + x1^2 x2^2 keeps regenerating descents on x2 * x1^2
+    table = RelationTable(R, 2, "x", {(1, 2): _tail(2, (2, 2))}, name="diverging")
+    limited = StarProduct("diverging", R, 2, "x", table, None, step_limit=100)
+    with pytest.raises(StepLimitExceeded,
+                       match=r"^table diverging: stopped at step limit 100 after 101 memo "
+                             r"misses and \d+ letters rewritten; widest intermediate \d+ terms"):
+        limited(_monomial(2, (0, 1)), _monomial(2, (2, 0)))
+    rightmost, _ = rewriting_routes(table)
+    with pytest.raises(StepLimitExceeded, match="table diverging: stopped at step limit"):
+        rightmost((0, 1), (2, 0))
+    # in three generators, with x3 x2 -> x2 x3 + x1^2, the generator triples diverge
+    table3 = RelationTable(R, 3, "x", {(1, 2): _tail(3, (2, 2, 0)), (2, 3): _tail(3, (2, 0, 0))},
+                           name="diverging3")
+    with pytest.raises(StepLimitExceeded, match="table diverging3: stopped at step limit"):
+        check_overlaps(table3)
+
+
+def test_memo_stops_when_rewriting_comes_back_to_a_word():
+    # x3 x1 -> x1 x3 + x3^2 and x3 x2 -> x2 x3 + x1: a word's reduction needs itself
+    tails = {(1, 2): _tail(3, (2, 2, 0)), (1, 3): _tail(3, (0, 0, 2)),
+             (2, 3): _tail(3, (1, 0, 0))}
+    table = RelationTable(R, 3, "x", tails, name="cycling")
+    with pytest.raises(StepLimitExceeded, match="table cycling: rewriting comes back to a word"):
+        check_overlaps(table)
+    x = {i: Polynomial.variable(R, 3, i) for i in (1, 2, 3)}
+    with pytest.raises(StepLimitExceeded):
+        star_by_reduction(x[3], star_by_reduction(x[2], x[1], table).result, table,
+                          step_limit=1000)
+
+
+def test_pass_route_step_limit_names_table_and_progress():
+    table = RelationTable(R, 2, "x", {(1, 2): _tail(2, (2, 2))}, name="diverging")
+    with pytest.raises(StepLimitExceeded,
+                       match=r"^table diverging: stopped at step limit 100 after 101 "
+                             r"replacements in \d+ passes and \d+ letters rewritten; "
+                             r"widest intermediate \d+ terms"):
+        star_by_reduction(_monomial(2, (0, 1)), _monomial(2, (2, 0)), table, step_limit=100)
+
+
+def test_series_table_that_terminates_by_truncation():
+    # x2 x1 -> x1 x2 + t x1^2 x2^2 only ends because t^5 = 0 at order 4
+    t = SERIES.t
+    table = RelationTable(SERIES, 2, "x", {(1, 2): Polynomial(SERIES, 2, {(2, 2): t})},
+                          name="truncating")
+    for K in exponent_ball(2, 3):
+        for L in exponent_ball(2, 3):
+            f = Polynomial.monomial(SERIES, 2, K)
+            g = Polynomial.monomial(SERIES, 2, L)
+            assert star(f, g, table) == _by_passes(f, g, table), (K, L)
+    product = star(Polynomial.monomial(SERIES, 2, (0, 2)), Polynomial.monomial(SERIES, 2, (2, 0)),
+                   table)
+    assert set(product.terms) == {(k, k) for k in range(2, 7)}
+    assert product.terms[(6, 6)].coefficient(4) == GaussRational(62)
