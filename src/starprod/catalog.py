@@ -331,9 +331,11 @@ def symmetrized_star_by_averaging(K: Exponent, L: Exponent, table: RelationTable
 
     Averages the words of x^K and x^L over all letter orders, multiplies in
     the rewritten algebra, and inverts the symmetrization monomial-wise.
-    Independent of the closed-form coefficients, so agreement is a real
-    check.  Pass a dict as ``cache`` to reuse reduced symmetrizations
-    across calls with the same table.
+    That needs the symmetrization to be diagonal on monomials, as on the
+    log-canonical tables; any other table raises SigmaError.  Independent
+    of the closed-form coefficients, so agreement is a real check.  Pass a
+    dict as ``cache`` to reuse reduced symmetrizations across calls with
+    the same table.
     """
     if sum(K) > 6 or sum(L) > 6:
         raise SigmaError("oracle guard: |K|, |L| <= 6")
@@ -350,43 +352,18 @@ def symmetrized_star_by_averaging(K: Exponent, L: Exponent, table: RelationTable
             sigma_cache[M] = normal_form_sum(_symmetrized_word(M, ring, dim), table, step_limit)
         return sigma_cache[M]
 
-    # solve sigma(g) = h on the monomial basis
-    diagonal = True
-    for M in h.terms:
-        image = sigma_reduced(M)
-        if image.is_zero():
+    # solve sigma(g) = h monomial by monomial, which needs sigma(x^M) = c x^M
+    out = {}
+    for M, c in h.terms.items():
+        image = sigma_reduced(M).terms
+        if not image:
             raise SigmaError(
                 "symmetrization is not invertible at this q (root-of-unity degeneration)")
-        if set(image.terms) != {M}:
-            diagonal = False
-            break
-
-    if diagonal:
-        out = {}
-        for M, c in h.terms.items():
-            factor = sigma_reduced(M).terms[M]
-            if ring.is_zero(factor):
-                raise SigmaError(
-                    "symmetrization is not invertible at this q (root-of-unity degeneration)")
-            out[M] = c * ring.inverse(factor)
-        return Polynomial(ring, dim, out, table.kind)
-
-    if not isinstance(ring, SeriesRing) or not ring.exact:
-        raise SigmaError("non-diagonal symmetrization inversion needs exact series mode")
-
-    def sigma_apply(g: Polynomial) -> Polynomial:
-        acc = Polynomial.zero(ring, dim, table.kind)
-        for M, c in g.terms.items():
-            acc = acc + sigma_reduced(M).scale(c)
-        return acc
-
-    g = h
-    for _ in range(ring.order + 2):
-        residual = sigma_apply(g) - h
-        if residual.is_zero():
-            return g
-        g = g - residual
-    raise SigmaError("symmetrization inversion did not stabilize")
+        if set(image) != {M}:
+            raise SigmaError("symmetrization is not diagonal on this table; "
+                             "the oracle inverts only a diagonal one")
+        out[M] = c * ring.inverse(image[M])
+    return Polynomial(ring, dim, out, table.kind)
 
 
 # -- catalog registry -----------------------------------------------------------
@@ -590,7 +567,7 @@ def catalog_poisson(name: str, d: Optional[int] = None,
                     options: Optional[Dict] = None,
                     order: int = 4) -> PoissonStructure:
     """First-order bracket of a catalog, from its exact series table."""
-    ring = SeriesRing(order=order, exact=True)
+    ring = SeriesRing(order=order)
     if name == "symmetrized_log_canonical":
         inst = build_catalog("log_canonical", ring, d, rules, None, options)
     else:

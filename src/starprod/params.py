@@ -141,9 +141,7 @@ class ParameterRule:
             coeffs = [self.value] + [GaussRational(0)] * n
         else:
             raise ParameterError(f"rule {self.rule!r} has no series expansion")
-        if ring.exact:
-            return ring.from_coefficients(coeffs)
-        return ring.from_coefficients([complex(c) for c in coeffs])
+        return ring.from_coefficients(coeffs)
 
     def resolve(self, ring: Ring, hbar: Optional[complex] = None):
         """The scalar this rule produces in the given ring."""
@@ -170,15 +168,6 @@ class ParameterRule:
             return self.evaluate(hbar)
         raise RingError(f"unsupported ring {ring!r}")
 
-    def describe(self) -> str:
-        if self.rule == "constant":
-            return f"const:{self.value}"
-        if self.rule == "exp_scaled":
-            return f"exp_scaled:{self.scale}"
-        if self.rule == "mixed":
-            return f"mixed:{self.order}"
-        return self.rule
-
 
 @dataclass
 class ParameterCatalog:
@@ -187,7 +176,7 @@ class ParameterCatalog:
     rules: Dict[str, ParameterRule] = field(default_factory=dict)
 
     def __post_init__(self):
-        probe = SeriesRing(order=2, exact=True)
+        probe = SeriesRing(order=2)
         for name, rule in self.rules.items():
             if rule.rule in ("constant", "formal"):
                 continue
@@ -219,6 +208,3 @@ class ParameterCatalog:
 
     def resolve(self, ring: Ring, hbar: Optional[complex] = None) -> Dict[str, object]:
         return {name: rule.resolve(ring, hbar) for name, rule in self.rules.items()}
-
-    def describe(self) -> Dict[str, str]:
-        return {name: rule.describe() for name, rule in sorted(self.rules.items())}

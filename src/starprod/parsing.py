@@ -103,7 +103,7 @@ class _Parser:
 
     def _number(self, text: str, pos: int):
         try:
-            if self.ring.name in ("rational", "series", "rational_q") and getattr(self.ring, "exact", True):
+            if self.ring.exact:
                 return self.ring.coerce(Fraction(text))
             return self.ring.coerce(float(text) if ("." in text or "e" in text or "E" in text)
                                     else int(text))

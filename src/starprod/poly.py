@@ -268,11 +268,6 @@ class Polynomial:
         target = ring if ring is not None else self.ring
         return Polynomial(target, self.dim, {K: fn(c) for K, c in self.terms.items()}, self.kind)
 
-    def to_complex(self) -> "Polynomial":
-        from .scalars import ComplexRing
-        ring = ComplexRing()
-        return self.map_coefficients(self.ring.to_complex, ring)
-
     def close_to(self, other: "Polynomial", tol: float = 1e-10, scale: float = 1.0) -> bool:
         self._check_compatible(other)
         keys = set(self.terms) | set(other.terms)
@@ -345,21 +340,6 @@ class NcPolynomial:
             else:
                 out[K] = c
         return Polynomial(self.ring, self.dim, out, kind)
-
-    def __add__(self, other):
-        if not isinstance(other, NcPolynomial):
-            return NotImplemented
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            if w in out:
-                out[w] = out[w] + c
-            else:
-                out[w] = c
-        return NcPolynomial(self.ring, self.dim, out)
-
-    def scale(self, scalar) -> "NcPolynomial":
-        return NcPolynomial.from_checked(self.ring, self.dim,
-                                         {w: c * scalar for w, c in self.terms.items()})
 
     def concat(self, other: "NcPolynomial") -> "NcPolynomial":
         out: Dict[Word, object] = {}

@@ -19,7 +19,8 @@ from .catalog import StarProduct
 from .norms import NormSpec, adic_order, seminorm
 from .parsing import format_poly
 from .poly import Exponent, Polynomial
-from .reduction import PoissonStructure, RelationTable, poisson_bracket, star_by_reduction
+from .reduction import PoissonStructure, RelationTable, poisson_bracket
+from .reduction import star as table_star
 from .scalars import ComplexRing, GaussRational, Ring, SeriesRing
 
 BIG_MARGIN = 1e9  # stands in for an infinite margin in report rows
@@ -344,7 +345,7 @@ def star_series_coefficients(f: Polynomial, g: Polynomial, table: RelationTable,
         raise ValueError("series coefficients need a series-mode table")
     if n > ring.order:
         raise ValueError(f"order {n} exceeds the truncation {ring.order}")
-    product = star_by_reduction(f, g, table).result
+    product = table_star(f, g, table)
     base = ring.base
     out = []
     for k in range(n + 1):

@@ -21,9 +21,10 @@ c * NF(p + word(M)) over the terms c x^M of NF(a + s).  Keys are words, so
 every product on a table reuses the suffixes earlier products reduced.  The
 route serves every exact product: ``StarProduct`` without a closed form,
 the rightmost route of ``rewriting_routes``, ``check_overlaps``,
-``translated_star`` and the averaging oracle.  It computes the rightmost
-normal form even where the order of rewrites matters (a table that does not
-associate), so it gives what the pass route gives.
+``translated_star``, ``star_series_coefficients`` and the averaging oracle.
+It computes the rightmost normal form even where the order of rewrites
+matters (a table that does not associate), so it gives what the pass route
+gives.
 
 The pass route (``reduce_to_standard``, ``star_by_reduction``) rewrites, in
 every word of the current linear combination, the rightmost adjacent descent

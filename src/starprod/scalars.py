@@ -5,16 +5,17 @@ Four interchangeable scalar types back every polynomial in this package:
   GaussRational  exact complex rationals (a + b*i) / d, kept as three
                  integers with d > 0 and gcd(a, b, d) == 1
   complex        plain double-precision complex (Python builtin)
-  TruncSeries    truncated power series in a formal parameter t, entries
-                 either GaussRational or complex, fixed truncation order
+  TruncSeries    truncated power series in a formal parameter t with exact
+                 GaussRational entries, fixed truncation order
   RationalQ      quotients of polynomials in an indeterminate q with
                  GaussRational coefficients, kept gcd-reduced with monic
                  denominator
 
 Each ring is described by a small descriptor object (RationalRing,
 ComplexRing, SeriesRing, RationalQRing) that knows how to build constants,
-decide zero-ness (with a drop threshold in float mode) and convert to
-complex for norm evaluation.  Conjugation is an involutive ring
+decide zero-ness and convert to complex for norm evaluation.  The three
+exact rings decide zero and equality exactly; only ComplexRing drops
+magnitudes below a threshold as roundoff.  Conjugation is an involutive ring
 anti-automorphism on every type; it fixes t and q.
 """
 
@@ -112,10 +113,6 @@ class GaussRational(_FieldOps):
         """(a, b, d) of the normal form: equal values have equal fields."""
         return self._a, self._b, self._d
 
-    @staticmethod
-    def i() -> "GaussRational":
-        return GaussRational(0, 1)
-
     def _coerce(self, other):
         if isinstance(other, GaussRational):
             return other
@@ -210,12 +207,6 @@ class GaussRational(_FieldOps):
         return f"({self.re}{'+' if im >= 0 else '-'}{abs(im)}i)"
 
 
-def _entry_is_zero(entry, tol: float) -> bool:
-    if isinstance(entry, GaussRational):
-        return entry.is_zero()
-    return abs(entry) <= tol
-
-
 def _convolve(p, q, length: int) -> list:
     """Entries 0..length-1 of the Cauchy product of coefficient sequences.
 
@@ -239,11 +230,11 @@ def _convolve(p, q, length: int) -> list:
 
 
 class TruncSeries(_FieldOps):
-    """Power series in t truncated at a fixed order.
+    """Power series in t truncated at a fixed order, with exact entries.
 
-    Coefficients are stored densely as ``coeffs[k]`` for t^k, all of one
-    entry type (GaussRational or complex).  Arithmetic discards orders
-    beyond the truncation; operands must share the same order.
+    Coefficients are GaussRational values stored densely as ``coeffs[k]``
+    for t^k.  Arithmetic discards orders beyond the truncation; operands
+    must share the same order.
     """
 
     __slots__ = ("coeffs",)
@@ -258,27 +249,16 @@ class TruncSeries(_FieldOps):
         return len(self.coeffs) - 1
 
     @staticmethod
-    def constant(value, order: int) -> "TruncSeries":
-        zero = GaussRational(0) if isinstance(value, GaussRational) else 0j
-        return TruncSeries((value,) + (zero,) * order)
+    def constant(value: GaussRational, order: int) -> "TruncSeries":
+        return TruncSeries((value,) + (GaussRational(0),) * order)
 
     @staticmethod
-    def parameter(order: int, exact: bool = True) -> "TruncSeries":
+    def parameter(order: int) -> "TruncSeries":
         """The series t itself."""
-        if exact:
-            coeffs = [GaussRational(0)] * (order + 1)
-            coeffs[min(1, order)] = GaussRational(1) if order >= 1 else coeffs[0]
-        else:
-            coeffs = [0j] * (order + 1)
-            if order >= 1:
-                coeffs[1] = 1 + 0j
+        coeffs = [GaussRational(0)] * (order + 1)
+        if order >= 1:
+            coeffs[1] = GaussRational(1)
         return TruncSeries(coeffs)
-
-    def _zero_entry(self):
-        return GaussRational(0) if isinstance(self.coeffs[0], GaussRational) else 0j
-
-    def _one_entry(self):
-        return GaussRational(1) if isinstance(self.coeffs[0], GaussRational) else 1 + 0j
 
     def _coerce(self, other):
         if isinstance(other, TruncSeries):
@@ -286,14 +266,8 @@ class TruncSeries(_FieldOps):
                 raise ValueError("truncation order mismatch")
             return other
         if isinstance(other, (int, Fraction)):
-            if isinstance(self.coeffs[0], GaussRational):
-                return TruncSeries.constant(GaussRational(other), self.order)
-            return TruncSeries.constant(complex(other), self.order)
+            return TruncSeries.constant(GaussRational(other), self.order)
         if isinstance(other, GaussRational):
-            if isinstance(self.coeffs[0], GaussRational):
-                return TruncSeries.constant(other, self.order)
-            return TruncSeries.constant(complex(other), self.order)
-        if isinstance(other, complex) and not isinstance(self.coeffs[0], GaussRational):
             return TruncSeries.constant(other, self.order)
         return None
 
@@ -321,12 +295,9 @@ class TruncSeries(_FieldOps):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = _convolve(self.coeffs, o.coeffs, len(self.coeffs))
-        zero = self._zero_entry()
-        if isinstance(zero, GaussRational):
-            return TruncSeries(zero if c is None else c for c in out)
-        # a sum over +0.0 never ends at -0.0; adding 0j keeps that sign of zero
-        return TruncSeries(zero if c is None else c + zero for c in out)
+        zero = GaussRational(0)
+        return TruncSeries(zero if c is None else c
+                           for c in _convolve(self.coeffs, o.coeffs, len(self.coeffs)))
 
     __rmul__ = __mul__
 
@@ -335,22 +306,19 @@ class TruncSeries(_FieldOps):
 
     def inverse(self) -> "TruncSeries":
         c0 = self.coeffs[0]
-        if _entry_is_zero(c0, 1e-300):
+        if c0.is_zero():
             raise ZeroDivisionError("series with zero constant term has no inverse")
-        if isinstance(c0, GaussRational):
-            inv0 = c0.inverse()
-        else:
-            inv0 = 1 / c0
+        inv0 = c0.inverse()
         out = [inv0]
         for k in range(1, self.order + 1):
-            acc = self._zero_entry()
+            acc = GaussRational(0)
             for j in range(1, k + 1):
                 acc = acc + self.coeffs[j] * out[k - j]
             out.append(-(inv0 * acc))
         return TruncSeries(out)
 
     def _unit(self) -> "TruncSeries":
-        return TruncSeries.constant(self._one_entry(), self.order)
+        return TruncSeries.constant(GaussRational(1), self.order)
 
     def conjugate(self) -> "TruncSeries":
         return TruncSeries(a.conjugate() for a in self.coeffs)
@@ -358,20 +326,17 @@ class TruncSeries(_FieldOps):
     def coefficient(self, k: int):
         return self.coeffs[k]
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return all(_entry_is_zero(a, tol) for a in self.coeffs)
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
 
     def __bool__(self):
-        return not self.is_zero()
+        return any(self.coeffs)
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return all(
-            _entry_is_zero(a - b, 0.0)
-            for a, b in zip(self.coeffs, o.coeffs)
-        )
+        return self.coeffs == o.coeffs
 
     def __hash__(self):
         return hash(self.coeffs)
@@ -612,9 +577,32 @@ class RingError(ValueError):
     pass
 
 
-class RationalRing:
-    name = "rational"
+class _ExactRing:
+    """Zero test, conjugation, inverse and comparison for the exact rings.
+
+    Their scalars are kept in a normal form, so zero and equality are
+    decided exactly and ``close`` ignores its tolerance.
+    """
+
+    __slots__ = ()
+
     exact = True
+
+    def is_zero(self, a) -> bool:
+        return a.is_zero()
+
+    def conjugate(self, a):
+        return a.conjugate()
+
+    def inverse(self, a):
+        return a.inverse()
+
+    def close(self, a, b, tol: float = 0.0, scale: float = 1.0) -> bool:
+        return a == b
+
+
+class RationalRing(_ExactRing):
+    name = "rational"
 
     @property
     def zero(self):
@@ -635,20 +623,8 @@ class RationalRing:
             return GaussRational(value)
         raise RingError(f"cannot coerce {value!r} into the rational ring")
 
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def conjugate(self, a):
-        return a.conjugate()
-
-    def inverse(self, a):
-        return a.inverse()
-
     def to_complex(self, a) -> complex:
         return complex(a)
-
-    def close(self, a, b, tol: float = 0.0, scale: float = 1.0) -> bool:
-        return a == b
 
     def __repr__(self):
         return "RationalRing()"
@@ -698,17 +674,18 @@ class ComplexRing:
         return "ComplexRing()"
 
 
-class SeriesRing:
-    """Truncated power series in t; entries exact or floating."""
+class SeriesRing(_ExactRing):
+    """Truncated power series in t with exact entries."""
 
     name = "series"
 
     def __init__(self, order: int = 8, exact: bool = True):
         if order < 1:
             raise RingError("series truncation order must be at least 1")
+        if not exact:
+            raise RingError("series entries are exact; evaluate t in the complex ring instead")
         self.order = order
-        self.exact = exact
-        self.base = RationalRing() if exact else ComplexRing()
+        self.base = RationalRing()
 
     @property
     def zero(self):
@@ -724,7 +701,7 @@ class SeriesRing:
 
     @property
     def t(self):
-        return TruncSeries.parameter(self.order, exact=self.exact)
+        return TruncSeries.parameter(self.order)
 
     def from_coefficients(self, coeffs) -> TruncSeries:
         padded = list(coeffs)[: self.order + 1]
@@ -738,31 +715,15 @@ class SeriesRing:
             return value
         return TruncSeries.constant(self.base.coerce(value), self.order)
 
-    def is_zero(self, a) -> bool:
-        tol = 0.0 if self.exact else ComplexRing.drop_tol
-        return a.is_zero(tol)
-
-    def conjugate(self, a):
-        return a.conjugate()
-
-    def inverse(self, a):
-        return a.inverse()
-
     def to_complex(self, a):
         raise RingError("series scalars have no complex value; evaluate t first")
 
-    def close(self, a, b, tol: float = 1e-10, scale: float = 1.0) -> bool:
-        if self.exact:
-            return a == b
-        return all(abs(x - y) <= tol * max(1.0, scale) for x, y in zip(a.coeffs, b.coeffs))
-
     def __repr__(self):
-        return f"SeriesRing(order={self.order}, exact={self.exact})"
+        return f"SeriesRing(order={self.order})"
 
 
-class RationalQRing:
+class RationalQRing(_ExactRing):
     name = "rational_q"
-    exact = True
 
     @property
     def zero(self):
@@ -787,20 +748,8 @@ class RationalQRing:
             return RationalQ.constant(value)
         raise RingError(f"cannot coerce {value!r} into the rational-function ring")
 
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def conjugate(self, a):
-        return a.conjugate()
-
-    def inverse(self, a):
-        return a.inverse()
-
     def to_complex(self, a):
         raise RingError("rational functions in q have no complex value; evaluate q first")
-
-    def close(self, a, b, tol: float = 0.0, scale: float = 1.0) -> bool:
-        return a == b
 
     def __repr__(self):
         return "RationalQRing()"
@@ -811,13 +760,13 @@ Ring = Union[RationalRing, ComplexRing, SeriesRing, RationalQRing]
 RING_NAMES = ("rational", "complex", "series", "rational_q")
 
 
-def make_ring(name: str, truncation_order: int = 8, exact_series: bool = True) -> Ring:
+def make_ring(name: str, truncation_order: int = 8) -> Ring:
     if name == "rational":
         return RationalRing()
     if name == "complex":
         return ComplexRing()
     if name == "series":
-        return SeriesRing(order=truncation_order, exact=exact_series)
+        return SeriesRing(order=truncation_order)
     if name == "rational_q":
         return RationalQRing()
     raise RingError(f"unknown ring {name!r}; expected one of {RING_NAMES}")

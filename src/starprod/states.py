@@ -21,9 +21,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .poly import Exponent, Polynomial
+from .poly import Exponent, Polynomial, inversion_weight
 from .probes import exponent_ball
-from .reduction import star_by_reduction
+from .reduction import star as table_star
 from .catalog import wick_log_canonical_table
 from .scalars import ComplexRing
 
@@ -103,22 +103,14 @@ class StateFunctional:
     def dim(self) -> int:
         return self.point.dim
 
-    @property
-    def branch(self) -> str:
-        # hbar = 0 sits on the nonpositive branch; both formulas degenerate
-        # to plain evaluation there.
-        return "positive" if self.hbar > 0 else "nonpositive"
-
     def eval_monomial(self, K: Exponent) -> complex:
-        z = self.point.z
-        value = 1 + 0j
-        for zk, e in zip(z, K):
-            value *= zk ** e
+        # hbar = 0 takes the nonpositive branch; both formulas degenerate to
+        # plain evaluation there
         if self.hbar > 0:
             exponent = self.hbar * _pair_sum(K) + 0.5 * self.hbar * _m_quadratic(K, self.m)
         else:
             exponent = -0.5 * self.hbar * _m_quadratic(K, self.m)
-        return value * math.exp(exponent)
+        return self.eval_plain(K) * math.exp(exponent)
 
     def eval_plain(self, K: Exponent) -> complex:
         z = self.point.z
@@ -153,7 +145,7 @@ def nonpositivity_witness(z: WickPoint, hbar: float, j: int) -> complex:
     one = Polynomial.one(ring, d, "w")
     wj = Polynomial.variable(ring, d, j, "w")
     a = one - wj.scale(1 / z.z[j - 1])
-    product = star_by_reduction(a.conjugate(), a, table).result
+    product = table_star(a.conjugate(), a, table)
     total = 0j
     for K, c in product.terms.items():
         value = c
@@ -192,12 +184,7 @@ def gram_matrix(state: StateFunctional, degree: int,
     for a, K in enumerate(basis):
         K_rev = tuple(reversed(K))
         for b, L in enumerate(basis):
-            inv = 0
-            prefix = 0
-            for j in range(len(K_rev)):
-                if j > 0:
-                    prefix += L[j - 1]
-                inv += K_rev[j] * prefix
+            inv = inversion_weight(K_rev, L)
             J = tuple(x + y for x, y in zip(K_rev, L))
             value = values.get(J)
             if value is None:

@@ -28,6 +28,7 @@ from .catalog import (
     symmetrized_star,
     symmetrized_star_by_averaging,
     wick_involution_condition,
+    wick_log_canonical_table,
 )
 from .params import ParameterCatalog
 from .poly import Polynomial
@@ -48,6 +49,7 @@ from .probes import (
 )
 from .qcomb import q_multinomial
 from .reduction import check_overlaps, jacobi_check, poisson_bracket, poisson_from_table
+from .reduction import star as table_star
 from .scalars import GaussRational, RationalQRing, RationalRing, make_ring
 from .states import (
     StateFunctional,
@@ -58,6 +60,7 @@ from .states import (
     point_separation_probe,
     psd_check,
     random_wick_point,
+    reversal_isomorphism,
 )
 from .tableio import table_from_dict
 
@@ -342,9 +345,6 @@ def suite_witness(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
 def suite_psi(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     """The reversal isomorphism intertwines the opposite-sign products and
     pulls deformed evaluations back: delta_z^h = delta_conj(z)^(-h) after it."""
-    from .catalog import wick_log_canonical_table
-    from .states import reversal_isomorphism
-
     ring = make_ring("complex")
     tol = float(cfg.get("tol", 1e-9))
     cases = []
@@ -357,15 +357,13 @@ def suite_psi(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
             minus = wick_log_canonical_table(ring, dim, complex(math.exp(h)))
             ball = exponent_ball(dim, int(cfg.get("max_degree", 3)))
             worst = 0.0
-            from .reduction import star_by_reduction
             for K in ball:
                 fK = Polynomial.monomial(ring, dim, K, kind="w")
                 for L in ball:
                     fL = Polynomial.monomial(ring, dim, L, kind="w")
-                    lhs = reversal_isomorphism(
-                        star_by_reduction(fK, fL, plus).result, h)
-                    rhs = star_by_reduction(reversal_isomorphism(fK, h),
-                                            reversal_isomorphism(fL, h), minus).result
+                    lhs = reversal_isomorphism(table_star(fK, fL, plus), h)
+                    rhs = table_star(reversal_isomorphism(fK, h),
+                                     reversal_isomorphism(fL, h), minus)
                     diff = lhs - rhs
                     scale = max((abs(c) for c in rhs.terms.values()), default=1.0)
                     err = max((abs(c) for c in diff.terms.values()), default=0.0)

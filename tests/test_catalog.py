@@ -18,6 +18,7 @@ from starprod.catalog import (
     nonquadratic_star,
     nonquadratic_table,
     quantum_weyl_star,
+    quantum_weyl_table,
     step_weight,
     symmetrized_star,
     symmetrized_star_by_averaging,
@@ -241,6 +242,16 @@ def test_oracle_degenerates_at_root_of_unity():
     # at q = -1 the symmetrization kills x1*x2, so it cannot be inverted
     tab = log_canonical_table(R, 2, GaussRational(-1))
     with pytest.raises(SigmaError):
+        symmetrized_star_by_averaging((1, 0), (0, 1), tab)
+
+
+def test_oracle_rejects_a_non_diagonal_symmetrization():
+    # on the quantum Weyl table sym(x1 x2) = (1+q)/2 x1 x2 + (p-1)/2 has a
+    # constant term, so it cannot be inverted monomial by monomial
+    ring = SeriesRing(order=3)
+    p, q = ParameterRule("affine").series(ring), ParameterRule("exp_i").series(ring)
+    tab = quantum_weyl_table(ring, p, q)
+    with pytest.raises(SigmaError, match="not diagonal"):
         symmetrized_star_by_averaging((1, 0), (0, 1), tab)
 
 

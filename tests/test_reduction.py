@@ -273,10 +273,3 @@ def test_quantum_weyl_table_reduction():
     res = star_by_reduction(x[2], x[1], tab).result
     assert abs(res.terms[(1, 1)] - cmath.exp(1j * hbar)) < 1e-14
     assert abs(res.terms[(0, 0)] - 1j * hbar) < 1e-14
-
-
-def test_check_overlaps_float_series_table():
-    ring = make_ring("series", truncation_order=3, exact_series=False)
-    q = ParameterRule("exp_i").series(ring)
-    tab = log_canonical_table(ring, 3, q)
-    assert check_overlaps(tab).ok

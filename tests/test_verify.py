@@ -1,10 +1,12 @@
-"""suite_oracle on every kind of (route, reference) pair a catalog names, exact."""
+"""suite_oracle on every kind of (route, reference) pair a catalog names,
+exact, and the run-spec defaults of the suite runners."""
 
 import random
 
 import pytest
 
-from starprod.verify import context_from_run, suite_oracle
+from starprod.probes import generator_product_bound
+from starprod.verify import context_from_run, suite_macgyver, suite_oracle
 
 # nonquadratic with s bound has no closed form: rightmost against leftmost rewriting
 NONQUADRATIC = {"catalog": "nonquadratic", "options": {"N": 1},
@@ -42,3 +44,15 @@ def test_oracle_rewriting_orders_differ_on_a_non_associative_table():
     report = _oracle(run, 2)
     assert not report.passed
     assert report.worst_margin == -1.0
+
+
+def test_macgyver_q_defaults_to_the_generator_bound():
+    # no "Q" key: the bound is N * sup over a disc of complex hbar that
+    # contains the run's own hbar
+    ctx = context_from_run({"catalog": "log_canonical", "d": 2, "ring": "complex",
+                            "params": {"q": "exp_i"}})
+    cfg = {"samples": 20, "max_degree": 3, "sweep_degree": 2}
+    report = suite_macgyver(ctx, cfg, random.Random(0), 0.3)
+    count, sup = generator_product_bound(ctx.instance(hbar=0.3).star)
+    assert report.meta["Q"] >= count * sup
+    assert report.passed
