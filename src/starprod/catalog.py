@@ -25,10 +25,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .params import ParameterCatalog, ParameterRule
-from .poly import Exponent, NcPolynomial, Polynomial, inversion_weight
+from .poly import DimensionMismatch, Exponent, NcPolynomial, Polynomial, inversion_weight
 from .qcomb import (
     PoleAtRootOfUnity,
     multinomial,
@@ -114,13 +115,22 @@ def translated_table(base: RelationTable, offsets: Sequence) -> RelationTable:
 
 # -- closed forms --------------------------------------------------------------
 
+# Each closed form has a private term function, (K, L) -> the terms (M, c) of
+# x^K * x^L, which StarProduct sums straight into its one dict; the exported
+# functions wrap those terms in a Polynomial.
+TermList = Iterable[Tuple[Exponent, object]]
+TermRoute = Callable[[Exponent, Exponent], TermList]
+
+
+def _log_canonical_terms(K: Exponent, L: Exponent, q) -> TermList:
+    return ((tuple(map(add, K, L)), q ** inversion_weight(K, L)),)
+
 
 def log_canonical_star(K: Exponent, L: Exponent, q, ring: Ring, kind: str = "x") -> Polynomial:
     """x^K * x^L = q^(sum_{i<j} K_j L_i) x^(K+L)."""
     if len(K) != len(L):
         raise CatalogError("multi-index dimensions differ")
-    M = tuple(a + b for a, b in zip(K, L))
-    return Polynomial.monomial(ring, len(K), M, q ** inversion_weight(K, L), kind)
+    return Polynomial(ring, len(K), dict(_log_canonical_terms(K, L, q)), kind)
 
 
 def wick_star(K: Exponent, L: Exponent, q, ring: Ring) -> Polynomial:
@@ -189,18 +199,11 @@ def _binary_words(k: int, max_ones: int) -> Iterable[Tuple[int, ...]]:
     yield from extend((), 0)
 
 
-def nonquadratic_star(e1: Tuple[int, int, int], e2: Tuple[int, int, int],
-                      p, q, r, N: int, ring: Ring) -> Polynomial:
-    """Closed form for the d=3 family, as a weighted sum over binary words.
-
-    x^i y^j z^k * x^l y^m z^n =
-        sum over w in {0,1}^k, |w| <= m of
-        r^((j-k) l + j N |w|) * weight(w) * x^(i+l+N|w|) y^(j+m-|w|) z^(k+n-|w|)
-    """
+def _nonquadratic_terms(e1: Exponent, e2: Exponent, p, q, r, N: int,
+                        ring: Ring) -> Dict[Exponent, object]:
+    """The word sum of ``nonquadratic_star``, as an exponent -> coefficient dict."""
     i, j, k = e1
     l, m, n = e2
-    if min(i, j, k, l, m, n) < 0:
-        raise CatalogError("exponents must be non-negative")
     terms: Dict[Exponent, object] = {}
     for w in _binary_words(k, m):
         ones = sum(w)
@@ -211,7 +214,27 @@ def nonquadratic_star(e1: Tuple[int, int, int], e2: Tuple[int, int, int],
             terms[M] = terms[M] + coeff
         else:
             terms[M] = coeff
-    return Polynomial(ring, 3, terms, "x")
+    return terms
+
+
+def nonquadratic_star(e1: Tuple[int, int, int], e2: Tuple[int, int, int],
+                      p, q, r, N: int, ring: Ring) -> Polynomial:
+    """Closed form for the d=3 family, as a weighted sum over binary words.
+
+    x^i y^j z^k * x^l y^m z^n =
+        sum over w in {0,1}^k, |w| <= m of
+        r^((j-k) l + j N |w|) * weight(w) * x^(i+l+N|w|) y^(j+m-|w|) z^(k+n-|w|)
+    """
+    if min(*e1, *e2) < 0:
+        raise CatalogError("exponents must be non-negative")
+    return Polynomial.from_checked(ring, 3, _nonquadratic_terms(e1, e2, p, q, r, N, ring))
+
+
+def _quantum_weyl_terms(e1: Exponent, e2: Exponent, p, q, ring: Ring) -> Dict[Exponent, object]:
+    """The N=0 word sum with r = 1 on (y, z) pairs; its x-exponent is always 0."""
+    (j, k), (m, n) = e1, e2
+    full = _nonquadratic_terms((0, j, k), (0, m, n), p, q, ring.one, 0, ring)
+    return {(b, c): coeff for (_, b, c), coeff in full.items()}
 
 
 def quantum_weyl_star(e1: Sequence[int], e2: Sequence[int], p, q, ring: Ring) -> Polynomial:
@@ -228,22 +251,14 @@ def quantum_weyl_star(e1: Sequence[int], e2: Sequence[int], p, q, ring: Ring) ->
             raise CatalogError("expected (y, z) exponent pairs")
         return e[0], e[1]
 
-    j, k = as_pair(e1)
-    m, n = as_pair(e2)
-    full = nonquadratic_star((0, j, k), (0, m, n), p, q, ring.one, 0, ring)
-    terms = {}
-    for (a, b, c), coeff in full.terms.items():
-        if a != 0:
-            raise CatalogError("unexpected x-exponent in quantum Weyl product")
-        terms[(b, c)] = coeff
-    return Polynomial(ring, 2, terms, "x")
+    e1, e2 = as_pair(e1), as_pair(e2)
+    if min(*e1, *e2) < 0:
+        raise CatalogError("exponents must be non-negative")
+    return Polynomial.from_checked(ring, 2, _quantum_weyl_terms(e1, e2, p, q, ring))
 
 
-def symmetrized_star(K: Exponent, L: Exponent, q, ring: Ring, kind: str = "x") -> Polynomial:
-    """Symmetrized product: a q-multinomial ratio times the log-canonical term."""
-    if len(K) != len(L):
-        raise CatalogError("multi-index dimensions differ")
-    M = tuple(a + b for a, b in zip(K, L))
+def _symmetrized_terms(K: Exponent, L: Exponent, q, ring: Ring) -> TermList:
+    M = tuple(map(add, K, L))
     bq_K = q_multinomial(K, q, ring)
     bq_L = q_multinomial(L, q, ring)
     if isinstance(ring, (RationalRing, ComplexRing)):
@@ -253,7 +268,14 @@ def symmetrized_star(K: Exponent, L: Exponent, q, ring: Ring, kind: str = "x") -
     classical = Fraction(multinomial(M), multinomial(K) * multinomial(L))
     coeff = ring.coerce(classical) * bq_K * bq_L * ring.inverse(bq_M)
     coeff = coeff * q ** inversion_weight(K, L)
-    return Polynomial.monomial(ring, len(K), M, coeff, kind)
+    return ((M, coeff),)
+
+
+def symmetrized_star(K: Exponent, L: Exponent, q, ring: Ring, kind: str = "x") -> Polynomial:
+    """Symmetrized product: a q-multinomial ratio times the log-canonical term."""
+    if len(K) != len(L):
+        raise CatalogError("multi-index dimensions differ")
+    return Polynomial(ring, len(K), dict(_symmetrized_terms(K, L, q, ring)), kind)
 
 
 def equivalence_transform(f: Polynomial, q, direction: str = "forward") -> Polynomial:
@@ -371,19 +393,25 @@ def symmetrized_star_by_averaging(K: Exponent, L: Exponent, table: RelationTable
 
 @dataclass
 class StarProduct:
-    """A bilinear product handle, with optional closed form and table."""
+    """A bilinear product handle, with optional closed form and table.
+
+    ``mono`` is the closed form as a term route: it maps a monomial pair
+    ``(K, L)`` to the terms ``(M, c)`` of ``x^K * x^L``, raw ring scalars
+    with no Polynomial built and nothing dropped.
+    """
 
     name: str
     ring: Ring
     dim: int
     kind: str = "x"
     table: Optional[RelationTable] = None
-    mono: Optional[Callable[[Exponent, Exponent], Polynomial]] = None
+    mono: Optional[TermRoute] = None
     step_limit: int = DEFAULT_STEP_LIMIT
 
     def monomial_product(self, K: Exponent, L: Exponent) -> Polynomial:
         if self.mono is not None:
-            return self.mono(tuple(K), tuple(L))
+            return Polynomial(self.ring, self.dim, dict(self.mono(tuple(K), tuple(L))),
+                              self.kind)
         if self.table is None:
             raise CatalogError(f"{self.name} has neither closed form nor table")
         return table_star(Polynomial.monomial(self.ring, self.dim, K, kind=self.kind),
@@ -400,25 +428,28 @@ class StarProduct:
     def __call__(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """f * g: the bilinear extension of ``mono``, or the table's rewriting.
 
-        The closed-form route sums every term pair into one dict and builds
-        a single Polynomial, so in float mode coefficients below the ring's
-        ``drop_tol`` are dropped once, on the finished sum, not on every
-        partial sum.
+        The closed-form route sums the terms of every term pair into one
+        dict and builds a single Polynomial, so in float mode coefficients
+        below the ring's ``drop_tol`` are dropped once, on the finished sum.
         """
         if self.mono is None:
             if self.table is None:
                 raise CatalogError(f"{self.name} has neither closed form nor table")
             return table_star(f, g, self.table, self.step_limit)
+        if f.dim != self.dim or g.dim != self.dim:
+            raise DimensionMismatch(f"{self.name} lives on d={self.dim}, "
+                                    f"operands have d={f.dim}/{g.dim}")
+        mono = self.mono
         out: Dict[Exponent, object] = {}
         for K, a in f.terms.items():
             for L, b in g.terms.items():
                 ab = a * b
-                for M, c in self.mono(K, L).terms.items():
+                for M, c in mono(K, L):
                     if M in out:
                         out[M] = out[M] + c * ab
                     else:
                         out[M] = c * ab
-        return Polynomial(self.ring, self.dim, out, self.kind)
+        return Polynomial.from_checked(self.ring, self.dim, out, self.kind)
 
 
 MonomialRoute = Callable[[Exponent, Exponent], Polynomial]
@@ -496,13 +527,13 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
         dim = d or 2
         q = scalars["q"]
         table = log_canonical_table(ring, dim, q)
-        mono = lambda K, L: log_canonical_star(K, L, q, ring)
+        mono = lambda K, L: _log_canonical_terms(K, L, q)
         star = StarProduct(name, ring, dim, "x", table, mono)
     elif name == "wick_log_canonical":
         dim = d or 2
         q = scalars["q"]
         table = wick_log_canonical_table(ring, dim, q)
-        mono = lambda K, L: wick_star(K, L, q, ring)
+        mono = lambda K, L: _log_canonical_terms(K, L, q)
         star = StarProduct(name, ring, dim, "w", table, mono)
     elif name == "nonquadratic":
         dim = 3
@@ -515,7 +546,7 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
         table = nonquadratic_table(ring, N, p, q, r, s)
         mono = None
         if s is None:
-            mono = lambda K, L: nonquadratic_star(K, L, p, q, r, N, ring)
+            mono = lambda K, L: _nonquadratic_terms(K, L, p, q, r, N, ring).items()
         star = StarProduct(name, ring, dim, "x", table, mono)
     elif name == "quantum_weyl":
         dim = 2
@@ -523,13 +554,13 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
             raise CatalogError("quantum_weyl lives on d = 2")
         p, q = scalars["p"], scalars["q"]
         table = quantum_weyl_table(ring, p, q)
-        mono = lambda K, L: quantum_weyl_star(K, L, p, q, ring)
+        mono = lambda K, L: _quantum_weyl_terms(K, L, p, q, ring).items()
         star = StarProduct(name, ring, dim, "x", table, mono)
     elif name == "symmetrized_log_canonical":
         dim = d or 2
         q = scalars["q"]
         table = None
-        mono = lambda K, L: symmetrized_star(K, L, q, ring)
+        mono = lambda K, L: _symmetrized_terms(K, L, q, ring)
         star = StarProduct(name, ring, dim, "x", None, mono)
         # built on first use: a series ring with a constant q has no such table
         averaging_table = functools.cache(lambda: log_canonical_table(ring, dim, q))

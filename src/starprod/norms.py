@@ -73,22 +73,24 @@ def seminorm(f: Polynomial, spec: NormSpec) -> float:
     """Evaluate a seminorm on a finite polynomial (coefficients to complex)."""
     if spec.kind == "adic":
         return adic_order(f)
-    ring = f.ring
+    to_complex = f.ring.to_complex
     total = 0.0
-    for K, c in f.terms.items():
-        mag = abs(ring.to_complex(c))
-        deg = sum(K)
-        if spec.kind == "rho":
-            if len(spec.rho) != f.dim:
-                raise ValueError("rho weight vector length must equal the dimension")
+    if spec.kind == "rho":
+        if len(spec.rho) != f.dim:
+            raise ValueError("rho weight vector length must equal the dimension")
+        for K, c in f.terms.items():
             w = 1.0
             for r, e in zip(spec.rho, K):
                 w *= r ** e
-            total += mag * w
-        elif spec.kind == "tr":
-            total += mag * spec.C ** deg * float(math.factorial(deg)) ** spec.R
-        else:  # macgyver
-            total += mag * spec.C ** (deg * deg)
+            total += abs(to_complex(c)) * w
+    elif spec.kind == "tr":
+        for K, c in f.terms.items():
+            deg = sum(K)
+            total += abs(to_complex(c)) * spec.C ** deg * float(math.factorial(deg)) ** spec.R
+    else:  # macgyver
+        for K, c in f.terms.items():
+            deg = sum(K)
+            total += abs(to_complex(c)) * spec.C ** (deg * deg)
     return total
 
 

@@ -92,6 +92,23 @@ class Polynomial:
     # -- constructors --------------------------------------------------------
 
     @classmethod
+    def from_checked(cls, ring: Ring, dim: int, terms: Mapping[Exponent, object],
+                     kind: str = "x") -> "Polynomial":
+        """Build from exponent tuples known to have length dim and no negative entry.
+
+        Drops zero coefficients as the constructor does but checks no
+        exponent: for terms computed from exponents of polynomials of the
+        same dimension, which were checked when they were made.
+        """
+        self = object.__new__(cls)
+        self.ring = ring
+        self.dim = dim
+        self.kind = kind
+        is_zero = ring.is_zero
+        self.terms = {K: c for K, c in terms.items() if not is_zero(c)}
+        return self
+
+    @classmethod
     def zero(cls, ring: Ring, dim: int, kind: str = "x") -> "Polynomial":
         return cls(ring, dim, {}, kind)
 
@@ -131,7 +148,7 @@ class Polynomial:
                 out[K] = out[K] + c
             else:
                 out[K] = c
-        return Polynomial(self.ring, self.dim, out, self.kind)
+        return Polynomial.from_checked(self.ring, self.dim, out, self.kind)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -143,10 +160,11 @@ class Polynomial:
                 out[K] = out[K] - c
             else:
                 out[K] = -c
-        return Polynomial(self.ring, self.dim, out, self.kind)
+        return Polynomial.from_checked(self.ring, self.dim, out, self.kind)
 
     def __neg__(self):
-        return Polynomial(self.ring, self.dim, {K: -c for K, c in self.terms.items()}, self.kind)
+        return Polynomial.from_checked(self.ring, self.dim,
+                                       {K: -c for K, c in self.terms.items()}, self.kind)
 
     def __mul__(self, other):
         if isinstance(other, Polynomial):
@@ -160,7 +178,7 @@ class Polynomial:
                         out[M] = out[M] + c
                     else:
                         out[M] = c
-            return Polynomial(self.ring, self.dim, out, self.kind)
+            return Polynomial.from_checked(self.ring, self.dim, out, self.kind)
         return self.scale(other)
 
     def __rmul__(self, other):
@@ -170,8 +188,8 @@ class Polynomial:
         c = scalar if type(scalar) is type(self.ring.zero) else self.ring.coerce(scalar)
         if self.ring.is_zero(c):
             return Polynomial.zero(self.ring, self.dim, self.kind)
-        return Polynomial(self.ring, self.dim,
-                          {K: a * c for K, a in self.terms.items()}, self.kind)
+        return Polynomial.from_checked(self.ring, self.dim,
+                                       {K: a * c for K, a in self.terms.items()}, self.kind)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -196,7 +214,7 @@ class Polynomial:
                 out[key] = out[key] + cc
             else:
                 out[key] = cc
-        return Polynomial(self.ring, self.dim, out, self.kind)
+        return Polynomial.from_checked(self.ring, self.dim, out, self.kind)
 
     def derivative(self, index: int) -> "Polynomial":
         """Formal partial derivative with respect to generator ``index`` (1-based)."""
@@ -213,7 +231,7 @@ class Polynomial:
                 out[M] = out[M] + scaled
             else:
                 out[M] = scaled
-        return Polynomial(self.ring, self.dim, out, self.kind)
+        return Polynomial.from_checked(self.ring, self.dim, out, self.kind)
 
     def shift(self, offsets) -> "Polynomial":
         """Substitute generator i -> generator i + offsets[i-1]."""

@@ -404,7 +404,7 @@ def _sum_normal_forms(terms: Iterable[Tuple[Word, object]], table: RelationTable
         for M, d in normal_form(word, misses):
             d = c if d is one else d * c
             out[M] = out[M] + d if M in out else d
-    return Polynomial(table.ring, table.dim, out, table.kind)
+    return Polynomial.from_checked(table.ring, table.dim, out, table.kind)
 
 
 def star(f: Polynomial, g: Polynomial, table: RelationTable,

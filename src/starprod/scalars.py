@@ -367,9 +367,18 @@ def _pneg(p):
     return tuple(-a for a in p)
 
 
+_ONE_POLY = (GaussRational(1),)
+
+
 def _pmul(p, q):
     if not p or not q:
         return ()
+    # the constant 1, the denominator of every polynomial RationalQ, is the
+    # commonest factor; factors are trimmed, so the other one is the product
+    if q == _ONE_POLY:
+        return p
+    if p == _ONE_POLY:
+        return q
     zero = GaussRational(0)
     return _ptrim([zero if c is None else c
                    for c in _convolve(p, q, len(p) + len(q) - 1)])

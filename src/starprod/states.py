@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import accumulate
+from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .poly import Exponent, Polynomial, inversion_weight
+from .poly import Exponent, Polynomial
 from .probes import exponent_ball
 from .reduction import star as table_star
 from .catalog import wick_log_canonical_table
@@ -171,26 +173,35 @@ def gram_matrix(state: StateFunctional, degree: int,
     e^(-hbar * sum_{i<j} rev(K)_j L_i) on w^(rev(K)+L).  ``deformed=False``
     evaluates with the plain point evaluation instead (the functional that
     loses positivity for hbar > 0).  Many entries share one exponent
-    rev(K) + L; each distinct exponent is evaluated once per call.
+    rev(K) + L, and many one inversion count; each distinct exponent is
+    evaluated, and each distinct count exponentiated, once per call.  Rows
+    are filled as lists and converted to one array at the end.
     """
     if degree < 0:
         raise StateError("degree must be non-negative")
     basis = state_basis(state.dim, degree)
-    n = len(basis)
-    M = np.zeros((n, n), dtype=complex)
     h = state.hbar
     evaluate = state.eval_monomial if deformed else state.eval_plain
+    # inversion_weight(K_rev, L) = sum_j K_rev[j] * (L[0] + ... + L[j-1])
+    prefixes = [tuple(accumulate(L[:-1], initial=0)) for L in basis]
+    scales: Dict[int, float] = {}
     values: Dict[Exponent, complex] = {}
-    for a, K in enumerate(basis):
-        K_rev = tuple(reversed(K))
-        for b, L in enumerate(basis):
-            inv = inversion_weight(K_rev, L)
-            J = tuple(x + y for x, y in zip(K_rev, L))
+    rows = []
+    for K in basis:
+        K_rev = K[::-1]
+        row = []
+        for L, P in zip(basis, prefixes):
+            inv = sum(map(mul, K_rev, P))
+            scale = scales.get(inv)
+            if scale is None:
+                scale = scales[inv] = math.exp(-h * inv)
+            J = tuple(map(add, K_rev, L))
             value = values.get(J)
             if value is None:
                 value = values[J] = evaluate(J)
-            M[a, b] = math.exp(-h * inv) * value
-    return basis, M
+            row.append(scale * value)
+        rows.append(row)
+    return basis, np.array(rows, dtype=complex)
 
 
 @dataclass

@@ -30,7 +30,7 @@ from starprod.catalog import (
     word_weight,
 )
 from starprod.params import ParameterCatalog, ParameterRule
-from starprod.poly import Polynomial
+from starprod.poly import DimensionMismatch, Polynomial
 from starprod.probes import (
     exponent_ball,
     random_coefficient,
@@ -514,3 +514,74 @@ def test_bilinear_closed_form_matches_reduction_complex(name):
                          (inst.star(f, g + h), inst.star(f, g) + inst.star(f, h))):
             scale = max((abs(c) for c in rhs.terms.values()), default=1.0)
             assert lhs.close_to(rhs, tol=1e-10, scale=scale), (name, f, g)
+
+
+def test_closed_form_keeps_small_terms_until_the_sum_is_finished():
+    # q = e^-33 lies below the complex ring's drop_tol, 10 q does not: the
+    # closed form must not drop q before it multiplies by 10
+    inst = build_catalog("wick_log_canonical", C, 2, hbar=33)
+    w1, w2 = (Polynomial.variable(C, 2, i, "w") for i in (1, 2))
+    f = w2.scale(10)
+    assert set(inst.star(f, w1).terms) == set(inst.reduction_star(f, w1).terms) == {(1, 1)}
+
+
+def _exported_closed_form(inst):
+    """The catalog's exported closed form at its resolved parameters."""
+    s, ring = inst.params, inst.ring
+    if inst.name == "log_canonical":
+        return lambda K, L: log_canonical_star(K, L, s["q"], ring)
+    if inst.name == "wick_log_canonical":
+        return lambda K, L: wick_star(K, L, s["q"], ring)
+    if inst.name == "nonquadratic":
+        N = inst.options["N"]
+        return lambda K, L: nonquadratic_star(K, L, s["p"], s["q"], s["r"], N, ring)
+    if inst.name == "quantum_weyl":
+        return lambda K, L: quantum_weyl_star(K, L, s["p"], s["q"], ring)
+    return lambda K, L: symmetrized_star(K, L, s["q"], ring)
+
+
+def _reference_sum(closed, f, g):
+    """sum of a*b*closed(K, L) over the term pairs, in the order of the terms."""
+    out = {}
+    for K, a in f.terms.items():
+        for L, b in g.terms.items():
+            ab = a * b
+            for M, c in closed(K, L).terms.items():
+                out[M] = out[M] + c * ab if M in out else c * ab
+    return Polynomial(f.ring, f.dim, out, f.kind)
+
+
+def _bits(p):
+    return [(K, c.real.hex(), c.imag.hex()) if isinstance(c, complex) else (K, c)
+            for K, c in p.terms.items()]
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_CATALOGS + ("symmetrized_log_canonical",))
+def test_term_route_sums_the_exported_closed_forms_bit_for_bit(name):
+    def catalogs():
+        if name == "symmetrized_log_canonical":
+            yield build_catalog(name, R, 3, ParameterCatalog({"q": _const("5/4")}))
+            for hbar in (0.3, 0.5, 0.7):
+                yield build_catalog(name, C, 3, hbar=hbar)
+            return
+        yield _closed_form_catalog(name, R)  # quantum_weyl: exact series
+        for hbar in (0.3, 0.5, 0.7):
+            yield _closed_form_catalog(name, C, hbar=hbar)
+
+    rng = random.Random(f"term-route:{name}")
+    for inst in catalogs():
+        closed = _exported_closed_form(inst)
+        for _ in range(3):
+            f = _multi_term(rng, inst.ring, inst.dim, inst.kind)
+            g = _multi_term(rng, inst.ring, inst.dim, inst.kind)
+            product = inst.star(f, g)
+            assert _bits(product) == _bits(_reference_sum(closed, f, g)), (inst.ring, f, g)
+            K, L = next(iter(f.terms)), next(iter(g.terms))
+            assert inst.star.monomial_product(K, L) == closed(K, L)
+
+
+def test_closed_form_product_rejects_operands_of_another_dimension():
+    inst = build_catalog("log_canonical", C, 2, hbar=0.5)
+    x1 = Polynomial.variable(C, 3, 1)
+    with pytest.raises(DimensionMismatch):
+        inst.star(x1, x1)

@@ -89,3 +89,12 @@ def test_adic_ultrametric():
         g = random_polynomial(rng, C, 2, 4, 3)
         h = random_polynomial(rng, C, 2, 4, 3)
         assert adic_distance(f, h) <= max(adic_distance(f, g), adic_distance(g, h)) + 1e-15
+
+
+def test_rho_length_is_checked_also_on_the_zero_polynomial():
+    spec = NormSpec.rho_norm((1.0, 1.0))
+    with pytest.raises(ValueError):
+        seminorm(Polynomial.zero(C, 3), spec)
+    with pytest.raises(ValueError):
+        seminorm(Polynomial.variable(C, 3, 1), spec)
+    assert seminorm(Polynomial.zero(C, 2), spec) == 0.0

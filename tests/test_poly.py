@@ -184,3 +184,15 @@ def test_roundtrip_corpus_rational_and_complex():
 def test_roundtrip_hypothesis(entries):
     f = Polynomial(R, 2, dict(entries))
     assert parse_poly(format_poly(f), 2, R) == f
+
+
+def test_from_checked_drops_zeros_and_the_constructor_still_validates():
+    f = Polynomial.from_checked(R, 2, {(1, 0): GaussRational(2), (0, 1): GaussRational(0)}, "w")
+    assert f.terms == {(1, 0): GaussRational(2)} and f.kind == "w"
+    g = Polynomial.from_checked(C, 2, {(1, 0): 1e-15 + 0j, (0, 1): 1 + 0j})
+    assert g == Polynomial(C, 2, {(1, 0): 1e-15 + 0j, (0, 1): 1 + 0j}) == \
+        Polynomial.variable(C, 2, 2)
+    with pytest.raises(ValueError):
+        Polynomial(R, 2, {(-1, 0): GaussRational(1)})
+    with pytest.raises(DimensionMismatch):
+        Polynomial(R, 2, {(1, 0, 0): GaussRational(1)})

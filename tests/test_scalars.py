@@ -286,3 +286,32 @@ def test_constant_rule_parsing():
     assert rule.value == GaussRational(1, 2)
     resolved = rule.resolve(make_ring("complex"))
     assert resolved == 1 + 2j
+
+
+def _full_product(p, q):
+    return _dense_product(p, q, len(p) + len(q) - 1, ZERO_Q) if p and q else []
+
+
+def _entrywise_sum(p, q):
+    n = max(len(p), len(q))
+    return [(p[k] if k < len(p) else ZERO_Q) + (q[k] if k < len(q) else ZERO_Q)
+            for k in range(n)]
+
+
+@given(rational_qs(), rational_qs(), st.sampled_from(("left", "right", "both")))
+def test_rational_q_with_denominator_one_matches_the_full_products(a, b, which):
+    # + - * multiply through by both denominators; a denominator 1 may be
+    # skipped, and the stored normal form must be the one the full products give
+    if which != "right":
+        a = RationalQ(a.num)
+    if which != "left":
+        b = RationalQ(b.num)
+    cross = _full_product(a.num, b.den)
+    den = _full_product(a.den, b.den)
+    expected = {
+        "+": RationalQ(_entrywise_sum(cross, _full_product(b.num, a.den)), den),
+        "-": RationalQ(_entrywise_sum(cross, _full_product([-c for c in b.num], a.den)), den),
+        "*": RationalQ(_full_product(a.num, b.num), den),
+    }
+    for op, got in (("+", a + b), ("-", a - b), ("*", a * b)):
+        assert (got.num, got.den) == (expected[op].num, expected[op].den), op

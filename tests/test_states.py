@@ -305,3 +305,20 @@ def test_undeformed_gram_positive_on_middle_axis_for_odd_d():
     z = WickPoint((0j, 1.7 + 0j, 0j))
     _, M = gram_matrix(StateFunctional(z, 0.9), 2, deformed=False)
     assert psd_check(M).passed
+
+
+def test_gram_entries_are_bit_identical_to_the_entry_formula():
+    from starprod.poly import inversion_weight
+    rng = random.Random(8)
+    for d in (2, 3, 4):
+        for hbar in (-1.0, 0.0, 0.7):
+            state = StateFunctional(random_wick_point(rng, d), hbar)
+            for deformed in (True, False):
+                evaluate = state.eval_monomial if deformed else state.eval_plain
+                basis, M = gram_matrix(state, 3, deformed)
+                for a, K in enumerate(basis):
+                    K_rev = K[::-1]
+                    for b, L in enumerate(basis):
+                        J = tuple(x + y for x, y in zip(K_rev, L))
+                        expected = math.exp(-hbar * inversion_weight(K_rev, L)) * evaluate(J)
+                        assert M[a, b] == expected, (d, hbar, deformed, K, L)
