@@ -19,7 +19,6 @@ import sys
 from typing import Dict, Optional, Tuple
 
 import click
-import numpy as np
 
 from .catalog import CATALOG_IDS, CatalogError, build_catalog
 from .params import ParameterCatalog, ParameterError
@@ -205,7 +204,9 @@ def cmd_verify(spec_path, seed, out_path, csv_path, as_json,
         else:
             spec = DEFAULT_RUNSPEC
         actual_seed = _resolve_seed(seed, spec)
-        results = run_suites(spec, seed=actual_seed)
+        # digests are computed only for the outputs that show them
+        results = run_suites(spec, seed=actual_seed,
+                             digests=include_cases or bool(csv_path))
     except CONFIG_ERRORS as exc:
         _fail(str(exc), 2)
         return
@@ -273,7 +274,8 @@ def _state_from_flags(hbar: float, z_text: str) -> StateFunctional:
     return StateFunctional(WickPoint(z), hbar)
 
 
-def _matrix_payload(M: np.ndarray) -> Dict:
+def _matrix_payload(M) -> Dict:
+    """Shape and (real, imaginary) entries of a complex numpy matrix."""
     return {"shape": list(M.shape),
             "entries": [[float(v.real), float(v.imag)] for v in M.reshape(-1)]}
 

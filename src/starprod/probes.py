@@ -5,6 +5,12 @@ or limit claim and returns a ProbeReport: one row per case with a digest of
 the inputs, the two compared values, and the margin (how far the claim held;
 negative margins are violations).  Probes never prove anything; failing
 ones either expose a bug or document that a hypothesis was genuinely needed.
+
+A digest of random polynomial inputs is deferred: the case holds a
+zero-argument function that formats and hashes the inputs when called.
+``ProbeCase.settle`` turns it into its string or drops it, so a caller that
+emits no digests (``star verify`` without ``--csv`` or ``--cases``) never
+formats a polynomial.  ``to_row`` settles a deferred digest itself.
 """
 
 from __future__ import annotations
@@ -13,7 +19,8 @@ import hashlib
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from .catalog import StarProduct
 from .norms import NormSpec, adic_order, seminorm
@@ -33,12 +40,20 @@ def digest_of(*parts: str) -> str:
 
 @dataclass
 class ProbeCase:
-    digest: str
+    # a digest string, a zero-argument function that computes it, or None
+    # once a deferred digest has been dropped
+    digest: Union[str, Callable[[], str], None]
     lhs: float
     rhs: float
     margin: float
 
+    def settle(self, keep: bool = True) -> None:
+        """Compute a deferred digest, or drop it (``keep=False``) unread."""
+        if callable(self.digest):
+            self.digest = self.digest() if keep else None
+
     def to_row(self) -> Dict:
+        self.settle()
         return {"digest": self.digest, "lhs": self.lhs, "rhs": self.rhs, "margin": self.margin}
 
 
@@ -78,29 +93,39 @@ def random_exponent(rng, dim: int, degree: int) -> Exponent:
     return tuple(K)
 
 
-def random_polynomial(rng, ring: Ring, dim: int, max_degree: int,
-                      terms: int = 3, kind: str = "x") -> Polynomial:
+def _random_sum(rng, ring: Ring, dim: int, degree: int, terms: int, kind: str,
+                homogeneous: bool) -> Polynomial:
+    """``terms`` random terms of total degree ``degree`` (homogeneous) or of
+    degrees drawn from 0..degree; a zero sum is replaced by one random
+    monomial of degree ``degree`` (at least 1 when not homogeneous).
+
+    A homogeneous term draws its coefficient before its exponent, the other
+    kind its degree, exponent and then coefficient: seeded inputs depend on
+    this order.
+    """
     out = {}
     for _ in range(terms):
-        K = random_exponent(rng, dim, rng.randint(0, max_degree))
-        out[K] = random_coefficient(rng, ring)
-    f = Polynomial(ring, dim, out, kind)
-    if f.is_zero():
-        return Polynomial.monomial(ring, dim, random_exponent(rng, dim, max(1, max_degree)),
-                                   random_coefficient(rng, ring), kind)
-    return f
+        if homogeneous:
+            c = random_coefficient(rng, ring)
+            out[random_exponent(rng, dim, degree)] = c
+        else:
+            K = random_exponent(rng, dim, rng.randint(0, degree))
+            out[K] = random_coefficient(rng, ring)
+    f = Polynomial.from_checked(ring, dim, out, kind)
+    if f.terms:
+        return f
+    K = random_exponent(rng, dim, degree if homogeneous else max(1, degree))
+    return Polynomial.from_checked(ring, dim, {K: random_coefficient(rng, ring)}, kind)
+
+
+def random_polynomial(rng, ring: Ring, dim: int, max_degree: int,
+                      terms: int = 3, kind: str = "x") -> Polynomial:
+    return _random_sum(rng, ring, dim, max_degree, terms, kind, homogeneous=False)
 
 
 def random_homogeneous(rng, ring: Ring, dim: int, degree: int,
                        terms: int = 3, kind: str = "x") -> Polynomial:
-    out = {}
-    for _ in range(terms):
-        out[random_exponent(rng, dim, degree)] = random_coefficient(rng, ring)
-    f = Polynomial(ring, dim, out, kind)
-    if f.is_zero():
-        return Polynomial.monomial(ring, dim, random_exponent(rng, dim, degree),
-                                   random_coefficient(rng, ring), kind)
-    return f
+    return _random_sum(rng, ring, dim, degree, terms, kind, homogeneous=True)
 
 
 def _poly_digest(*polys: Polynomial) -> str:
@@ -129,7 +154,7 @@ def degree_filtration_check(star: Callable[[Polynomial, Polynomial], Polynomial]
         rhs = adic_order(f) + adic_order(g)
         margin = BIG_MARGIN if lhs == float("inf") else lhs - rhs
         ok = ok and margin >= 0
-        cases.append(ProbeCase(_poly_digest(f, g), min(lhs, BIG_MARGIN), rhs, margin))
+        cases.append(ProbeCase(partial(_poly_digest, f, g), min(lhs, BIG_MARGIN), rhs, margin))
     return finish_report("degree_filtration", cases, ok)
 
 
@@ -153,7 +178,7 @@ def submultiplicativity_probe(star: Callable[[Polynomial, Polynomial], Polynomia
         margin = rhs - lhs
         if margin < -tol * max(1.0, rhs):
             ok = False
-        cases.append(ProbeCase(_poly_digest(f, g), lhs, rhs, margin))
+        cases.append(ProbeCase(partial(_poly_digest, f, g), lhs, rhs, margin))
 
     if include_monomial_sweep:
         for n in range(1, max_degree + 1):
@@ -235,7 +260,7 @@ def macgyver_continuity_probe(star: StarProduct, C: float,
         margin = rhs - lhs
         if margin < -tol * max(1.0, rhs):
             ok = False
-        cases.append(ProbeCase(_poly_digest(f, g), lhs, rhs, margin))
+        cases.append(ProbeCase(partial(_poly_digest, f, g), lhs, rhs, margin))
     passed = ok and not violations
     return finish_report("macgyver_continuity", cases, passed,
                          {"Q": Q, "C_prime": c_prime, "hypothesis_violations": violations})
@@ -297,19 +322,20 @@ def classical_limit_probe(star_at: Callable[[float], Callable[[Polynomial, Polyn
 
     Per pair: residuals ||Delta(h) - {f, g}||_rho along the h sequence must
     decrease to below tolerance; the slope of the log-log fit estimates the
-    order in h (reported to two significant figures).
+    order in h (reported to two significant figures).  ``star_at`` is
+    called once per h, before the first pair.
     """
     hbars = list(hbars) if hbars is not None else default_hbar_sequence()
     spec = NormSpec.rho_norm(rho)
     cases = []
     orders = []
     ok = True
+    products = [star_at(h) for h in hbars]
     for f, g in pairs:
         bracket = poisson_bracket(eta, f, g)
         scale = max(1.0, seminorm(f, spec) * seminorm(g, spec))
         residuals = []
-        for h in hbars:
-            product = star_at(h)
+        for h, product in zip(hbars, products):
             delta = (product(f, g) - product(g, f)).scale(1.0 / (1j * h))
             residuals.append(seminorm(delta - bracket, spec))
         slope, intercept = _fit_order(hbars, residuals, noise_floor * scale)
@@ -329,7 +355,7 @@ def classical_limit_probe(star_at: Callable[[float], Callable[[Polynomial, Polyn
         margin = case_tol - final
         if not (monotone and final <= case_tol):
             ok = False
-        cases.append(ProbeCase(_poly_digest(f, g), final, case_tol, margin))
+        cases.append(ProbeCase(partial(_poly_digest, f, g), final, case_tol, margin))
     meta = {"orders": orders, "hbar_min": hbars[-1]}
     return finish_report("classical_limit", cases, ok, meta)
 

@@ -5,7 +5,9 @@ bindings, hbar values and a probe list; ``run_suites`` executes every
 (probe, hbar) combination with its own deterministically derived RNG and
 returns one report row per combination.  Reports are byte-stable for a
 fixed seed: rows are sorted, floats serialized by repr, and wall-clock
-timings kept out unless explicitly requested.
+timings kept out unless explicitly requested.  Case digests are settled as
+each suite finishes: computed, or dropped when ``run_suites`` is told that
+no output will show them, so no suite's inputs outlive it.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from .catalog import (
     CatalogInstance,
@@ -106,7 +109,7 @@ class RunContext:
 # signature: fn(ctx, cfg, rng, hbar) -> ProbeReport
 
 
-def _bool_report(kind: str, rows: List[Tuple[str, bool]],
+def _bool_report(kind: str, rows: List[Tuple[Union[str, Callable[[], str]], bool]],
                  meta: Optional[Dict] = None) -> ProbeReport:
     """One case per (digest, verdict) row: margin 1.0 if it holds, -1.0 if not."""
     cases = [ProbeCase(digest, 0.0 if ok else 1.0, 0.0, 1.0 if ok else -1.0)
@@ -255,8 +258,12 @@ def suite_first_order(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
         f0 = f.map_coefficients(lambda s: s.coefficient(0), base)
         g0 = g.map_coefficients(lambda s: s.coefficient(0), base)
         bracket = poisson_bracket(eta, f0, g0).scale(i_unit)
-        rows.append((digest_of("B1", repr(f.terms), repr(g.terms)), antisym == bracket))
+        rows.append((partial(_terms_digest, "B1", f, g), antisym == bracket))
     return _bool_report("first_order", rows)
+
+
+def _terms_digest(tag: str, f: Polynomial, g: Polynomial) -> str:
+    return digest_of(tag, repr(f.terms), repr(g.terms))
 
 
 def suite_q_identities(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -494,7 +501,10 @@ class SuiteResult:
         return out
 
 
-def run_suites(spec: Dict, seed: Optional[int] = None) -> List[SuiteResult]:
+def run_suites(spec: Dict, seed: Optional[int] = None,
+               digests: bool = True) -> List[SuiteResult]:
+    """Run every (probe, hbar) task of ``spec``; ``digests=False`` drops the
+    deferred case digests unread (their ``digest`` becomes None)."""
     actual_seed = spec.get("seed", 42) if seed is None else seed
     tasks = []
     for run_idx, run in enumerate(spec.get("runs", [])):
@@ -519,6 +529,8 @@ def run_suites(spec: Dict, seed: Optional[int] = None) -> List[SuiteResult]:
         except Exception as exc:  # a crashed suite is a failed suite
             report = ProbeReport(kind, False, -BIG_MARGIN, [],
                                  {"error": f"{type(exc).__name__}: {exc}"})
+        for case in report.cases:
+            case.settle(digests)
         return SuiteResult(ctx.label, kind, h, report, time.monotonic() - start)
 
     results = [execute(t) for t in tasks]

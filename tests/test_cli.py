@@ -165,6 +165,57 @@ def test_default_verify_report_is_pinned(runner, tmp_path):
         "49d4bc5779abd23c834350fc12f78897622f89d2b9167f202a4a304f79d710f9"
 
 
+def test_verify_formats_inputs_only_for_case_outputs(runner, tmp_path, monkeypatch):
+    # without --csv or --cases no case digest is read, so no input is
+    # formatted; the report is the same bytes either way
+    import starprod.probes
+    calls = []
+    real = starprod.probes.format_poly
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(starprod.probes, "format_poly", counting)
+    plain, with_csv = tmp_path / "plain.json", tmp_path / "with_csv.json"
+    result = runner.invoke(main, ["verify", "--seed", "42", "--out", str(plain)])
+    assert result.exit_code == 0
+    assert calls == []
+    result = runner.invoke(main, ["verify", "--seed", "42", "--out", str(with_csv),
+                                  "--csv", str(tmp_path / "cases.csv")])
+    assert result.exit_code == 0
+    assert calls
+    assert plain.read_bytes() == with_csv.read_bytes()
+
+
+def test_verify_csv_digests_equal_eager_digests(runner, tmp_path):
+    # SMALL_SPEC's submultiplicativity cases, drawn again as the suite draws
+    # them: its monomial sweep, then random pairs from the suite's own RNG
+    import csv
+    import random
+
+    from starprod.poly import Polynomial
+    from starprod.probes import _poly_digest, random_polynomial
+    from starprod.scalars import make_ring
+
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SMALL_SPEC))
+    csv_path = tmp_path / "cases.csv"
+    result = runner.invoke(main, ["verify", "--spec", str(spec_path),
+                                  "--out", str(tmp_path / "r.json"), "--csv", str(csv_path)])
+    assert result.exit_code == 0
+    with open(csv_path, newline="") as fh:
+        got = [row["digest"] for row in csv.DictReader(fh)
+               if row["probe"] == "submultiplicativity"]
+    ring = make_ring("complex")
+    rng = random.Random("7:0:1:submultiplicativity:0.4")
+    pairs = [(Polynomial.monomial(ring, 2, (0, n)), Polynomial.monomial(ring, 2, (n, 0)))
+             for n in range(1, 5)]
+    pairs += [(random_polynomial(rng, ring, 2, 4), random_polynomial(rng, ring, 2, 4))
+              for _ in range(40)]
+    assert got == [_poly_digest(f, g) for f, g in pairs]
+
+
 def test_verify_jobs_option_is_a_usage_error(runner):
     # suites run serially in one process; there is no worker-count option
     result = runner.invoke(main, ["verify", "--jobs", "2"])

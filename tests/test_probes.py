@@ -9,11 +9,15 @@ from starprod.catalog import build_catalog
 from starprod.params import ParameterCatalog, ParameterRule
 from starprod.poly import Polynomial
 from starprod.probes import (
+    _poly_digest,
     classical_limit_probe,
     default_hbar_sequence,
     degree_filtration_check,
     first_order_commutator,
     macgyver_continuity_probe,
+    random_coefficient,
+    random_exponent,
+    random_homogeneous,
     random_polynomial,
     star_series_coefficients,
     submultiplicativity_probe,
@@ -169,6 +173,28 @@ def test_classical_limit_quantum_weyl():
     assert abs(delta.terms[(0, 0)] - 1) < 1e-12
 
 
+def test_classical_limit_builds_each_product_once():
+    from starprod.catalog import catalog_poisson
+    eta = catalog_poisson("log_canonical", d=2)
+    ring = make_ring("complex")
+    rng = random.Random(5)
+    calls = []
+
+    def star_at(h):
+        calls.append(h)
+        return _star("log_canonical", h).star
+
+    hbars = default_hbar_sequence(points=5)
+    pairs = [(random_polynomial(rng, ring, 2, 3, 2), random_polynomial(rng, ring, 2, 3, 2))
+             for _ in range(4)]
+    report = classical_limit_probe(star_at, eta, pairs, (1.0, 1.0), hbars=hbars)
+    assert calls == hbars
+    assert report.passed and len(report.cases) == 4
+    for case, (f, g) in zip(report.cases, pairs):
+        case.settle()
+        assert case.digest == _poly_digest(f, g)
+
+
 def test_hbar_sequence_default():
     seq = default_hbar_sequence()
     assert len(seq) == 11
@@ -253,3 +279,75 @@ def test_symmetrized_growth_probe():
         assert report.passed, (q, report.worst_margin)
     with pytest.raises(ValueError):
         symmetrized_coefficient_bound(cmath.exp(0.3j), 2)
+
+
+# -- random inputs and deferred digests ---------------------------------------------
+
+
+def _reference_random_polynomial(rng, ring, dim, max_degree, terms, kind):
+    # the builder before it shared a body with random_homogeneous
+    out = {}
+    for _ in range(terms):
+        K = random_exponent(rng, dim, rng.randint(0, max_degree))
+        out[K] = random_coefficient(rng, ring)
+    f = Polynomial(ring, dim, out, kind)
+    if f.is_zero():
+        return Polynomial.monomial(ring, dim, random_exponent(rng, dim, max(1, max_degree)),
+                                   random_coefficient(rng, ring), kind), True
+    return f, False
+
+
+def _reference_random_homogeneous(rng, ring, dim, degree, terms, kind):
+    out = {}
+    for _ in range(terms):
+        out[random_exponent(rng, dim, degree)] = random_coefficient(rng, ring)
+    f = Polynomial(ring, dim, out, kind)
+    if f.is_zero():
+        return Polynomial.monomial(ring, dim, random_exponent(rng, dim, degree),
+                                   random_coefficient(rng, ring), kind), True
+    return f, False
+
+
+def test_random_builders_keep_every_draw():
+    # same terms in the same order, and the generator left in the same state,
+    # so every seeded input (and every digest of one) is unchanged; one term
+    # over an exact ring is zero often enough to reach the fallback
+    fallbacks = 0
+    for ring_name in ("rational", "complex", "series"):
+        ring = make_ring(ring_name, truncation_order=3)
+        for seed in range(3):
+            for dim, degree, terms, kind in ((2, 4, 3, "x"), (3, 3, 1, "w"), (1, 0, 1, "x")):
+                for build, reference in ((random_polynomial, _reference_random_polynomial),
+                                         (random_homogeneous, _reference_random_homogeneous)):
+                    new_rng = random.Random(f"{ring_name}:{seed}")
+                    old_rng = random.Random(f"{ring_name}:{seed}")
+                    for _ in range(150):
+                        got = build(new_rng, ring, dim, degree, terms, kind)
+                        expected, fell_back = reference(old_rng, ring, dim, degree, terms, kind)
+                        fallbacks += fell_back
+                        assert (got.ring, got.dim, got.kind) == (ring, dim, kind)
+                        assert list(got.terms.items()) == list(expected.terms.items())
+                    assert new_rng.getstate() == old_rng.getstate()
+    assert fallbacks > 0
+
+
+def test_deferred_digests_name_each_case_inputs():
+    # each case's digest is the digest of its own pair, not the loop's last
+    inst = _star("log_canonical", 0.7)
+    seen = []
+
+    def recording_star(f, g):
+        seen.append((f, g))
+        return inst.star(f, g)
+
+    report = degree_filtration_check(recording_star, random.Random(3), 2, inst.ring,
+                                     samples=12)
+    assert all(callable(c.digest) for c in report.cases)
+    digests = [c.to_row()["digest"] for c in report.cases]
+    assert digests == [_poly_digest(f, g) for f, g in seen]
+    assert len(set(digests)) > 1
+    report = submultiplicativity_probe(inst.star, (1.0, 1.0), random.Random(3), 2,
+                                       inst.ring, samples=3, max_degree=2)
+    for case in report.cases:
+        case.settle(keep=False)
+        assert case.digest is None
