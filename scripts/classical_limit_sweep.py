@@ -2,8 +2,9 @@
 """Sweep hbar to zero and tabulate commutator residuals.
 
 For a chosen catalog, prints one row per hbar with the residual
-|(f *_h g - g *_h f)/(i h) - {f, g}|_rho for a few sample pairs, plus the
-fitted order.  Output is plain TSV for external plotting.
+|(f *_h g - g *_h f)/(i h) - {f, g}|_rho for a few sample pairs.  Output
+is plain TSV for external plotting; the order in hbar can be fitted from
+it (``star verify``'s classical_limit rows report the fitted orders).
 
     python scripts/classical_limit_sweep.py --catalog log_canonical
     python scripts/classical_limit_sweep.py --catalog quantum_weyl --pairs 5

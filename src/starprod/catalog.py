@@ -23,6 +23,7 @@ by the CLI:
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
@@ -47,7 +48,7 @@ from .reduction import (
     star_by_reduction,
 )
 from .reduction import star as table_star
-from .scalars import ComplexRing, RationalRing, Ring, SeriesRing, scalar_power
+from .scalars import Ring, SeriesRing, scalar_power
 
 CATALOG_IDS = (
     "log_canonical",
@@ -149,10 +150,7 @@ def wick_involution_condition(table: RelationTable, tol: float = 1e-10) -> bool:
         for i in range(1, j):
             lhs = table.tail(i, j).conjugate()
             rhs = table.tail(d - j + 1, d - i + 1)
-            if table.ring.exact:
-                if lhs != rhs:
-                    return False
-            elif not lhs.close_to(rhs, tol=tol):
+            if not lhs.close_to(rhs, tol=tol):
                 return False
     return True
 
@@ -187,16 +185,8 @@ def word_weight(m: int, word: Sequence[int], p, q, r, N: int, ring: Ring):
 
 
 def _binary_words(k: int, max_ones: int) -> Iterable[Tuple[int, ...]]:
-    """Words in {0,1}^k with at most max_ones ones, lexicographic, pruned."""
-    def extend(prefix: Tuple[int, ...], ones: int):
-        if len(prefix) == k:
-            yield prefix
-            return
-        yield from extend(prefix + (0,), ones)
-        if ones < max_ones:
-            yield from extend(prefix + (1,), ones + 1)
-
-    yield from extend((), 0)
+    """Words in {0,1}^k with at most max_ones ones, lexicographic."""
+    return (w for w in itertools.product((0, 1), repeat=k) if sum(w) <= max_ones)
 
 
 def _nonquadratic_terms(e1: Exponent, e2: Exponent, p, q, r, N: int,
@@ -261,10 +251,7 @@ def _symmetrized_terms(K: Exponent, L: Exponent, q, ring: Ring) -> TermList:
     M = tuple(map(add, K, L))
     bq_K = q_multinomial(K, q, ring)
     bq_L = q_multinomial(L, q, ring)
-    if isinstance(ring, (RationalRing, ComplexRing)):
-        bq_M = q_multinomial_value_or_pole(M, q, ring)
-    else:
-        bq_M = q_multinomial(M, q, ring)
+    bq_M = q_multinomial_value_or_pole(M, q, ring)
     classical = Fraction(multinomial(M), multinomial(K) * multinomial(L))
     coeff = ring.coerce(classical) * bq_K * bq_L * ring.inverse(bq_M)
     coeff = coeff * q ** inversion_weight(K, L)

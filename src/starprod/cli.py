@@ -7,7 +7,10 @@
     star gns     quotient representation data built from such a functional
 
 Exit codes: 0 success (and all probes green for verify), 1 a probe failed
-or rewriting hit the step limit, 2 usage, parse or config errors.
+or rewriting hit the step limit, 2 usage, parse, config or table-file errors.
+
+``star eval`` turns its flags into one run-spec entry and builds its
+instance through ``context_from_run``, as ``star verify`` does.
 """
 
 from __future__ import annotations
@@ -20,20 +23,21 @@ from typing import Dict, Optional, Tuple
 
 import click
 
-from .catalog import CATALOG_IDS, CatalogError, build_catalog
-from .params import ParameterCatalog, ParameterError
+from .catalog import CATALOG_IDS, CatalogError
+from .params import ParameterError
 from .parsing import ParseError, format_poly, parse_poly
 from .qcomb import PoleAtRootOfUnity
 from .reduction import StepLimitExceeded, TableError, star_by_reduction
-from .scalars import RingError, make_ring
+from .scalars import RingError
 from .states import StateFunctional, WickPoint, gns_build, gram_matrix, psd_check
-from .tableio import TableFileError, table_from_dict
+from .tableio import TableFileError
 from .verify import (
     DEFAULT_RUNSPEC,
     SCHEMA,
     ConfigError,
     assemble_report,
     cases_to_csv_rows,
+    context_from_run,
     report_to_json,
     run_suites,
 )
@@ -47,9 +51,7 @@ def _fail(message: str, code: int):
     sys.exit(code)
 
 
-def _parse_params(params: Tuple[str, ...]) -> Optional[Dict]:
-    if not params:
-        return None
+def _parse_params(params: Tuple[str, ...]) -> Dict:
     spec = {}
     for chunk in params:
         for piece in chunk.split(","):
@@ -81,23 +83,14 @@ def _resolve_seed(seed: Optional[int], spec: Dict) -> int:
     return int(spec.get("seed", 42))
 
 
-def _instance_from_flags(catalog, phi, d, params, hbar, ring_name, truncation):
+def _run_from_flags(catalog, phi, d, params, ring_name, truncation) -> Dict:
+    """The run-spec entry the eval flags describe; of the --param bindings,
+    N, lambda and c are catalog options."""
     if phi:
-        with open(phi, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-        # an explicit --ring overrides the file's declared ring
-        ring = make_ring(ring_name, truncation_order=truncation) if ring_name else None
-        table = table_from_dict(spec, hbar=hbar, ring=ring)
-        return None, table, table.ring
-    ring = make_ring(ring_name or "complex", truncation_order=truncation)
-    if not catalog:
-        raise ConfigError("need --catalog or --phi")
-    rules = None
-    param_spec = _parse_params(params)
-    if param_spec:
-        options = {}
-        plain = {}
-        for name, rule in param_spec.items():
+        run = {"phi": phi}
+    else:
+        options, plain = {}, {}
+        for name, rule in _parse_params(params).items():
             if name == "N":
                 options["N"] = int(rule)
             elif name in ("lambda", "lam"):
@@ -106,11 +99,11 @@ def _instance_from_flags(catalog, phi, d, params, hbar, ring_name, truncation):
                 options["c"] = rule.split(";")
             else:
                 plain[name] = rule
-        rules = ParameterCatalog.from_spec(plain) if plain else None
-    else:
-        options = {}
-    inst = build_catalog(catalog, ring, d, rules, hbar, options)
-    return inst, inst.table, ring
+        run = {"catalog": catalog, "d": d, "params": plain, "options": options}
+    run["truncation"] = truncation
+    if ring_name:
+        run["ring"] = ring_name
+    return run
 
 
 @click.group()
@@ -121,7 +114,7 @@ def main():
 
 @main.command("eval")
 @click.option("--catalog", type=click.Choice(CATALOG_IDS), default=None)
-@click.option("--phi", type=click.Path(exists=True), default=None,
+@click.option("--phi", type=click.Path(), default=None,
               help="JSON file with a relation table")
 @click.option("--d", type=int, default=None, help="dimension")
 @click.option("--param", "params", multiple=True, help="NAME=RULE[,NAME=RULE...]")
@@ -145,22 +138,24 @@ def cmd_eval(catalog, phi, d, params, hbar_text, ring_name, truncation, lhs, rhs
         _fail(f"bad --hbar value {hbar_text!r}", 2)
         return
     digits = None if exact else 5
+    try:
+        ctx = context_from_run(_run_from_flags(catalog, phi, d, params, ring_name,
+                                               truncation))
+    except CONFIG_ERRORS as exc:
+        _fail(str(exc), 2)
+        return
     payloads = []
     for hbar in hbars:
         try:
-            inst, table, ring = _instance_from_flags(catalog, phi, d, params, hbar,
-                                                     ring_name, truncation)
-            dim = inst.dim if inst else table.dim
-            kind = inst.kind if inst else table.kind
-            env = inst.params if inst else None
-            f = parse_poly(lhs, dim, ring, kind, params=env)
-            g = parse_poly(rhs, dim, ring, kind, params=env)
+            inst = ctx.instance(hbar=hbar)
+            f = parse_poly(lhs, inst.dim, inst.ring, inst.kind, params=inst.params)
+            g = parse_poly(rhs, inst.dim, inst.ring, inst.kind, params=inst.params)
         except CONFIG_ERRORS as exc:
             _fail(str(exc), 2)
             return
         try:
-            if table is not None:
-                trace = star_by_reduction(f, g, table)
+            if inst.table is not None:
+                trace = star_by_reduction(f, g, inst.table)
                 result, count = trace.result, trace.reduction_count
             else:
                 result, count = inst.star(f, g), None

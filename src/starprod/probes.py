@@ -6,6 +6,12 @@ the inputs, the two compared values, and the margin (how far the claim held;
 negative margins are violations).  Probes never prove anything; failing
 ones either expose a bug or document that a hypothesis was genuinely needed.
 
+A probe passes when every margin is non-negative (``finish_report``), unless
+it states its own rule: the norm inequalities (submultiplicativity,
+symmetrized growth, macgyver continuity) forgive a margin down to
+-tol * max(1, rhs), macgyver continuity also fails on a violated hypothesis,
+and the classical limit also needs monotone residuals.
+
 A digest of random polynomial inputs is deferred: the case holds a
 zero-argument function that formats and hashes the inputs when called.
 ``ProbeCase.settle`` turns it into its string or drops it, so a caller that
@@ -66,10 +72,16 @@ class ProbeReport:
     meta: Dict = field(default_factory=dict)
 
 
-def finish_report(kind: str, cases: List[ProbeCase], passed: bool,
+def finish_report(kind: str, cases: List[ProbeCase], passed: Optional[bool] = None,
                   meta: Optional[Dict] = None) -> ProbeReport:
-    """The report of a probe; its worst margin is the least margin of its cases."""
+    """The report of a probe; its worst margin is the least margin of its cases.
+
+    Without a verdict of its own the probe passes when every margin is
+    non-negative (``all``, since ``min`` would skip a NaN margin).
+    """
     worst = min((c.margin for c in cases), default=BIG_MARGIN)
+    if passed is None:
+        passed = all(c.margin >= 0 for c in cases)
     return ProbeReport(kind, passed, worst, cases, meta or {})
 
 
@@ -145,7 +157,6 @@ def degree_filtration_check(star: Callable[[Polynomial, Polynomial], Polynomial]
     lowers degree (for example one whose relations have constant tails).
     """
     cases = []
-    ok = True
     for _ in range(samples):
         f = random_homogeneous(rng, ring, dim, rng.randint(0, max_degree), terms, kind)
         g = random_homogeneous(rng, ring, dim, rng.randint(0, max_degree), terms, kind)
@@ -153,9 +164,8 @@ def degree_filtration_check(star: Callable[[Polynomial, Polynomial], Polynomial]
         lhs = adic_order(product)
         rhs = adic_order(f) + adic_order(g)
         margin = BIG_MARGIN if lhs == float("inf") else lhs - rhs
-        ok = ok and margin >= 0
         cases.append(ProbeCase(partial(_poly_digest, f, g), min(lhs, BIG_MARGIN), rhs, margin))
-    return finish_report("degree_filtration", cases, ok)
+    return finish_report("degree_filtration", cases)
 
 
 # -- submultiplicativity --------------------------------------------------------------

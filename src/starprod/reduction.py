@@ -119,21 +119,15 @@ class RelationTable:
         self._coefficients: Dict[Tuple[int, int, int], GaussRational] = {}
         self._one = _interned(self._coefficients, self.ring.one)
         self._budget = self.ring.order + 1 if isinstance(self.ring, SeriesRing) else None
+        # tails pre-embedded as standard words, for the rewrite loop
+        self.tail_words: Dict[Tuple[int, int], List[Tuple[Word, object]]] = {
+            key: [(exponent_to_word(K), c) for K, c in tail.terms.items()]
+            for key, tail in self.tails.items()}
 
     def tail(self, i: int, j: int) -> Polynomial:
         if (i, j) in self.tails:
             return self.tails[(i, j)]
         return Polynomial.zero(self.ring, self.dim, self.kind)
-
-    def tail_words(self) -> Dict[Tuple[int, int], List[Tuple[Word, object]]]:
-        """Tails pre-embedded as standard words, cached for the rewrite loop."""
-        cached = getattr(self, "_tail_words", None)
-        if cached is None:
-            cached = {}
-            for (i, j), tail in self.tails.items():
-                cached[(i, j)] = [(exponent_to_word(K), c) for K, c in tail.terms.items()]
-            self._tail_words = cached
-        return cached
 
     def normal_form(self, word: Word, misses: Optional["MemoMisses"] = None) -> NormalForm:
         """Rightmost normal form of a non-standard word, memoized on the table.
@@ -298,7 +292,6 @@ class ReductionTrace:
 
     result: Polynomial
     reduction_count: int
-    max_intermediate_terms: int
 
 
 def _descent_position(word: Word, strategy: str) -> Optional[int]:
@@ -320,7 +313,7 @@ def reduce_once(f: NcPolynomial, table: RelationTable,
     # were made, so the rewritten words need no letter check
     if f.dim != table.dim:
         raise TableError("polynomial dimension does not match the table")
-    tails = table.tail_words()
+    tails = table.tail_words
     out: Dict[Word, object] = {}
     ring = table.ring
     changed = False
@@ -390,8 +383,8 @@ def star_by_reduction(f: Polynomial, g: Polynomial, table: RelationTable,
     """Star product of commutative polynomials through the pass route."""
     _check_operands(f, g, table)
     concat = NcPolynomial.from_polynomial(f).concat(NcPolynomial.from_polynomial(g))
-    normal, count, widest = reduce_to_standard(concat, table, step_limit, strategy)
-    return ReductionTrace(normal.to_polynomial(table.kind), count, widest)
+    normal, count, _ = reduce_to_standard(concat, table, step_limit, strategy)
+    return ReductionTrace(normal.to_polynomial(table.kind), count)
 
 
 def _sum_normal_forms(terms: Iterable[Tuple[Word, object]], table: RelationTable,
@@ -537,9 +530,6 @@ def jacobi_check(eta: PoissonStructure, tol: float = 1e-10) -> bool:
                 jac = (poisson_bracket(eta, a, poisson_bracket(eta, b, c))
                        + poisson_bracket(eta, b, poisson_bracket(eta, c, a))
                        + poisson_bracket(eta, c, poisson_bracket(eta, a, b)))
-                if ring.exact:
-                    if not jac.is_zero():
-                        return False
-                elif not jac.close_to(zero, tol=tol):
+                if not jac.close_to(zero, tol=tol):
                     return False
     return True

@@ -431,13 +431,9 @@ class RationalQ(_FieldOps):
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=None, _normalized=False):
+    def __init__(self, num, den=None):
         if den is None:
             den = (GaussRational(1),)
-        if _normalized:
-            self.num = num
-            self.den = den
-            return
         num = _ptrim(tuple(num))
         den = _ptrim(tuple(den))
         if not den:
@@ -520,7 +516,9 @@ class RationalQ(_FieldOps):
     __rmul__ = __mul__
 
     def __neg__(self):
-        return RationalQ(_pneg(self.num), self.den, _normalized=True)
+        out = _new_object(RationalQ)
+        out.num, out.den = _pneg(self.num), self.den
+        return out
 
     def inverse(self) -> "RationalQ":
         if not self.num:

@@ -15,9 +15,9 @@ witness value e^(-hbar) - 1 certifies.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -183,7 +183,7 @@ def gram_matrix(state: StateFunctional, degree: int,
     h = state.hbar
     evaluate = state.eval_monomial if deformed else state.eval_plain
     # inversion_weight(K_rev, L) = sum_j K_rev[j] * (L[0] + ... + L[j-1])
-    prefixes = [tuple(accumulate(L[:-1], initial=0)) for L in basis]
+    prefixes = [tuple(itertools.accumulate(L[:-1], initial=0)) for L in basis]
     scales: Dict[int, float] = {}
     values: Dict[Exponent, complex] = {}
     rows = []
@@ -259,15 +259,11 @@ def reversal_isomorphism(f: Polynomial, hbar: float, direction: str = "forward")
     if f.kind != "w":
         raise StateError("the isomorphism acts on w-kind polynomials")
     ring = f.ring
+    h = hbar if direction == "forward" else -hbar
     out: Dict[Exponent, object] = {}
     for K, c in f.terms.items():
-        if direction == "forward":
-            factor = math.exp(hbar * _pair_sum(K))
-            target = tuple(reversed(K))
-        else:
-            factor = math.exp(-hbar * _pair_sum(K))
-            target = tuple(reversed(K))
-        scaled = c * ring.coerce(factor)
+        target = tuple(reversed(K))
+        scaled = c * ring.coerce(math.exp(h * _pair_sum(K)))
         if target in out:
             out[target] = out[target] + scaled
         else:
@@ -370,20 +366,8 @@ def point_separation_probe(f: Polynomial, hbar: float, rng,
     if f.is_zero():
         raise StateError("point separation needs a nonzero polynomial")
     d = f.dim
-    half_len = (d + 1) // 2
-
-    def candidates():
-        def grid(prefix):
-            if len(prefix) == half_len:
-                yield prefix
-                return
-            for v in GRID_VALUES:
-                yield from grid(prefix + [complex(v, 0.0)])
-        yield from grid([])
-        for _ in range(extra_random):
-            yield None
-
-    for half in candidates():
+    grid = itertools.product(GRID_VALUES, repeat=(d + 1) // 2)
+    for half in itertools.chain(grid, itertools.repeat(None, extra_random)):
         point = (WickPoint.from_half(half, d) if half is not None
                  else random_wick_point(rng, d))
         state = StateFunctional(point, hbar)

@@ -14,7 +14,9 @@ Schema:
 The tail strings use the polynomial grammar extended by the parameter
 names.  The loader normalizes tails into the standard-ordered commutative
 form (sparse exponent maps) and validates the series-mode requirement that
-tails start at order t.
+tails start at order t.  A missing field, a relation lacking ``i``, ``j`` or
+``tail``, and a pair ``(i, j)`` given twice raise ``TableFileError``.
+Without a ``ring`` argument the file's declared ring is used.
 """
 
 from __future__ import annotations
@@ -46,7 +48,11 @@ def table_from_dict(spec: Dict, hbar: Optional[complex] = None,
     env = rules.resolve(ring, hbar)
     tails = {}
     for entry in relations:
-        i, j = int(entry["i"]), int(entry["j"])
-        tails[(i, j)] = parse_poly(entry["tail"], dim, ring, kind, params=env)
-    table = RelationTable(ring, dim, kind, tails, name=spec.get("name", "file"))
-    return table
+        try:
+            key, tail = (int(entry["i"]), int(entry["j"])), entry["tail"]
+        except KeyError as exc:
+            raise TableFileError(f"relation {entry!r} lacks field {exc}") from None
+        if key in tails:
+            raise TableFileError(f"relation (i, j) = {key} given twice")
+        tails[key] = parse_poly(tail, dim, ring, kind, params=env)
+    return RelationTable(ring, dim, kind, tails, name=spec.get("name", "file"))

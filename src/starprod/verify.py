@@ -8,6 +8,13 @@ fixed seed: rows are sorted, floats serialized by repr, and wall-clock
 timings kept out unless explicitly requested.  Case digests are settled as
 each suite finishes: computed, or dropped when ``run_suites`` is told that
 no output will show them, so no suite's inputs outlive it.
+
+A suite's verdict is "every case margin >= 0" (``finish_report``); only the
+probes that state a rule of their own pass their own verdict.  A table file
+is read once, by ``context_from_run``; a run without a ``ring`` uses the
+file's declared ring, or ``complex`` for a catalog.  Table-file faults
+(unreadable file, a relation lacking a field, a pair given twice) raise
+``TableFileError`` and stop the run like a config error.
 """
 
 from __future__ import annotations
@@ -65,7 +72,7 @@ from .states import (
     random_wick_point,
     reversal_isomorphism,
 )
-from .tableio import table_from_dict
+from .tableio import TableFileError, table_from_dict
 
 SCHEMA = "starprod/1"
 
@@ -81,19 +88,20 @@ class RunContext:
     d: Optional[int]
     rules: Optional[ParameterCatalog]
     options: Dict
-    ring_name: str
+    ring_name: Optional[str]  # None: the table file's ring, or complex
     truncation: int
     table_spec: Optional[Dict] = None
 
     def instance(self, ring_name: Optional[str] = None,
                  hbar: Optional[complex] = None) -> CatalogInstance:
         name = ring_name or self.ring_name
-        ring = make_ring(name, truncation_order=self.truncation)
         if self.table_spec is not None:
+            ring = make_ring(name, truncation_order=self.truncation) if name else None
             table = table_from_dict(self.table_spec, hbar=hbar, ring=ring)
-            star = StarProduct(self.label, ring, table.dim, table.kind, table, None)
-            return CatalogInstance(self.label, ring, table.dim, table.kind,
+            star = StarProduct(self.label, table.ring, table.dim, table.kind, table, None)
+            return CatalogInstance(self.label, table.ring, table.dim, table.kind,
                                    star, table, star, rewriting_routes(table))
+        ring = make_ring(name or "complex", truncation_order=self.truncation)
         return build_catalog(self.catalog_name, ring, self.d, self.rules,
                              hbar, dict(self.options))
 
@@ -114,7 +122,7 @@ def _bool_report(kind: str, rows: List[Tuple[Union[str, Callable[[], str]], bool
     """One case per (digest, verdict) row: margin 1.0 if it holds, -1.0 if not."""
     cases = [ProbeCase(digest, 0.0 if ok else 1.0, 0.0, 1.0 if ok else -1.0)
              for digest, ok in rows]
-    return finish_report(kind, cases, all(ok for _, ok in rows), meta)
+    return finish_report(kind, cases, meta=meta)
 
 
 def suite_overlaps(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -145,13 +153,11 @@ def suite_oracle(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     route, reference = inst.oracle
     ball = exponent_ball(inst.dim, int(cfg.get("max_degree", 3)))
     cases = []
-    ok = True
     for K in ball:
         for L in ball:
             got, expected = route(K, L), reference(K, L)
             if ring.exact:
-                good = got == expected
-                lhs, margin = (0.0, 1.0) if good else (1.0, -1.0)
+                lhs, margin = (0.0, 1.0) if got == expected else (1.0, -1.0)
             else:
                 zero = ring.zero
                 lhs = max((abs(ring.to_complex(got.terms.get(M, zero))
@@ -159,11 +165,9 @@ def suite_oracle(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
                            for M in set(got.terms) | set(expected.terms)), default=0.0)
                 scale = max((abs(ring.to_complex(c)) for c in expected.terms.values()),
                             default=1.0)
-                good = lhs <= tol * max(1.0, scale)
                 margin = tol * max(1.0, scale) - lhs
-            ok = ok and good
             cases.append(ProbeCase(digest_of("oracle", str(K), str(L)), lhs, tol, margin))
-    return finish_report("oracle", cases, ok)
+    return finish_report("oracle", cases)
 
 
 def suite_degree_filtration(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -313,7 +317,6 @@ def suite_wick_involution(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
 def suite_states_psd(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     tol = float(cfg.get("tol", 1e-9))
     cases = []
-    ok = True
     for dim in cfg.get("dims", [2, 3, 4]):
         for h in cfg.get("hbars", [-1.0, -0.1, 0.0, 0.1, 1.0]):
             for _ in range(int(cfg.get("points", 5))):
@@ -322,17 +325,14 @@ def suite_states_psd(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
                 _, M = gram_matrix(state, int(cfg.get("degree", 3)))
                 res = psd_check(M, tol=tol)
                 margin = res.min_eigenvalue + tol * max(1.0, res.scale)
-                if not res.passed:
-                    ok = False
                 cases.append(ProbeCase(digest_of("psd", str(dim), repr(h), repr(z.z)),
                                        res.min_eigenvalue, 0.0, margin))
-    return finish_report("states_psd", cases, ok)
+    return finish_report("states_psd", cases)
 
 
 def suite_witness(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     tol = float(cfg.get("tol", 1e-12))
     cases = []
-    ok = True
     for dim in cfg.get("dims", [2, 3]):
         for h in cfg.get("hbars", [math.log(2), 1.0]):
             z = random_wick_point(rng, int(dim))
@@ -341,12 +341,9 @@ def suite_witness(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
             value = nonpositivity_witness(z, float(h), 1)
             expected = math.exp(-float(h)) - 1
             err = abs(value - expected)
-            margin = tol - err
-            if err > tol:
-                ok = False
             cases.append(ProbeCase(digest_of("witness", str(dim), repr(h)),
-                                   err, tol, margin))
-    return finish_report("witness", cases, ok)
+                                   err, tol, tol - err))
+    return finish_report("witness", cases)
 
 
 def suite_psi(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -355,7 +352,6 @@ def suite_psi(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     ring = make_ring("complex")
     tol = float(cfg.get("tol", 1e-9))
     cases = []
-    ok = True
     for dim in cfg.get("dims", [2, 3]):
         dim = int(dim)
         for h in cfg.get("hbars", [0.6]):
@@ -384,11 +380,8 @@ def suite_psi(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
                 rhs_val = mirror(reversal_isomorphism(
                     Polynomial.monomial(ring, dim, K, kind="w"), h))
                 worst = max(worst, abs(lhs_val - rhs_val) / max(1.0, abs(lhs_val)))
-            margin = tol - worst
-            if worst > tol:
-                ok = False
-            cases.append(ProbeCase(digest_of("psi", str(dim), repr(h)), worst, tol, margin))
-    return finish_report("psi", cases, ok)
+            cases.append(ProbeCase(digest_of("psi", str(dim), repr(h)), worst, tol, tol - worst))
+    return finish_report("psi", cases)
 
 
 def suite_gns(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -396,17 +389,13 @@ def suite_gns(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     dim = int(cfg.get("d", 2))
     degree = int(cfg.get("degree", 3))
     cases = []
-    ok = True
     for h in cfg.get("hbars", [0.4]):
         for _ in range(int(cfg.get("states", 5))):
             z = random_wick_point(rng, dim)
             data = gns_build(StateFunctional(z, float(h)), degree)
-            margin = tol - data.adjoint_residual
-            if data.adjoint_residual > tol:
-                ok = False
             cases.append(ProbeCase(digest_of("gns", repr(h), repr(z.z)),
-                                   data.adjoint_residual, tol, margin))
-    return finish_report("gns", cases, ok)
+                                   data.adjoint_residual, tol, tol - data.adjoint_residual))
+    return finish_report("gns", cases)
 
 
 def suite_separation(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -445,13 +434,17 @@ SUITES: Dict[str, Tuple[Callable, bool]] = {
 
 
 def context_from_run(run: Dict) -> RunContext:
-    ring_name = run.get("ring", "complex")
+    ring_name = run.get("ring")
     truncation = int(run.get("truncation", 8))
     if "phi" in run or "table" in run:
         spec = run.get("table")
         if spec is None:
-            with open(run["phi"], "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
+            try:
+                with open(run["phi"], "r", encoding="utf-8") as fh:
+                    spec = json.load(fh)
+            except OSError as exc:
+                raise TableFileError(f"cannot read table file {run['phi']!r}: "
+                                     f"{exc.strerror}") from None
         label = run.get("label", f"phi:{run.get('phi', 'inline')}")
         return RunContext(label, None, None, None, {}, ring_name, truncation, spec)
     catalog = run.get("catalog")
@@ -524,7 +517,7 @@ def run_suites(spec: Dict, seed: Optional[int] = None,
         start = time.monotonic()
         try:
             report = fn(ctx, cfg, rng, h)
-        except ConfigError:
+        except (ConfigError, TableFileError):
             raise
         except Exception as exc:  # a crashed suite is a failed suite
             report = ProbeReport(kind, False, -BIG_MARGIN, [],

@@ -260,6 +260,14 @@ def test_symmetrized_pole_raises():
         symmetrized_star((1, 0), (0, 1), GaussRational(-1), R)
 
 
+@pytest.mark.parametrize("ring_name", ["series", "rational_q"])
+def test_symmetrized_pole_raises_over_every_exact_ring(ring_name):
+    # [2]_q = 1 + q vanishes at the constant q = -1 in these rings as well
+    ring = make_ring(ring_name, truncation_order=2)
+    with pytest.raises(PoleAtRootOfUnity, match="order 2"):
+        symmetrized_star((1, 0), (0, 1), ring.coerce(GaussRational(-1)), ring)
+
+
 def test_symmetrized_series_mode():
     ring = SeriesRing(order=4, exact=True)
     q = ParameterRule("exp_i").series(ring)

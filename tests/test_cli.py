@@ -380,3 +380,47 @@ def test_verify_with_phi_table_run(runner, tmp_path):
     assert result.exit_code == 0
     report = json.loads(out.read_text())
     assert len(report["suites"]) == 4 and report["pass"] is True
+
+
+# -- table-file faults are config errors: exit 2, one error line, no traceback
+
+MISSING_KEY = {"dimension": 2, "ring": "rational",
+               "relations": [{"j": 2, "tail": "x1*x2"}]}
+DUPLICATED = {"dimension": 2, "ring": "rational",
+              "relations": [{"j": 2, "i": 1, "tail": "x1*x2"},
+                            {"j": 2, "i": 1, "tail": "2*x1*x2"}]}
+TABLE_FAULTS = {"missing_file": (None, "cannot read table file"),
+                "missing_key": (MISSING_KEY, "lacks field 'i'"),
+                "duplicated": (DUPLICATED, "given twice")}
+
+
+def _table_path(tmp_path, fault):
+    table, _ = TABLE_FAULTS[fault]
+    path = tmp_path / "table.json"
+    if table is not None:
+        path.write_text(json.dumps(table))
+    return path
+
+
+def _assert_config_failure(result, message):
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no exception escaped
+    assert result.stderr.startswith("error: ")
+    assert message in result.stderr
+
+
+@pytest.mark.parametrize("fault", sorted(TABLE_FAULTS))
+def test_eval_table_file_fault_exits_2(runner, tmp_path, fault):
+    path = _table_path(tmp_path, fault)
+    result = runner.invoke(main, ["eval", "--phi", str(path), "--lhs", "x2", "--rhs", "x1"])
+    _assert_config_failure(result, TABLE_FAULTS[fault][1])
+
+
+@pytest.mark.parametrize("fault", sorted(TABLE_FAULTS))
+def test_verify_table_file_fault_exits_2(runner, tmp_path, fault):
+    path = _table_path(tmp_path, fault)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"runs": [{"phi": str(path),
+                                               "probes": [{"kind": "overlaps"}]}]}))
+    result = runner.invoke(main, ["verify", "--spec", str(spec_path)])
+    _assert_config_failure(result, TABLE_FAULTS[fault][1])

@@ -210,6 +210,37 @@ def test_jacobi_failure_case():
     assert jac == -x3
 
 
+def test_jacobi_over_complex_brackets():
+    # log-canonical brackets {x_j, x_i} = c_ij x_i x_j satisfy Jacobi for
+    # any constants; the linear pair above does not
+    C = make_ring("complex")
+    x = variables(C, 3)
+    eta = PoissonStructure(C, 3, {(1, 2): (x[1] * x[2]).scale(0.3j),
+                                  (1, 3): (x[1] * x[3]).scale(-1.7),
+                                  (2, 3): (x[2] * x[3]).scale(0.5 + 2j)})
+    assert jacobi_check(eta)
+    assert not jacobi_check(PoissonStructure(C, 3, {(1, 2): x[2], (2, 3): x[3]}))
+
+
+def test_check_overlaps_complex_scales_the_tolerance():
+    # with |q| ~ 1e6 per pair the two bracketings of a triple differ by
+    # rounding of order 1e2 on coefficients of order 1e17: associative up
+    # to the relative tolerance, not absolutely
+    C = make_ring("complex")
+    rng = random.Random(1)
+    tails = {}
+    for j in range(2, 5):
+        for i in range(1, j):
+            q = complex(rng.uniform(1e5, 1e6), rng.uniform(1e5, 1e6))
+            K = tuple(1 if p in (i - 1, j - 1) else 0 for p in range(4))
+            tails[(i, j)] = Polynomial.monomial(C, 4, K).scale(q - 1)
+    tab = RelationTable(C, 4, "x", tails)
+    assert check_overlaps(tab).ok
+    assert not check_overlaps(tab, tol=0.0).ok
+    broken = nonquadratic_table(C, 2, 2.0, 1.25, 3.0, 2.0)  # s is not 1/r
+    assert [f[:3] for f in check_overlaps(broken).failures] == [(1, 2, 3)]
+
+
 def test_confluence_rightmost_vs_leftmost():
     rng = random.Random(7)
     ring = make_ring("rational")

@@ -1,0 +1,42 @@
+"""Smoke runs of the scripts the README documents, in-process with small
+arguments: each exits normally and prints the shape it promises."""
+
+import math
+import runpy
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run(script, args, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", [script] + args)
+    runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+    return capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("catalog", ["log_canonical", "quantum_weyl"])
+def test_classical_limit_sweep_prints_one_row_per_hbar(catalog, monkeypatch, capsys):
+    lines = _run("classical_limit_sweep.py",
+                 ["--catalog", catalog, "--pairs", "2", "--max-degree", "2"],
+                 monkeypatch, capsys)
+    assert lines[0].split("\t") == ["hbar", "pair0", "pair1"]
+    rows = [line.split("\t") for line in lines[1:]]
+    assert len(rows) == 11  # the default hbar sequence, 1e-1 down to 1e-6
+    hbars = [float(row[0]) for row in rows]
+    assert hbars == sorted(hbars, reverse=True)
+    for row in rows:
+        assert len(row) == 3
+        assert all(math.isfinite(float(v)) and float(v) >= 0 for v in row[1:])
+
+
+def test_gns_demo_prints_spectrum_rank_and_operators(monkeypatch, capsys):
+    lines = _run("gns_demo.py", ["--degree", "2"], monkeypatch, capsys)
+    labels = [line.split()[0] for line in lines if line and not line.startswith((" ", "["))]
+    for label in ("point", "hbar", "basis", "gram", "retained", "adjoint"):
+        assert label in labels
+    assert sum(line.startswith("left multiplication by w") for line in lines) == 2
+    assert lines[-1].startswith("adjoint residual")
+    assert float(lines[-1].split()[-1]) <= 1e-8

@@ -56,3 +56,86 @@ def test_macgyver_q_defaults_to_the_generator_bound():
     count, sup = generator_product_bound(ctx.instance(hbar=0.3).star)
     assert report.meta["Q"] >= count * sup
     assert report.passed
+
+
+# -- verdicts come from margins ------------------------------------------------------
+
+
+def test_finish_report_fails_on_a_nan_margin():
+    from starprod.probes import ProbeCase, finish_report
+    cases = [ProbeCase("a", 0.0, 1.0, 1.0), ProbeCase("b", 0.0, 1.0, float("nan"))]
+    report = finish_report("nan", cases)
+    assert not report.passed
+    assert finish_report("ok", cases[:1]).passed
+    assert finish_report("empty", []).passed
+
+
+# suite -> (run, cfg, hbar), each given a tolerance no case can meet; an
+# associative table's overlap differences vanish exactly, so overlaps gets
+# the non-associative nonquadratic table as well
+IMPOSSIBLE = {
+    "oracle": ({"catalog": "log_canonical", "d": 2, "params": {"q": "exp_i"}},
+               {"max_degree": 1}, 0.3),
+    "overlaps": ({**NONQUADRATIC, "params": {**NONQUADRATIC["params"], "s": "const:2/3"}},
+                 {}, None),
+    "wick_involution": ({"catalog": "wick_log_canonical", "d": 2,
+                         "params": {"q": "exp_neg"}}, {}, 0.5),
+    "states_psd": ({"catalog": "wick_log_canonical"},
+                   {"dims": [2], "degree": 2, "points": 2, "hbars": [0.5]}, None),
+    "witness": ({"catalog": "wick_log_canonical"}, {"dims": [2], "hbars": [1.0]}, None),
+    "psi": ({"catalog": "wick_log_canonical"},
+            {"dims": [2], "max_degree": 1, "hbars": [0.6]}, None),
+    "gns": ({"catalog": "wick_log_canonical"},
+            {"d": 2, "degree": 1, "states": 2, "hbars": [0.4]}, None),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(IMPOSSIBLE))
+def test_suite_with_an_unmeetable_tolerance_fails(kind):
+    from starprod.verify import SUITES
+    run, cfg, hbar = IMPOSSIBLE[kind]
+    ctx = context_from_run({**run, "ring": "complex"})
+    report = SUITES[kind][0](ctx, {**cfg, "tol": -1}, random.Random(0), hbar)
+    assert report.cases
+    assert not report.passed
+    assert report.worst_margin < 0
+
+
+def test_degree_filtration_fails_on_a_degree_lowering_product():
+    from starprod.poly import Polynomial
+    from starprod.probes import degree_filtration_check
+    from starprod.scalars import make_ring
+    ring = make_ring("complex")
+    report = degree_filtration_check(lambda f, g: Polynomial.one(ring, 2),
+                                     random.Random(0), 2, ring, samples=20)
+    assert not report.passed
+    assert report.worst_margin < 0
+
+
+def test_default_report_verdicts_follow_the_margins():
+    # only the probes with a rule of their own may pass with a negative
+    # margin or fail with a non-negative one
+    from starprod.verify import DEFAULT_RUNSPEC, run_suites
+    own_rule = {"submultiplicativity", "macgyver", "classical_limit"}
+    results = run_suites(DEFAULT_RUNSPEC, seed=42, digests=False)
+    assert {r.probe for r in results} > own_rule
+    for r in results:
+        if r.probe not in own_rule:
+            assert r.report.passed == (r.report.worst_margin >= 0), (r.catalog, r.probe)
+
+
+# -- run-spec table files ------------------------------------------------------------
+
+
+def test_phi_run_without_ring_uses_the_declared_ring(tmp_path):
+    import json
+    table = {"dimension": 2, "ring": "series", "truncation_order": 3,
+             "parameters": {"q": "exp_i"},
+             "relations": [{"j": 2, "i": 1, "tail": "(q-1)*x1*x2"}]}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    inst = context_from_run({"phi": str(path)}).instance()
+    assert inst.ring.name == "series" and inst.ring.order == 3
+    # an explicit ring still wins
+    inst = context_from_run({"phi": str(path), "ring": "complex"}).instance(hbar=0.5)
+    assert inst.ring.name == "complex"
