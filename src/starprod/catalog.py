@@ -464,9 +464,9 @@ class CatalogInstance:
 
 
 def rewriting_routes(table: RelationTable) -> Tuple[MonomialRoute, MonomialRoute]:
-    """Rightmost (through the table's memo) against leftmost rewriting (the
-    pass route): the normal form of an associative table does not depend on
-    the order of the rewrites."""
+    """Rightmost against leftmost rewriting, the latter through the mirrored
+    table's memo: the normal form of an associative table does not depend
+    on the order of the rewrites."""
     def monomials(K: Exponent, L: Exponent) -> Tuple[Polynomial, Polynomial]:
         return (Polynomial.monomial(table.ring, table.dim, K, kind=table.kind),
                 Polynomial.monomial(table.ring, table.dim, L, kind=table.kind))
@@ -497,17 +497,27 @@ def default_rules(name: str, options: Optional[Dict] = None) -> ParameterCatalog
     raise CatalogError(f"unknown catalog {name!r}; expected one of {CATALOG_IDS}")
 
 
+def catalog_rules(name: str, rules: Optional[ParameterCatalog] = None,
+                  options: Optional[Dict] = None) -> ParameterCatalog:
+    """The given rules, or the catalog's defaults; CatalogError names any
+    parameter the catalog needs that the given rules leave unbound."""
+    defaults = default_rules(name, options)
+    if rules is None:
+        return defaults
+    missing = sorted(set(defaults.rules) - set(rules.rules))
+    if missing:
+        raise CatalogError(f"catalog {name} needs parameters {', '.join(defaults.rules)}; "
+                           f"missing: {', '.join(missing)}")
+    return rules
+
+
 def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
                   rules: Optional[ParameterCatalog] = None,
                   hbar: Optional[complex] = None,
                   options: Optional[Dict] = None) -> CatalogInstance:
     """Assemble a catalog instance: resolved parameters, table, product handle."""
     options = dict(options or {})
-    if name not in CATALOG_IDS:
-        raise CatalogError(f"unknown catalog {name!r}; expected one of {CATALOG_IDS}")
-    if rules is None:
-        rules = default_rules(name, options)
-    scalars = rules.resolve(ring, hbar)
+    scalars = catalog_rules(name, rules, options).resolve(ring, hbar)
     oracle = None
 
     if name == "log_canonical":

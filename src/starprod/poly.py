@@ -330,34 +330,16 @@ class NcPolynomial:
     def from_checked(cls, ring: Ring, dim: int, terms: Mapping[Word, object]) -> "NcPolynomial":
         """Build from word tuples whose letters are known to lie in 1..dim.
 
-        Drops zero coefficients as the constructor does but checks no letter:
-        for words assembled from words of polynomials and tables of the same
-        dimension, which were checked when they were made.
+        Checks no letter, and drops only exactly zero coefficients: for the
+        rewrite step, whose words come from words of polynomials and tables
+        of the same dimension and whose coefficients are pruned once, on the
+        finished product.
         """
         self = object.__new__(cls)
         self.ring = ring
         self.dim = dim
-        is_zero = ring.is_zero
-        self.terms = {w: c for w, c in terms.items() if not is_zero(c)}
+        self.terms = {w: c for w, c in terms.items() if c}
         return self
-
-    @classmethod
-    def from_polynomial(cls, f: Polynomial) -> "NcPolynomial":
-        # an exponent of length dim only spells letters 1..dim
-        return cls.from_checked(f.ring, f.dim,
-                                {exponent_to_word(K): c for K, c in f.terms.items()})
-
-    def to_polynomial(self, kind: str = "x") -> Polynomial:
-        out: Dict[Exponent, object] = {}
-        for word, c in self.terms.items():
-            if not is_standard(word):
-                raise ValueError(f"word {word} is not standard")
-            K = word_to_exponent(word, self.dim)
-            if K in out:
-                out[K] = out[K] + c
-            else:
-                out[K] = c
-        return Polynomial(self.ring, self.dim, out, kind)
 
     def concat(self, other: "NcPolynomial") -> "NcPolynomial":
         out: Dict[Word, object] = {}

@@ -5,40 +5,41 @@ polynomial tail(i, j).  The rewriting rule replaces an adjacent descent
 x_j x_i (j > i) inside a word by x_i x_j plus the tail re-embedded as a
 standard word.  Rewriting the concatenation of the standard words of f and
 g until every word is standard computes the star product f * g in the
-monomial basis.  ``reduce_once`` is the one rewrite step; two routes drive
-it.
+monomial basis.  ``reduce_once`` is the one rewrite step, and one route
+drives it over every ring: the table's memo of word normal forms.
 
-The memo route (``star`` and ``normal_form_sum``) rests on rightmost
-rewriting being linear: the normal form NF(w) of a word does not depend on
-its coefficient, so each table memoizes ``RelationTable.normal_form`` for
-every non-standard word it meets, as exponents and coefficients, and
-f * g = sum of a*b*NF(word(K) + word(L)) is summed into one dict.  On a
-miss, a word a + s (one letter before a standard word s) is rewritten once
-by ``reduce_once`` and NF(a + s) is the sum of c * NF(w') over the words
-c w' that come out.  A longer word p + a + s first reduces its suffix a + s,
-as the rightmost strategy does, so NF(p + a + s) is the sum of
-c * NF(p + word(M)) over the terms c x^M of NF(a + s).  Keys are words, so
-every product on a table reuses the suffixes earlier products reduced.  The
-route serves every exact product: ``StarProduct`` without a closed form,
-the rightmost route of ``rewriting_routes``, ``check_overlaps``,
-``translated_star``, ``star_series_coefficients`` and the averaging oracle.
-It computes the rightmost normal form even where the order of rewrites
-matters (a table that does not associate), so it gives what the pass route
-gives.
+Rightmost rewriting is linear: the normal form NF(w) of a word does not
+depend on its coefficient, so each table memoizes ``RelationTable.normal_form``
+for every non-standard word it meets, and f * g = sum of
+a*b*NF(word(K) + word(L)) is summed into one dict.  On a miss, a word a + s
+(one letter before a standard word s) is rewritten once by ``reduce_once``;
+a longer word p + a + s reduces its suffix a + s first, as the rightmost
+strategy does.  So every product on a table reuses the suffixes earlier
+products reduced, and the result is the rightmost normal form even where
+the order of rewrites matters (a table that does not associate).
 
-The pass route (``reduce_to_standard``, ``star_by_reduction``) rewrites, in
-every word of the current linear combination, the rightmost adjacent descent
-(a leftmost strategy exists for cross-checking order independence) until
-every word is standard.  It keeps the count of whole passes, which the
-reduction-count law, ``star eval`` and the continuity hypotheses read.
-Tables over a floating ring stay on it as well: the memo adds terms in
-another order, which would change complex results in the last bits.
+Each term of a normal form also stores its depth, the longest chain of
+rightmost rewrites that reaches it: a standard word has depth 0, the words
+of one rewrite of a + s depth 1, depths add across the suffix split, and
+merged terms keep the larger depth.  The ``reduction_count`` of a product
+is the largest depth among the terms that survive: the number of passes
+that rewrite the rightmost descent of every word at once would take.
+
+Leftmost rewriting on a table is rightmost rewriting on its mirror
+(``RelationTable.mirror``), so it needs no route of its own.  By Bergman's
+diamond lemma the normal form of an associative table does not depend on
+the order of the rewrites, which makes rightmost against leftmost a check.
+
+The memo drops a coefficient only when it is exactly zero.  A floating
+ring's ``drop_tol`` prunes once, the finished product: a normal form is
+computed at unit coefficient, and a term below the tolerance there may not
+be below it once the product scales it.
 
 In series mode tails start at order t, so rewriting terminates by
 truncation; the memo keys series words by the t-order they still need (a
 tail coefficient of t-valuation v lowers it by v, and none left means zero).
-In evaluated mode a step limit on replacements or memo misses, and a cap on
-the letters rewritten, guard against runaway tables.
+In evaluated mode a step limit on memo misses, and a cap on the letters
+rewritten, guard against runaway tables.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ from .scalars import ComplexRing, GaussRational, Ring, SeriesRing
 
 DEFAULT_STEP_LIMIT = 10 ** 6
 
-# A normal form: (exponent, coefficient) pairs with nonzero coefficients.
-NormalForm = Tuple[Tuple[Exponent, object], ...]
+# A normal form: (exponent, coefficient, depth) triples with nonzero coefficients.
+NormalForm = Tuple[Tuple[Exponent, object, int], ...]
 
 
 class StepLimitExceeded(RuntimeError):
@@ -69,18 +70,6 @@ class StepLimitExceeded(RuntimeError):
 
 class TableError(ValueError):
     pass
-
-
-def _work_cap(step_limit: int) -> int:
-    """Letters a run may rewrite before it counts as exploded."""
-    return max(10 ** 6, 10 * step_limit)
-
-
-def _step_limit_error(table: "RelationTable", done: str, step_limit: int,
-                      widest: int) -> StepLimitExceeded:
-    return StepLimitExceeded(
-        f"table {table.name}: stopped at step limit {step_limit} after {done}; "
-        f"widest intermediate {widest} terms; the table may not terminate")
 
 
 @dataclass
@@ -96,6 +85,8 @@ class RelationTable:
     # (word, t-orders still needed); the budget is None off series rings
     _normal_forms: Dict[object, NormalForm] = field(
         default_factory=dict, init=False, repr=False, compare=False)
+    _mirror: Optional["RelationTable"] = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         normalized = {}
@@ -129,15 +120,30 @@ class RelationTable:
             return self.tails[(i, j)]
         return Polynomial.zero(self.ring, self.dim, self.kind)
 
-    def normal_form(self, word: Word, misses: Optional["MemoMisses"] = None) -> NormalForm:
-        """Rightmost normal form of a non-standard word, memoized on the table.
+    def mirror(self) -> "RelationTable":
+        """The table whose rightmost rewriting is this table's leftmost one.
 
-        Only for exact rings.  A standard word is its own normal form and is
-        not stored.  Misses are charged to ``misses`` (by default a fresh
-        count under DEFAULT_STEP_LIMIT).
+        Letter i becomes d+1-i and words are reversed, so tail(i, j) becomes
+        tail(d+1-j, d+1-i) with its exponents reversed.  Built once, under
+        the same name, so that its errors name this table.
+        """
+        if self._mirror is None:
+            d = self.dim
+            tails = {(d + 1 - j, d + 1 - i): Polynomial.from_checked(
+                         self.ring, d, {K[::-1]: c for K, c in tail.terms.items()}, self.kind)
+                     for (i, j), tail in self.tails.items()}
+            self._mirror = RelationTable(self.ring, d, self.kind, tails, name=self.name)
+        return self._mirror
+
+    def normal_form(self, word: Word, misses: Optional["MemoMisses"] = None) -> NormalForm:
+        """Rightmost normal form of a word, with depths, memoized on the table.
+
+        A standard word is its own normal form, at depth 0, and is not
+        stored.  Misses are charged to ``misses`` (by default a fresh count
+        under DEFAULT_STEP_LIMIT).
         """
         if is_standard(word):
-            return ((word_to_exponent(word, self.dim), self._one),)
+            return ((word_to_exponent(word, self.dim), self._one, 0),)
         key = (word, self._budget)
         found = self._normal_forms.get(key)
         if found is None:
@@ -182,10 +188,10 @@ class RelationTable:
     def _expand(self, key, misses: "MemoMisses"):
         """The normal form of one non-standard word, as a generator.
 
-        A word a + s, with s standard, is rewritten once by ``reduce_once``.
-        A longer word p + a + s reduces its suffix a + s first, as the
-        rightmost strategy does, so NF(p + a + s) is the sum of
-        c * NF(p + word(M)) over the terms c x^M of NF(a + s).
+        NF(a + s) is the sum of c * NF(w') over the words c w' of one
+        rewrite of a + s, at depth 1 + the depth within NF(w').
+        NF(p + a + s) is the sum of c * NF(p + word(M)) over the terms c x^M
+        of NF(a + s), at the depth of x^M + the depth within NF(p + word(M)).
         """
         word, budget = key
         memo, ring, dim = self._normal_forms, self.ring, self.dim
@@ -196,35 +202,38 @@ class RelationTable:
         if start == 1:
             rewritten, _, _ = reduce_once(NcPolynomial.from_checked(ring, dim, {word: one}),
                                           self)
-            parts = rewritten.terms.items()
+            parts = [(w, c, 1) for w, c in rewritten.terms.items()]
         else:
             head = (word[start - 1:], budget)
             found = memo.get(head)
             if found is None:
                 found = yield head
             prefix = word[:start - 1]
-            parts = [(prefix + exponent_to_word(M), c) for M, c in found]
+            parts = [(prefix + exponent_to_word(M), c, k) for M, c, k in found]
         out: Dict[Exponent, object] = {}
-        for w, c in parts:
+        depths: Dict[Exponent, int] = {}
+        for w, c, k in parts:
             left = budget
             if budget is not None:
                 left -= _valuation(c)
                 if left <= 0:
                     continue
             if is_standard(w):
-                M = word_to_exponent(w, dim)
-                out[M] = out[M] + c if M in out else c
-                continue
-            child = (w, left)
-            found = memo.get(child)
-            if found is None:
-                found = yield child
-            for M, d in found:
-                if c is not one:
+                found = ((word_to_exponent(w, dim), one, 0),)
+            else:
+                child = (w, left)
+                found = memo.get(child)
+                if found is None:
+                    found = yield child
+            for M, d, j in found:
+                if d is one:
+                    d = c
+                elif c is not one:
                     d = d * c
                 out[M] = out[M] + d if M in out else d
+                depths[M] = max(depths.get(M, 0), k + j)
         pool = self._coefficients
-        found = tuple((M, _interned(pool, d)) for M, d in out.items() if not ring.is_zero(d))
+        found = tuple((M, _interned(pool, d), depths[M]) for M, d in out.items() if d)
         if len(found) > misses.widest:
             misses.widest = len(found)
         return found
@@ -253,9 +262,9 @@ class MemoMisses:
     """Memo misses of one product, held to its step limit.
 
     Each miss expands one word.  The product stops when its misses pass the
-    step limit, when the letters of the words it expanded pass the letter
-    cap of the pass route, or when the words open at once hold a tenth of
-    that cap.  ``widest`` is the most terms in a normal form built.
+    step limit, when the letters of the words it expanded pass a cap of
+    max(10^6, 10 * step limit), or when the words open at once hold a tenth
+    of that cap.  ``widest`` is the most terms in a normal form built.
     """
 
     __slots__ = ("table", "step_limit", "work_cap", "count", "work", "held", "widest")
@@ -263,7 +272,7 @@ class MemoMisses:
     def __init__(self, table: RelationTable, step_limit: int):
         self.table = table
         self.step_limit = step_limit
-        self.work_cap = _work_cap(step_limit)
+        self.work_cap = max(10 ** 6, 10 * step_limit)
         self.count = self.work = self.held = self.widest = 0
 
     def open(self, word: Word):
@@ -272,9 +281,10 @@ class MemoMisses:
         self.held += len(word)
         if (self.count > self.step_limit or self.work > self.work_cap
                 or 10 * self.held > self.work_cap):
-            raise _step_limit_error(
-                self.table, f"{self.count} memo misses and {self.work} letters rewritten",
-                self.step_limit, self.widest)
+            raise StepLimitExceeded(
+                f"table {self.table.name}: stopped at step limit {self.step_limit} after "
+                f"{self.count} memo misses and {self.work} letters rewritten; widest "
+                f"intermediate {self.widest} terms; the table may not terminate")
 
     def close(self, word: Word):
         self.held -= len(word)
@@ -284,30 +294,20 @@ class MemoMisses:
 class ReductionTrace:
     """Result of a rewrite run.
 
-    reduction_count is the number of simultaneous rewrite steps: one step
-    performs the rightmost possible replacement in every non-standard word
-    of the current linear combination.  Zero iff the input was already
-    standard.
+    reduction_count is the number of simultaneous rewrite steps, each the
+    rightmost replacement in every non-standard word of the combination:
+    the largest depth among the terms of the result, 0 if none survives.
     """
 
     result: Polynomial
     reduction_count: int
 
 
-def _descent_position(word: Word, strategy: str) -> Optional[int]:
-    rng = range(len(word) - 2, -1, -1) if strategy == "rightmost" else range(len(word) - 1)
-    for p in rng:
-        if word[p] > word[p + 1]:
-            return p
-    return None
-
-
-def reduce_once(f: NcPolynomial, table: RelationTable,
-                strategy: str = "rightmost") -> Tuple[NcPolynomial, bool, int]:
-    """Rewrite one descent in every non-standard word.
+def reduce_once(f: NcPolynomial, table: RelationTable) -> Tuple[NcPolynomial, bool, int]:
+    """Rewrite the rightmost descent in every non-standard word.
 
     Returns (rewritten, changed, replacements); replacements counts the
-    words in which a rule fired.
+    words in which a rule fired.  Only exactly zero coefficients are dropped.
     """
     # f's words and the tails were checked against the dimension when they
     # were made, so the rewritten words need no letter check
@@ -315,59 +315,20 @@ def reduce_once(f: NcPolynomial, table: RelationTable,
         raise TableError("polynomial dimension does not match the table")
     tails = table.tail_words
     out: Dict[Word, object] = {}
-    ring = table.ring
-    changed = False
     fired = 0
-
-    def accumulate(word: Word, coeff):
-        if word in out:
-            out[word] = out[word] + coeff
-        else:
-            out[word] = coeff
-
     for word, coeff in f.terms.items():
-        p = _descent_position(word, strategy)
+        p = next((p for p in range(len(word) - 2, -1, -1) if word[p] > word[p + 1]), None)
         if p is None:
-            accumulate(word, coeff)
-            continue
-        changed = True
-        fired += 1
-        j, i = word[p], word[p + 1]
-        prefix, suffix = word[:p], word[p + 2:]
-        accumulate(prefix + (i, j) + suffix, coeff)
-        for tail_word, tail_coeff in tails.get((i, j), ()):
-            accumulate(prefix + tail_word + suffix, coeff * tail_coeff)
-
-    return NcPolynomial.from_checked(ring, f.dim, out), changed, fired
-
-
-def reduce_to_standard(f: NcPolynomial, table: RelationTable,
-                       step_limit: int = DEFAULT_STEP_LIMIT,
-                       strategy: str = "rightmost") -> Tuple[NcPolynomial, int, int]:
-    """Iterate reduce_once to the fixpoint where every word is standard.
-
-    The returned count is the number of rewrite steps (whole passes); the
-    step limit guards cumulative per-word replacements, which is what blows
-    up on non-terminating tables.
-    """
-    count = 0
-    total_fired = 0
-    work = 0
-    work_cap = _work_cap(step_limit)
-    widest = len(f.terms)
-    current = f
-    while True:
-        current, changed, fired = reduce_once(current, table, strategy)
-        widest = max(widest, len(current.terms))
-        if not changed:
-            return current, count, widest
-        count += 1
-        total_fired += fired
-        work += sum(len(w) for w in current.terms)
-        if total_fired > step_limit or work > work_cap:
-            raise _step_limit_error(
-                table, f"{total_fired} replacements in {count} passes and {work} letters "
-                "rewritten", step_limit, widest)
+            parts = ((word, coeff),)
+        else:
+            fired += 1
+            j, i = word[p], word[p + 1]
+            prefix, suffix = word[:p], word[p + 2:]
+            parts = [(prefix + (i, j) + suffix, coeff)]
+            parts += [(prefix + w + suffix, coeff * c) for w, c in tails.get((i, j), ())]
+        for w, c in parts:
+            out[w] = out[w] + c if w in out else c
+    return NcPolynomial.from_checked(table.ring, f.dim, out), fired > 0, fired
 
 
 def _check_operands(f: Polynomial, g: Polynomial, table: RelationTable):
@@ -377,56 +338,77 @@ def _check_operands(f: Polynomial, g: Polynomial, table: RelationTable):
         raise TableError("polynomial kind does not match the table")
 
 
+def _product_words(f: Polynomial, g: Polynomial) -> Iterable[Tuple[Word, object]]:
+    """The words word(K) + word(L) of f g, with coefficients a*b."""
+    right = [(exponent_to_word(L), b) for L, b in g.terms.items()]
+    return ((exponent_to_word(K) + v, a * b) for K, a in f.terms.items() for v, b in right)
+
+
+def _rewrite(terms: Iterable[Tuple[Word, object]], table: RelationTable, misses: MemoMisses,
+             strategy: str = "rightmost") -> Tuple[Polynomial, int]:
+    """sum of c * NF(w) over (w, c), into one dict and one Polynomial, and
+    the largest depth among its terms.
+
+    The leftmost strategy takes the rightmost normal forms of the mirrored
+    words on the mirrored table and reverses their exponents.
+    """
+    if strategy not in ("rightmost", "leftmost"):
+        raise ValueError(f"unknown rewriting strategy {strategy!r}")
+    dim, kind = table.dim, table.kind
+    if strategy == "leftmost":
+        terms = ((tuple(dim + 1 - letter for letter in reversed(w)), c) for w, c in terms)
+        table = table.mirror()
+    normal_form, one = table.normal_form, table._one
+    out: Dict[Exponent, object] = {}
+    depths: Dict[Exponent, int] = {}
+    for word, c in terms:
+        for M, d, k in normal_form(word, misses):
+            d = c if d is one else d * c
+            out[M] = out[M] + d if M in out else d
+            depths[M] = max(depths.get(M, 0), k)
+    if strategy == "leftmost":
+        out = {M[::-1]: c for M, c in out.items()}
+        depths = {M[::-1]: k for M, k in depths.items()}
+    result = Polynomial.from_checked(table.ring, dim, out, kind)
+    return result, max((depths[M] for M in result.terms), default=0)
+
+
+def reduce_to_standard(f: NcPolynomial, table: RelationTable,
+                       step_limit: int = DEFAULT_STEP_LIMIT,
+                       strategy: str = "rightmost") -> Tuple[NcPolynomial, int, int]:
+    """The standard form of a word combination, its reduction count and the
+    widest intermediate (in terms), through the table's memo."""
+    if f.dim != table.dim:
+        raise TableError("polynomial dimension does not match the table")
+    misses = MemoMisses(table, step_limit)
+    result, count = _rewrite(f.terms.items(), table, misses, strategy)
+    standard = NcPolynomial.from_checked(
+        table.ring, f.dim, {exponent_to_word(K): c for K, c in result.terms.items()})
+    return standard, count, max(len(f.terms), misses.widest)
+
+
 def star_by_reduction(f: Polynomial, g: Polynomial, table: RelationTable,
                       step_limit: int = DEFAULT_STEP_LIMIT,
                       strategy: str = "rightmost") -> ReductionTrace:
-    """Star product of commutative polynomials through the pass route."""
+    """Star product of commutative polynomials, with its reduction count."""
     _check_operands(f, g, table)
-    concat = NcPolynomial.from_polynomial(f).concat(NcPolynomial.from_polynomial(g))
-    normal, count, _ = reduce_to_standard(concat, table, step_limit, strategy)
-    return ReductionTrace(normal.to_polynomial(table.kind), count)
-
-
-def _sum_normal_forms(terms: Iterable[Tuple[Word, object]], table: RelationTable,
-                      step_limit: int) -> Polynomial:
-    """sum of c * NF(w) over (w, c), into one dict and one Polynomial."""
-    misses = MemoMisses(table, step_limit)
-    normal_form, one = table.normal_form, table._one
-    out: Dict[Exponent, object] = {}
-    for word, c in terms:
-        for M, d in normal_form(word, misses):
-            d = c if d is one else d * c
-            out[M] = out[M] + d if M in out else d
-    return Polynomial.from_checked(table.ring, table.dim, out, table.kind)
+    return ReductionTrace(*_rewrite(_product_words(f, g), table,
+                                    MemoMisses(table, step_limit), strategy))
 
 
 def star(f: Polynomial, g: Polynomial, table: RelationTable,
          step_limit: int = DEFAULT_STEP_LIMIT) -> Polynomial:
-    """f * g = sum of a*b*NF(word(K) + word(L)) through the table's memo.
-
-    Tables over a floating ring take the pass route instead.
-    """
-    if not table.ring.exact:
-        return star_by_reduction(f, g, table, step_limit).result
+    """f * g = sum of a*b*NF(word(K) + word(L)) through the table's memo."""
     _check_operands(f, g, table)
-    right = [(exponent_to_word(L), b) for L, b in g.terms.items()]
-    return _sum_normal_forms(((exponent_to_word(K) + v, a * b)
-                              for K, a in f.terms.items() for v, b in right),
-                             table, step_limit)
+    return _rewrite(_product_words(f, g), table, MemoMisses(table, step_limit))[0]
 
 
 def normal_form_sum(f: NcPolynomial, table: RelationTable,
                     step_limit: int = DEFAULT_STEP_LIMIT) -> Polynomial:
-    """The standard form of a word combination, as a commutative polynomial.
-
-    Through the table's memo; tables over a floating ring take the pass
-    route instead.
-    """
+    """The standard form of a word combination, as a commutative polynomial."""
     if f.dim != table.dim:
         raise TableError("polynomial dimension does not match the table")
-    if not table.ring.exact:
-        return reduce_to_standard(f, table, step_limit)[0].to_polynomial(table.kind)
-    return _sum_normal_forms(f.terms.items(), table, step_limit)
+    return _rewrite(f.terms.items(), table, MemoMisses(table, step_limit))[0]
 
 
 # -- associativity on generator triples -----------------------------------------

@@ -11,10 +11,11 @@ no output will show them, so no suite's inputs outlive it.
 
 A suite's verdict is "every case margin >= 0" (``finish_report``); only the
 probes that state a rule of their own pass their own verdict.  A table file
-is read once, by ``context_from_run``; a run without a ``ring`` uses the
-file's declared ring, or ``complex`` for a catalog.  Table-file faults
-(unreadable file, a relation lacking a field, a pair given twice) raise
-``TableFileError`` and stop the run like a config error.
+is read once, by ``context_from_run``, which also parses its tails before
+any suite runs; a run without a ``ring`` uses the file's declared ring, or
+``complex`` for a catalog.  Table-file faults (unreadable file, a relation
+lacking a field, a pair given twice, a tail that does not parse) stop the
+run like a config error.
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from .catalog import (
     StarProduct,
     build_catalog,
     catalog_poisson,
+    catalog_rules,
     log_canonical_table,
     rewriting_routes,
     symmetrized_star,
@@ -72,7 +74,7 @@ from .states import (
     random_wick_point,
     reversal_isomorphism,
 )
-from .tableio import TableFileError, table_from_dict
+from .tableio import TableFileError, check_table, table_from_dict
 
 SCHEMA = "starprod/1"
 
@@ -445,20 +447,17 @@ def context_from_run(run: Dict) -> RunContext:
             except OSError as exc:
                 raise TableFileError(f"cannot read table file {run['phi']!r}: "
                                      f"{exc.strerror}") from None
+        check_table(spec)
         label = run.get("label", f"phi:{run.get('phi', 'inline')}")
         return RunContext(label, None, None, None, {}, ring_name, truncation, spec)
     catalog = run.get("catalog")
     if catalog is None:
         raise ConfigError("run needs a 'catalog' id or a 'phi' table file")
-    from .catalog import CATALOG_IDS
-    if catalog not in CATALOG_IDS:
-        raise ConfigError(f"unknown catalog {catalog!r}; expected one of {CATALOG_IDS}")
-    rules = None
-    if run.get("params"):
-        rules = ParameterCatalog.from_spec(run["params"])
+    rules = ParameterCatalog.from_spec(run["params"]) if run.get("params") else None
+    options = dict(run.get("options", {}))
+    catalog_rules(catalog, rules, options)  # an unknown catalog or an unbound parameter
     label = run.get("label", catalog)
-    return RunContext(label, catalog, run.get("d"), rules,
-                      dict(run.get("options", {})), ring_name, truncation)
+    return RunContext(label, catalog, run.get("d"), rules, options, ring_name, truncation)
 
 
 def _normalize_hbars(run: Dict) -> List[Optional[float]]:

@@ -16,8 +16,8 @@ from starprod.catalog import (
     translated_star,
 )
 from starprod.params import ParameterCatalog
-from starprod.poly import Polynomial
-from starprod.reduction import RelationTable
+from starprod.poly import NcPolynomial, Polynomial, inversion_weight
+from starprod.reduction import RelationTable, reduce_to_standard, star_by_reduction
 from starprod.scalars import RationalRing
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -91,3 +91,21 @@ def test_catalog_fields_the_benchmark_reads():
     assert (symmetrized_star_by_averaging((1, 1), (0, 1), table, cache=cache)
             == sym.star.monomial_product((1, 1), (0, 1)))
     assert cache
+
+
+def test_kept_rewriting_wrappers_answer_as_the_benchmark_reads_them():
+    # perfbench/workloads.py checks a log-canonical pair's count and result
+    # through star_by_reduction; tracing.py spans reduce_to_standard
+    ring = RationalRing()
+    inst = build_catalog("log_canonical", ring, 3, ParameterCatalog.from_spec({"q": "const:5/4"}))
+    for K, L in (((0, 2, 1), (3, 0, 1)), ((1, 0, 2), (0, 1, 0)), ((0, 0, 0), (2, 1, 1))):
+        f = Polynomial.monomial(ring, 3, K)
+        g = Polynomial.monomial(ring, 3, L)
+        trace = star_by_reduction(f, g, inst.table)
+        assert trace.reduction_count == inversion_weight(K, L)
+        assert trace.result == inst.star.monomial_product(K, L)
+    out = reduce_to_standard(NcPolynomial(ring, 3, {(3, 2, 1): ring.one}), inst.table)
+    assert isinstance(out, tuple) and len(out) == 3
+    standard, count, widest = out
+    assert isinstance(standard, NcPolynomial) and set(standard.terms) == {(1, 2, 3)}
+    assert count == 3 and widest >= 1

@@ -160,9 +160,9 @@ def test_default_verify_report_is_pinned(runner, tmp_path):
                                   "--csv", str(cases)])
     assert result.exit_code == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == \
-        "33da3a4672d0b45f930dea7167f729de37bc8981bef9c6244caa49a77e042e50"
+        "5c1160fa9c9edb0bc5a590e81a7c5fdf438e9a41357dc257f71cf1f2b5d39c09"
     assert hashlib.sha256(cases.read_bytes()).hexdigest() == \
-        "49d4bc5779abd23c834350fc12f78897622f89d2b9167f202a4a304f79d710f9"
+        "8f5fe8218254a995bbbfa0e135ed26f02c816101165beac3bdf796f4d9775bf5"
 
 
 def test_verify_formats_inputs_only_for_case_outputs(runner, tmp_path, monkeypatch):
@@ -424,3 +424,34 @@ def test_verify_table_file_fault_exits_2(runner, tmp_path, fault):
                                                "probes": [{"kind": "overlaps"}]}]}))
     result = runner.invoke(main, ["verify", "--spec", str(spec_path)])
     _assert_config_failure(result, TABLE_FAULTS[fault][1])
+
+
+def test_verify_table_whose_tail_does_not_parse_exits_2(runner, tmp_path):
+    # x5 does not exist in dimension 2: the spec fails when it is loaded,
+    # as `star eval --phi` does, not as a crashed suite
+    table = {"dimension": 2, "ring": "rational",
+             "relations": [{"j": 2, "i": 1, "tail": "x5"}]}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"runs": [{"phi": str(path),
+                                               "probes": [{"kind": "overlaps"}]}]}))
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["verify", "--spec", str(spec_path), "--out", str(out)])
+    _assert_config_failure(result, "generator index 5 out of range 1..2")
+    assert not out.exists()
+    result = runner.invoke(main, ["eval", "--phi", str(path), "--lhs", "x2", "--rhs", "x1"])
+    _assert_config_failure(result, "generator index 5 out of range 1..2")
+
+
+def test_missing_catalog_parameters_exit_2(runner, tmp_path):
+    result = runner.invoke(main, ["eval", "--catalog", "nonquadratic", "--param", "N=1",
+                                  "--param", "q=exp_i", "--hbar", "0.3",
+                                  "--lhs", "x3", "--rhs", "x2"])
+    _assert_config_failure(result, "missing: p, r")
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"runs": [
+        {"catalog": "quantum_weyl", "params": {"q": "exp_i"}, "hbar": [0.3],
+         "probes": [{"kind": "oracle", "max_degree": 1}]}]}))
+    result = runner.invoke(main, ["verify", "--spec", str(spec_path)])
+    _assert_config_failure(result, "catalog quantum_weyl needs parameters p, q; missing: p")

@@ -1,10 +1,13 @@
-"""The memo route of the rewrite engine against the pass route.
+"""The rewrite engine's memo against an independent pass loop.
 
-``reduction.star`` (and every exact product built on it) sums memoized
-normal forms of words; ``star_by_reduction`` rewrites whole linear
-combinations pass by pass.  Both follow the rightmost strategy, so over an
-exact ring they must agree to the last digit, even on a table where the
-order of rewrites matters.
+``reduction.star`` and every product built on it sum memoized normal forms
+of words, each term with the depth of the longest rewrite chain that
+reaches it; leftmost rewriting runs on the mirrored table.  The reference
+here, ``_by_pass_loop``, is the plain definition: rewrite one descent in
+every word of the whole combination, pass after pass, until every word is
+standard.  Its results and pass counts pin what the memo computes and what
+``reduction_count`` means, even on a table where the order of rewrites
+matters.
 """
 
 import itertools
@@ -15,13 +18,14 @@ import pytest
 
 from starprod.catalog import StarProduct, build_catalog, nonquadratic_table, rewriting_routes
 from starprod.params import ParameterCatalog, ParameterRule
-from starprod.poly import NcPolynomial, Polynomial
+from starprod.poly import NcPolynomial, Polynomial, exponent_to_word, word_to_exponent
 from starprod.probes import exponent_ball, random_polynomial
 from starprod.reduction import (
     RelationTable,
     StepLimitExceeded,
     check_overlaps,
     normal_form_sum,
+    reduce_once,
     reduce_to_standard,
     star,
     star_by_reduction,
@@ -29,6 +33,7 @@ from starprod.reduction import (
 from starprod.scalars import GaussRational, SeriesRing, make_ring
 
 R = make_ring("rational")
+C = make_ring("complex")
 SERIES = SeriesRing(order=4, exact=True)
 
 
@@ -51,8 +56,80 @@ def _criterion_1_catalogs():
     ]
 
 
+def _complex_catalogs():
+    return [
+        build_catalog("log_canonical", C, 3, hbar=0.3),
+        build_catalog("translated", C, 2, hbar=0.3),
+        build_catalog("nonquadratic", C, 3, hbar=0.3, options={"N": 2}),
+        build_catalog("quantum_weyl", C, 2, hbar=0.3),
+    ]
+
+
+def _leftmost_descent(word):
+    return next((p for p in range(len(word) - 1) if word[p] > word[p + 1]), None)
+
+
+def _by_pass_loop(nc, table, strategy="rightmost"):
+    """(standard form, passes): each pass rewrites one descent in every word.
+
+    A rightmost pass is one ``reduce_once`` on the whole combination.  A
+    leftmost pass cuts each word after its leftmost descent, whose
+    rightmost descent that is, and rewrites the head with ``reduce_once``.
+    """
+    ring, dim = table.ring, table.dim
+    passes = 0
+    while True:
+        if strategy == "rightmost":
+            nc, changed, _ = reduce_once(nc, table)
+        else:
+            out = {}
+            for word, c in nc.terms.items():
+                p = _leftmost_descent(word)
+                if p is None:
+                    parts = {word: c}
+                else:
+                    head = NcPolynomial.from_checked(ring, dim, {word[:p + 2]: c})
+                    parts = {w + word[p + 2:]: d
+                             for w, d in reduce_once(head, table)[0].terms.items()}
+                for w, d in parts.items():
+                    out[w] = out[w] + d if w in out else d
+            changed = any(_leftmost_descent(w) is not None for w in nc.terms)
+            nc = NcPolynomial.from_checked(ring, dim, out)
+        if not changed:
+            break
+        passes += 1
+    terms = {}
+    for word, c in nc.terms.items():
+        K = word_to_exponent(word, dim)
+        terms[K] = terms[K] + c if K in terms else c
+    return Polynomial(ring, dim, terms, table.kind), passes
+
+
+def _product_by_pass_loop(f, g, table, strategy="rightmost"):
+    words = NcPolynomial(table.ring, table.dim, {exponent_to_word(K): a
+                                                 for K, a in f.terms.items()})
+    words = words.concat(NcPolynomial(table.ring, table.dim, {exponent_to_word(L): b
+                                                             for L, b in g.terms.items()}))
+    return _by_pass_loop(words, table, strategy)
+
+
 def _by_passes(f, g, table):
-    return star_by_reduction(f, g, table).result
+    return _product_by_pass_loop(f, g, table)[0]
+
+
+def _same(a, b):
+    if a.ring.exact:
+        return a == b
+    scale = max((abs(c) for p in (a, b) for c in p.terms.values()), default=1.0)
+    return a.close_to(b, tol=1e-12, scale=max(1.0, scale))
+
+
+def _assert_memo_matches_pass_loop(f, g, table, label):
+    for strategy in ("rightmost", "leftmost"):
+        expected, passes = _product_by_pass_loop(f, g, table, strategy)
+        trace = star_by_reduction(f, g, table, strategy=strategy)
+        assert _same(trace.result, expected), (label, strategy)
+        assert trace.reduction_count == passes, (label, strategy)
 
 
 def test_memo_route_equals_pass_route_on_criterion_1_triples():
@@ -100,15 +177,50 @@ def test_memo_keeps_the_rightmost_strategy_where_the_order_of_rewrites_matters()
     one = GaussRational(1)
     assert report.failures[0][3].terms == {(3, 0, 0): (p - one) * (r * s - one)}
     # every word of up to five letters: the memo gives the rightmost normal
-    # form, and on x3 x2 x1 that is not the leftmost one
+    # form and pass count, the mirrored table the leftmost ones
     for n in range(6):
         for word in itertools.product((1, 2, 3), repeat=n):
             nc = NcPolynomial(R, 3, {word: R.one})
-            rightmost = reduce_to_standard(nc, table)[0].to_polynomial()
-            assert normal_form_sum(nc, table) == rightmost, word
+            assert normal_form_sum(nc, table) == _by_pass_loop(nc, table)[0], word
+            for strategy in ("rightmost", "leftmost"):
+                standard, count, _ = reduce_to_standard(nc, table, strategy=strategy)
+                expected, passes = _by_pass_loop(nc, table, strategy)
+                assert count == passes, (word, strategy)
+                assert {word_to_exponent(w, 3): c for w, c in standard.terms.items()} == \
+                    expected.terms, (word, strategy)
+    # on x3 x2 x1 the two strategies differ
     nc = NcPolynomial(R, 3, {(3, 2, 1): R.one})
-    leftmost = reduce_to_standard(nc, table, strategy="leftmost")[0].to_polynomial()
-    assert normal_form_sum(nc, table) != leftmost
+    leftmost, _, _ = reduce_to_standard(nc, table, strategy="leftmost")
+    assert normal_form_sum(nc, table).terms != \
+        {word_to_exponent(w, 3): c for w, c in leftmost.terms.items()}
+
+
+def test_reduction_count_is_the_pass_count_on_the_criterion_1_catalogs():
+    rng = random.Random(5)
+    for inst in _criterion_1_catalogs():
+        d, table = inst.dim, inst.table
+        for K in exponent_ball(d, 3):
+            for L in exponent_ball(d, 3):
+                f = Polynomial.monomial(inst.ring, d, K, kind=inst.kind)
+                g = Polynomial.monomial(inst.ring, d, L, kind=inst.kind)
+                _assert_memo_matches_pass_loop(f, g, table, (inst.name, K, L))
+        for n in range(5):
+            f, g = (random_polynomial(rng, inst.ring, d, 3, 3, inst.kind) for _ in range(2))
+            _assert_memo_matches_pass_loop(f, g, table, (inst.name, n))
+
+
+def test_reduction_count_is_the_pass_count_over_complex():
+    rng = random.Random(9)
+    for inst in _complex_catalogs():
+        d, table = inst.dim, inst.table
+        for K in exponent_ball(d, 3):
+            for L in exponent_ball(d, 3):
+                f = Polynomial.monomial(C, d, K)
+                g = Polynomial.monomial(C, d, L)
+                _assert_memo_matches_pass_loop(f, g, table, (inst.name, K, L))
+        for n in range(5):
+            f, g = (random_polynomial(rng, C, d, 3, 3) for _ in range(2))
+            _assert_memo_matches_pass_loop(f, g, table, (inst.name, n))
 
 
 def _monomial(dim, K):
@@ -127,6 +239,10 @@ def test_step_limit_stops_every_memo_route():
                        match=r"^table diverging: stopped at step limit 100 after 101 memo "
                              r"misses and \d+ letters rewritten; widest intermediate \d+ terms"):
         limited(_monomial(2, (0, 1)), _monomial(2, (2, 0)))
+    with pytest.raises(StepLimitExceeded,
+                       match=r"^table diverging: stopped at step limit 100 after 101 memo "
+                             r"misses and \d+ letters rewritten; widest intermediate \d+ terms"):
+        star_by_reduction(_monomial(2, (0, 1)), _monomial(2, (2, 0)), table, step_limit=100)
     rightmost, _ = rewriting_routes(table)
     with pytest.raises(StepLimitExceeded, match="table diverging: stopped at step limit"):
         rightmost((0, 1), (2, 0))
@@ -148,15 +264,6 @@ def test_memo_stops_when_rewriting_comes_back_to_a_word():
     with pytest.raises(StepLimitExceeded):
         star_by_reduction(x[3], star_by_reduction(x[2], x[1], table).result, table,
                           step_limit=1000)
-
-
-def test_pass_route_step_limit_names_table_and_progress():
-    table = RelationTable(R, 2, "x", {(1, 2): _tail(2, (2, 2))}, name="diverging")
-    with pytest.raises(StepLimitExceeded,
-                       match=r"^table diverging: stopped at step limit 100 after 101 "
-                             r"replacements in \d+ passes and \d+ letters rewritten; "
-                             r"widest intermediate \d+ terms"):
-        star_by_reduction(_monomial(2, (0, 1)), _monomial(2, (2, 0)), table, step_limit=100)
 
 
 def test_series_table_that_terminates_by_truncation():
