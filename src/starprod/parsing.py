@@ -130,17 +130,25 @@ class _Parser:
             else:
                 return value
 
+    def _inverse(self, value, pos: int):
+        """1/value; a divisor without inverse is a ParseError at its position."""
+        try:
+            return self.ring.inverse(value)
+        except ZeroDivisionError as exc:
+            raise ParseError(f"cannot divide: {exc}", pos) from None
+
+    def _divisor(self):
+        """The scalar atom after '/', inverted."""
+        pos = self.peek().pos
+        return self._inverse(self.scalar_atom(), pos)
+
     def scalar_term(self):
         value = self.scalar_atom()
         while True:
             tok = self.peek()
             if tok.kind == "OP" and tok.text in "*/":
                 self.next()
-                rhs = self.scalar_atom()
-                if tok.text == "/":
-                    value = value * self.ring.inverse(rhs)
-                else:
-                    value = value * rhs
+                value = value * (self._divisor() if tok.text == "/" else self.scalar_atom())
             else:
                 return value
 
@@ -164,9 +172,9 @@ class _Parser:
             self.expect_op(")")
         else:
             raise ParseError("expected a scalar", tok.pos)
-        return self._maybe_power(value)
+        return self._maybe_power(value, tok.pos)
 
-    def _maybe_power(self, value):
+    def _maybe_power(self, value, pos: int):
         tok = self.peek()
         if tok.kind == "OP" and tok.text == "^":
             self.next()
@@ -180,7 +188,7 @@ class _Parser:
                 raise ParseError("expected an integer exponent", e.pos)
             n = sign * int(e.text)
             if n < 0:
-                return self.ring.inverse(value) ** (-n)
+                return self._inverse(value, pos) ** (-n)
             return value ** n
         return value
 
@@ -239,7 +247,7 @@ class _Parser:
                 self.next()
                 if nxt.text == "/":
                     # rational coefficients like 3/2: next factor must be scalar
-                    coeff = coeff * self.ring.inverse(self.scalar_atom())
+                    coeff = coeff * self._divisor()
                     nxt2 = self.peek()
                     if nxt2.kind == "OP" and nxt2.text == "*":
                         self.next()

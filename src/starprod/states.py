@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import add, mul
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -172,36 +171,78 @@ def gram_matrix(state: StateFunctional, degree: int,
     With q = e^(-hbar) the product contributes the prefactor
     e^(-hbar * sum_{i<j} rev(K)_j L_i) on w^(rev(K)+L).  ``deformed=False``
     evaluates with the plain point evaluation instead (the functional that
-    loses positivity for hbar > 0).  Many entries share one exponent
-    rev(K) + L, and many one inversion count; each distinct exponent is
-    evaluated, and each distinct count exponentiated, once per call.  Rows
-    are filled as lists and converted to one array at the end.
+    loses positivity for hbar > 0).
+
+    The integer work runs as array operations over the whole basis: the
+    inversion counts of all pairs, the exponents rev(K) + L and their
+    distinct rows, and the pair sums and m-quadratic forms of those rows.
+    What rounds takes the scalar code's steps, so that every entry is
+    bit-identical to ``exp(-hbar * inv) * eval_monomial(rev(K) + L)``:
+    ``math.exp`` once per distinct exponent and once per inversion count
+    (NumPy's exp may differ from libm by an ulp), the powers z_k ** e in
+    Python, and complex products as separate real and imaginary float
+    operations in the order of Python's complex product (NumPy's complex
+    multiply loop may fuse them).
     """
     if degree < 0:
         raise StateError("degree must be non-negative")
     basis = state_basis(state.dim, degree)
+    n = len(basis)
+    B = np.array(basis, dtype=np.int64).reshape(n, state.dim)
+    B_rev = B[:, ::-1]
+    # inversion count of (rev(K), L): sum_j rev(K)_j * (L_0 + ... + L_(j-1))
+    inv = B_rev @ (np.cumsum(B, axis=1) - B).T
+    J = (B_rev[:, None, :] + B[None, :, :]).reshape(n * n, state.dim)
+    distinct, J_idx = _unique_rows(J)
+    value_re, value_im = _evaluate_rows(state, distinct, deformed)
+    J_idx = J_idx.reshape(n, n)
     h = state.hbar
-    evaluate = state.eval_monomial if deformed else state.eval_plain
-    # inversion_weight(K_rev, L) = sum_j K_rev[j] * (L[0] + ... + L[j-1])
-    prefixes = [tuple(itertools.accumulate(L[:-1], initial=0)) for L in basis]
-    scales: Dict[int, float] = {}
-    values: Dict[Exponent, complex] = {}
-    rows = []
-    for K in basis:
-        K_rev = K[::-1]
-        row = []
-        for L, P in zip(basis, prefixes):
-            inv = sum(map(mul, K_rev, P))
-            scale = scales.get(inv)
-            if scale is None:
-                scale = scales[inv] = math.exp(-h * inv)
-            J = tuple(map(add, K_rev, L))
-            value = values.get(J)
-            if value is None:
-                value = values[J] = evaluate(J)
-            row.append(scale * value)
-        rows.append(row)
-    return basis, np.array(rows, dtype=complex)
+    scales = np.array([math.exp(-h * k) for k in range(int(inv.max()) + 1)])
+    M = np.empty((n, n), dtype=complex)
+    M.real, M.imag = _complex_product(scales[inv], 0.0, value_re[J_idx], value_im[J_idx])
+    return basis, M
+
+
+def _unique_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Distinct rows of an integer matrix, and the index of each row among them.
+
+    Sorts the columns as integer keys (``np.unique(axis=0)`` sorts rows as
+    opaque bytes and is several times slower here).
+    """
+    order = np.lexsort(rows.T)
+    ordered = rows[order]
+    starts = np.ones(len(rows), dtype=bool)
+    starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    index = np.empty(len(rows), dtype=np.intp)
+    index[order] = np.cumsum(starts) - 1
+    return ordered[starts], index
+
+
+def _complex_product(a_re, a_im, b_re, b_im):
+    """Parts of a * b, rounded step by step as Python's complex product rounds."""
+    return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
+
+
+def _evaluate_rows(state: StateFunctional, rows: np.ndarray,
+                   deformed: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of eval_monomial (or eval_plain) of every row."""
+    value_re, value_im = np.ones(len(rows)), np.zeros(len(rows))
+    for zk, e in zip(state.point.z, rows.T):
+        powers = np.array([zk ** p for p in range(int(e.max()) + 1)])
+        value_re, value_im = _complex_product(value_re, value_im,
+                                              powers.real[e], powers.imag[e])
+    if not deformed:
+        return value_re, value_im
+    h = state.hbar
+    mq = ((rows @ np.array(state.m, dtype=np.int64)) * rows).sum(axis=1)
+    if h > 0:
+        total = rows.sum(axis=1)
+        pair = (total * total - (rows * rows).sum(axis=1)) // 2
+        exponent = h * pair + (0.5 * h) * mq
+    else:
+        exponent = (-0.5 * h) * mq
+    factor = np.array([math.exp(x) for x in exponent.tolist()])
+    return _complex_product(value_re, value_im, factor, 0.0)
 
 
 @dataclass

@@ -72,8 +72,8 @@ def check_table(spec: Dict):
 
     Each parameter stands for a complex NaN, which every operation but a
     division by an exact zero accepts, so the text is checked (fields,
-    parameter rules, grammar, names, generator indices) and no value at
-    any hbar is.
+    parameter rules, grammar, names, generator indices, divisions by an
+    exact zero) and no value at any hbar is.
     """
     rules = ParameterCatalog.from_spec(spec.get("parameters", {})).rules
     _parse_tails(spec, ComplexRing(), dict.fromkeys(rules, complex(math.nan, math.nan)))

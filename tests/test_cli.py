@@ -444,6 +444,38 @@ def test_verify_table_whose_tail_does_not_parse_exits_2(runner, tmp_path):
     _assert_config_failure(result, "generator index 5 out of range 1..2")
 
 
+# -- a division by an exact zero in polynomial text is a parse error: exit 2,
+# at the divisor's position, whether the text is an operand or a table tail
+
+DIVISIONS_BY_ZERO = {"x1/0": 3, "0^-1*x1": 0, "1/0*x1*x2": 2}
+
+
+@pytest.mark.parametrize("ring", ["rational", "complex"])
+@pytest.mark.parametrize("text", sorted(DIVISIONS_BY_ZERO))
+def test_division_by_zero_exits_2(runner, tmp_path, ring, text):
+    message = "cannot divide: "
+    position = f"(at position {DIVISIONS_BY_ZERO[text]})"
+    result = runner.invoke(main, ["eval", "--catalog", "log_canonical", "--ring", ring,
+                                  "--param", "q=constant:5/4", "--hbar", "0.3",
+                                  "--lhs", text, "--rhs", "x2"])
+    _assert_config_failure(result, message)
+    assert position in result.stderr
+    table = {"dimension": 2, "ring": ring, "relations": [{"j": 2, "i": 1, "tail": text}]}
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps(table))
+    result = runner.invoke(main, ["eval", "--phi", str(path), "--lhs", "x2", "--rhs", "x1"])
+    _assert_config_failure(result, message)
+    assert position in result.stderr
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"runs": [{"phi": str(path),
+                                               "probes": [{"kind": "overlaps"}]}]}))
+    out = tmp_path / "report.json"
+    result = runner.invoke(main, ["verify", "--spec", str(spec_path), "--out", str(out)])
+    _assert_config_failure(result, message)
+    assert position in result.stderr
+    assert not out.exists()
+
+
 def test_missing_catalog_parameters_exit_2(runner, tmp_path):
     result = runner.invoke(main, ["eval", "--catalog", "nonquadratic", "--param", "N=1",
                                   "--param", "q=exp_i", "--hbar", "0.3",

@@ -308,17 +308,22 @@ def test_undeformed_gram_positive_on_middle_axis_for_odd_d():
 
 
 def test_gram_entries_are_bit_identical_to_the_entry_formula():
+    # every bit of every entry, signed zeros included, equals the scalar
+    # formula exp(-hbar * inv) * evaluate(rev(K) + L)
     from starprod.poly import inversion_weight
     rng = random.Random(8)
-    for d in (2, 3, 4):
+    points = [random_wick_point(rng, d) for d in (1, 2, 3, 4, 5)]
+    points.append(WickPoint((0j, 1 + 1j, 1 - 1j, 0j)))
+    for point in points:
         for hbar in (-1.0, 0.0, 0.7):
-            state = StateFunctional(random_wick_point(rng, d), hbar)
+            state = StateFunctional(point, hbar)
             for deformed in (True, False):
                 evaluate = state.eval_monomial if deformed else state.eval_plain
-                basis, M = gram_matrix(state, 3, deformed)
-                for a, K in enumerate(basis):
-                    K_rev = K[::-1]
-                    for b, L in enumerate(basis):
-                        J = tuple(x + y for x, y in zip(K_rev, L))
-                        expected = math.exp(-hbar * inversion_weight(K_rev, L)) * evaluate(J)
-                        assert M[a, b] == expected, (d, hbar, deformed, K, L)
+                for degree in range(5):
+                    basis, M = gram_matrix(state, degree, deformed)
+                    expected = np.array(
+                        [[math.exp(-hbar * inversion_weight(K[::-1], L))
+                          * evaluate(tuple(x + y for x, y in zip(K[::-1], L)))
+                          for L in basis] for K in basis], dtype=complex)
+                    same = M.view(np.uint64) == expected.view(np.uint64)
+                    assert same.all(), (point.z, hbar, deformed, degree)
