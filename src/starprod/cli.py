@@ -6,8 +6,9 @@
     star gram    Gram matrix of a deformed evaluation functional
     star gns     quotient representation data built from such a functional
 
-Exit codes: 0 success (and all probes green for verify), 1 a probe failed
-or rewriting hit the step limit, 2 usage, parse, config or table-file errors.
+Exit codes: 0 success (and all probes green for verify), 1 a probe failed,
+rewriting hit the step limit or a float computation overflowed, 2 usage,
+parse, config or table-file errors (a non-finite hbar among them).
 
 ``star eval`` turns its flags into one run-spec entry and builds its
 instance through ``context_from_run``, as ``star verify`` does.
@@ -15,6 +16,7 @@ instance through ``context_from_run``, as ``star verify`` does.
 
 from __future__ import annotations
 
+import cmath
 import csv
 import json
 import os
@@ -38,6 +40,7 @@ from .verify import (
     assemble_report,
     cases_to_csv_rows,
     context_from_run,
+    finite_hbar,
     report_to_json,
     run_suites,
 )
@@ -71,6 +74,22 @@ def _parse_complex(text: str) -> complex:
         return complex(cleaned)
     except ValueError:
         raise ParameterError(f"bad complex literal {text!r}") from None
+
+
+def _finite_hbar_flag(ctx, param, value) -> float:
+    try:
+        return finite_hbar(value)
+    except ConfigError as exc:
+        raise click.BadParameter(str(exc)) from None
+
+
+def _overflow(label: str, hbar) -> None:
+    _fail(f"float overflow in {label} at hbar={hbar!r}", 1)
+
+
+def _overflowed(f) -> bool:
+    """Whether a float result holds an infinite or NaN coefficient."""
+    return not f.ring.exact and not all(cmath.isfinite(c) for c in f.terms.values())
 
 
 def _resolve_seed(seed: Optional[int], spec: Dict) -> int:
@@ -132,8 +151,11 @@ def cmd_eval(catalog, phi, d, params, hbar_text, ring_name, truncation, lhs, rhs
              as_json, exact):
     """Evaluate LHS * RHS and print the canonical result."""
     try:
-        hbars = ([float(h) for h in hbar_text.split(",")] if hbar_text is not None
+        hbars = ([finite_hbar(h) for h in hbar_text.split(",")] if hbar_text is not None
                  else [None])
+    except ConfigError as exc:
+        _fail(str(exc), 2)
+        return
     except ValueError:
         _fail(f"bad --hbar value {hbar_text!r}", 2)
         return
@@ -153,6 +175,9 @@ def cmd_eval(catalog, phi, d, params, hbar_text, ring_name, truncation, lhs, rhs
         except CONFIG_ERRORS as exc:
             _fail(str(exc), 2)
             return
+        except OverflowError:
+            _overflow(ctx.label, hbar)
+            return
         try:
             if inst.table is not None:
                 trace = star_by_reduction(f, g, inst.table)
@@ -161,6 +186,12 @@ def cmd_eval(catalog, phi, d, params, hbar_text, ring_name, truncation, lhs, rhs
                 result, count = inst.star(f, g), None
         except (StepLimitExceeded, PoleAtRootOfUnity) as exc:
             _fail(str(exc), 1)
+            return
+        except OverflowError:
+            _overflow(ctx.label, hbar)
+            return
+        if _overflowed(result):
+            _overflow(ctx.label, hbar)
             return
         payloads.append({"schema": SCHEMA, "catalog": catalog or "phi",
                          "hbar": hbar, "result": format_poly(result, digits=digits),
@@ -278,7 +309,7 @@ def _matrix_payload(M) -> Dict:
 @main.command("gram")
 @click.option("--catalog", default="wick_log_canonical",
               type=click.Choice(["wick_log_canonical"]))
-@click.option("--hbar", type=float, required=True)
+@click.option("--hbar", type=float, required=True, callback=_finite_hbar_flag)
 @click.option("--z", "z_text", required=True, help="comma-separated complex entries")
 @click.option("--degree", type=int, default=3)
 @click.option("--out", "out_path", type=click.Path(), default=None)
@@ -289,6 +320,9 @@ def cmd_gram(catalog, hbar, z_text, degree, out_path):
         basis, M = gram_matrix(state, degree)
     except CONFIG_ERRORS as exc:
         _fail(str(exc), 2)
+        return
+    except OverflowError:
+        _overflow(catalog, hbar)
         return
     check = psd_check(M)
     payload = {
@@ -313,7 +347,7 @@ def cmd_gram(catalog, hbar, z_text, degree, out_path):
 @main.command("gns")
 @click.option("--catalog", default="wick_log_canonical",
               type=click.Choice(["wick_log_canonical"]))
-@click.option("--hbar", type=float, required=True)
+@click.option("--hbar", type=float, required=True, callback=_finite_hbar_flag)
 @click.option("--z", "z_text", required=True)
 @click.option("--degree", type=int, default=3)
 @click.option("--report", "report_path", type=click.Path(), default=None)
@@ -324,6 +358,9 @@ def cmd_gns(catalog, hbar, z_text, degree, report_path):
         data = gns_build(state, degree)
     except CONFIG_ERRORS as exc:
         _fail(str(exc), 2)
+        return
+    except OverflowError:
+        _overflow(catalog, hbar)
         return
     payload = {
         "schema": SCHEMA,

@@ -188,7 +188,11 @@ class GaussRational(_FieldOps):
         return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the int or Fraction it equals
+        a, b, d = self._a, self._b, self._d
+        if b:
+            return hash((a, b, d))
+        return hash(a) if d == 1 else hash(Fraction(a, d))
 
     def __complex__(self):
         # int / int is correctly rounded, so this equals float(Fraction(a, d))
@@ -333,13 +337,19 @@ class TruncSeries(_FieldOps):
         return any(self.coeffs)
 
     def __eq__(self, other):
+        if isinstance(other, TruncSeries) and other.order != self.order:
+            # unequal, not an error: constants of both orders share a hash
+            return False
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         return self.coeffs == o.coeffs
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # a constant series hashes as the constant it equals
+        if any(self.coeffs[1:]):
+            return hash(self.coeffs)
+        return hash(self.coeffs[0])
 
     def __repr__(self):
         return f"TruncSeries({list(self.coeffs)!r})"
@@ -572,6 +582,10 @@ class RationalQ(_FieldOps):
         return self.num == o.num and self.den == o.den
 
     def __hash__(self):
+        # a constant hashes as the GaussRational it equals (the denominator
+        # is monic, so a constant has denominator (1,))
+        if len(self.den) == 1 and len(self.num) <= 1:
+            return hash(self.num[0]) if self.num else 0
         return hash((self.num, self.den))
 
     def __repr__(self):

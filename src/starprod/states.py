@@ -11,22 +11,28 @@ acts on monomials by
 with m_ij = min(i-1, j-1, d-i, d-j) (1-based).  These are positive on the
 deformed product; the plain evaluation is not once hbar > 0, which the
 witness value e^(-hbar) - 1 certifies.
+
+NumPy is imported inside the functions that build Gram matrices, check PSD
+or build GNS data, so that importing this module, and with it every exact
+computation of the package, does not load it.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from .poly import Exponent, Polynomial
 from .probes import exponent_ball
 from .reduction import star as table_star
 from .catalog import wick_log_canonical_table
 from .scalars import ComplexRing
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class StateError(ValueError):
@@ -160,8 +166,13 @@ def nonpositivity_witness(z: WickPoint, hbar: float, j: int) -> complex:
 
 
 def state_basis(dim: int, degree: int) -> List[Exponent]:
-    return sorted(exponent_ball(dim, degree),
-                  key=lambda K: (sum(K), tuple(-k for k in K)))
+    return list(_state_basis(dim, degree))
+
+
+@functools.cache
+def _state_basis(dim: int, degree: int) -> Tuple[Exponent, ...]:
+    return tuple(sorted(exponent_ball(dim, degree),
+                        key=lambda K: (sum(K), tuple(-k for k in K))))
 
 
 def gram_matrix(state: StateFunctional, degree: int,
@@ -184,6 +195,8 @@ def gram_matrix(state: StateFunctional, degree: int,
     operations in the order of Python's complex product (NumPy's complex
     multiply loop may fuse them).
     """
+    import numpy as np
+
     if degree < 0:
         raise StateError("degree must be non-negative")
     basis = state_basis(state.dim, degree)
@@ -209,6 +222,8 @@ def _unique_rows(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Sorts the columns as integer keys (``np.unique(axis=0)`` sorts rows as
     opaque bytes and is several times slower here).
     """
+    import numpy as np
+
     order = np.lexsort(rows.T)
     ordered = rows[order]
     starts = np.ones(len(rows), dtype=bool)
@@ -226,6 +241,8 @@ def _complex_product(a_re, a_im, b_re, b_im):
 def _evaluate_rows(state: StateFunctional, rows: np.ndarray,
                    deformed: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of eval_monomial (or eval_plain) of every row."""
+    import numpy as np
+
     value_re, value_im = np.ones(len(rows)), np.zeros(len(rows))
     for zk, e in zip(state.point.z, rows.T):
         powers = np.array([zk ** p for p in range(int(e.max()) + 1)])
@@ -254,6 +271,8 @@ class PsdResult:
 
 def psd_check(M: np.ndarray, tol: float = 1e-9) -> PsdResult:
     """Positive semidefiniteness of a Hermitian matrix by eigendecomposition."""
+    import numpy as np
+
     hermitian_defect = float(np.max(np.abs(M - M.conj().T))) if M.size else 0.0
     scale = float(np.max(np.abs(M))) if M.size else 0.0
     if hermitian_defect > 1e-12 * max(1.0, scale):
@@ -270,6 +289,8 @@ def vandermonde_psd_check(hbar: float, n: int, rtol: float = 1e-8) -> bool:
     det V = prod_{i<j} (e^(-j*hbar) - e^(-i*hbar)), non-negative for
     hbar <= 0.
     """
+    import numpy as np
+
     if hbar > 0:
         raise StateError("the Vandermonde certificate applies to hbar <= 0")
     if n > 12:
@@ -339,6 +360,8 @@ def gns_build(state: StateFunctional, degree: int,
     the adjoint relation <pi(w_i) f, g> = <f, pi(w_(d+1-i)) g> is exact up
     to rounding.
     """
+    import numpy as np
+
     basis, M = gram_matrix(state, degree)
     check = psd_check(M, tol=psd_tol)
     if not check.passed:

@@ -460,13 +460,21 @@ def context_from_run(run: Dict) -> RunContext:
     return RunContext(label, catalog, run.get("d"), rules, options, ring_name, truncation)
 
 
+def finite_hbar(value) -> float:
+    """``value`` as a float hbar; NaN and the infinities are config errors."""
+    h = float(value)
+    if not math.isfinite(h):
+        raise ConfigError(f"hbar must be finite, got {value!r}")
+    return h
+
+
 def _normalize_hbars(run: Dict) -> List[Optional[float]]:
     h = run.get("hbar")
     if h is None:
         return [None]
-    if isinstance(h, (int, float)):
-        return [float(h)]
-    return [float(v) for v in h]
+    if isinstance(h, (int, float, str)):
+        return [finite_hbar(h)]
+    return [finite_hbar(v) for v in h]
 
 
 @dataclass

@@ -476,6 +476,65 @@ def test_division_by_zero_exits_2(runner, tmp_path, ring, text):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("catalog, hbar, lhs, rhs", [
+    ("log_canonical", "nan", "x2", "x1"),
+    ("wick_log_canonical", "inf", "w2^3", "w1^3"),
+    ("wick_log_canonical", "0.3,-inf", "w2", "w1"),
+])
+def test_non_finite_hbar_exits_2(runner, tmp_path, catalog, hbar, lhs, rhs):
+    bad = hbar.split(",")[-1]
+    result = runner.invoke(main, ["eval", "--catalog", catalog, "--hbar", hbar,
+                                  "--lhs", lhs, "--rhs", rhs])
+    _assert_config_failure(result, f"hbar must be finite, got {bad!r}")
+    spec_path = tmp_path / "spec.json"
+    # json writes NaN and Infinity literals, which json.load reads back
+    spec_path.write_text(json.dumps({"runs": [{"catalog": catalog, "hbar": [0.3, float(bad)],
+                                               "probes": [{"kind": "overlaps"}]}]}))
+    result = runner.invoke(main, ["verify", "--spec", str(spec_path)])
+    _assert_config_failure(result, f"hbar must be finite, got {float(bad)!r}")
+    result = runner.invoke(main, ["gram", "--hbar", bad, "--z", "1,1"])
+    assert result.exit_code == 2
+    assert f"hbar must be finite, got {float(bad)!r}" in result.stderr
+
+
+def test_run_spec_hbar_text_is_one_value(runner, tmp_path):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"runs": [{"catalog": "log_canonical", "d": 2, "hbar": "12",
+                                               "probes": [{"kind": "oracle", "max_degree": 1}]}]}))
+    result = runner.invoke(main, ["verify", "--spec", str(spec_path), "--json"])
+    assert result.exit_code == 0
+    assert [row["hbar"] for row in json.loads(result.stdout)["suites"]] == [12.0]
+
+
+@pytest.mark.parametrize("catalog, hbar, lhs, rhs", [
+    # q = e^400 is finite but q^9 is not: the product holds NaN
+    ("wick_log_canonical", "-400", "w2^3", "w1^3"),
+    ("wick_log_canonical", "0.3,-400", "w2^3", "w1^3"),
+    # e^800 overflows in the parameter itself
+    ("wick_log_canonical", "-800", "w2^3", "w1^3"),
+    # q^400 = e^2000 raises inside the product
+    ("log_canonical", "-5", "x2^20", "x1^20"),
+    # and an operand can overflow as it is parsed
+    ("log_canonical", "0.3", "1e200^2*x1", "x2"),
+])
+def test_float_overflow_exits_1_naming_catalog_and_hbar(runner, catalog, hbar, lhs, rhs):
+    result = runner.invoke(main, ["eval", "--catalog", catalog, "--param", "q=exp_neg",
+                                  "--hbar", hbar, "--lhs", lhs, "--rhs", rhs])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no exception escaped
+    last = float(hbar.split(",")[-1])
+    assert result.stderr == f"error: float overflow in {catalog} at hbar={last!r}\n"
+    assert result.stdout == ""
+
+
+@pytest.mark.parametrize("command, hbar", [("gram", "800"), ("gns", "300"), ("gram", "-800")])
+def test_gram_and_gns_overflow_exit_1(runner, command, hbar):
+    result = runner.invoke(main, [command, "--hbar", hbar, "--z", "1+1i,1-1i", "--degree", "2"])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # no exception escaped
+    assert result.stderr == f"error: float overflow in wick_log_canonical at hbar={float(hbar)!r}\n"
+
+
 def test_missing_catalog_parameters_exit_2(runner, tmp_path):
     result = runner.invoke(main, ["eval", "--catalog", "nonquadratic", "--param", "N=1",
                                   "--param", "q=exp_i", "--hbar", "0.3",

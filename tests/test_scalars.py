@@ -72,12 +72,40 @@ def test_gauss_rational_matches_fraction_pairs(a, b, n, m):
     assert complex(wide) == complex(float(wide.re), float(wide.im))
     assert repr(a) == f"GaussRational({ar!r}, {ai!r})"
     assert str(a) == (str(ar) if ai == 0 else f"({ar}{'+' if ai >= 0 else '-'}{abs(ai)}i)")
-    assert hash(a) == hash((ar, ai))
+    if ai == 0:
+        assert hash(a) == hash(ar)
     # the same value reached over a larger denominator is the same value
     shift = GaussRational(Fraction(1, m), Fraction(-1, m + 1))
     same = (a + shift) - shift
     assert same == a and hash(same) == hash(a)
     assert (same._a, same._b, same._d) == (a._a, a._b, a._d)
+
+
+def _equal_forms(value: GaussRational) -> list:
+    """``value`` as every exact scalar type that compares equal to it."""
+    two = GaussRational(2)
+    forms = [value, SeriesRing(order=3).coerce(value), RationalQ.constant(value),
+             # (2v + 2v q) / (2 + 2q) reduces to the constant v
+             RationalQ((value * two, value * two), (two, two))]
+    if value.im == 0:
+        forms.append(value.re)
+        if value.re.denominator == 1:
+            forms.append(value.re.numerator)
+    return forms
+
+
+@given(gauss_rationals(), gauss_rationals(), st.integers(-5, 5))
+def test_equal_scalars_hash_equal(a, b, n):
+    # int, Fraction, GaussRational, constant series and constant RationalQ
+    forms = _equal_forms(a) + _equal_forms(b) + _equal_forms(GaussRational(n))
+    for x in forms:
+        for y in forms:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    assert {n: "found"}.get(GaussRational(n)) == "found"
+    # series of two truncation orders are unequal, though their constants
+    # share a hash
+    assert len({SeriesRing(order=2).coerce(a), SeriesRing(order=3).coerce(a)}) == 2
 
 
 def test_gauss_rational_inverse_and_pow():

@@ -256,6 +256,16 @@ def test_state_basis_order():
     assert state_basis(2, 1) == [(0, 0), (1, 0), (0, 1)]
 
 
+def test_state_basis_is_a_fresh_list_per_call():
+    # the basis is computed once per (dim, degree); callers may still edit
+    # what they get
+    basis = state_basis(3, 2)
+    assert basis == sorted(exponent_ball(3, 2), key=lambda K: (sum(K), tuple(-k for k in K)))
+    basis.append((9, 9, 9))
+    assert state_basis(3, 2) == basis[:-1]
+    assert state_basis(3, 2) is not state_basis(3, 2)
+
+
 def test_point_separation():
     rng = random.Random(31)
     f = Polynomial.variable(C, 2, 1, "w")
