@@ -249,9 +249,10 @@ def quantum_weyl_star(e1: Sequence[int], e2: Sequence[int], p, q, ring: Ring) ->
 
 def _symmetrized_terms(K: Exponent, L: Exponent, q, ring: Ring) -> TermList:
     M = tuple(map(add, K, L))
-    bq_K = q_multinomial(K, q, ring)
-    bq_L = q_multinomial(L, q, ring)
-    bq_M = q_multinomial_value_or_pole(M, q, ring)
+    rows: Dict = {}
+    bq_K = q_multinomial(K, q, ring, rows)
+    bq_L = q_multinomial(L, q, ring, rows)
+    bq_M = q_multinomial_value_or_pole(M, q, ring, rows)
     classical = Fraction(multinomial(M), multinomial(K) * multinomial(L))
     coeff = ring.coerce(classical) * bq_K * bq_L * ring.inverse(bq_M)
     coeff = coeff * q ** inversion_weight(K, L)
@@ -326,11 +327,9 @@ def _distinct_arrangements(K: Exponent) -> List[Tuple[int, ...]]:
     return out
 
 
-def _symmetrized_word(K: Exponent, ring: Ring, dim: int) -> NcPolynomial:
-    """Average over all arrangements of the multiset word of x^K."""
-    words = _distinct_arrangements(K)
-    weight = ring.coerce(Fraction(1, multinomial(K)))
-    return NcPolynomial(ring, dim, {w: weight for w in words})
+def _unit_words(words: Iterable[Tuple[int, ...]], table: RelationTable) -> NcPolynomial:
+    """The words at the table's unit, which the rewriting multiplies by nothing."""
+    return NcPolynomial.from_checked(table.ring, table.dim, dict.fromkeys(words, table._one))
 
 
 def symmetrized_star_by_averaging(K: Exponent, L: Exponent, table: RelationTable,
@@ -345,34 +344,39 @@ def symmetrized_star_by_averaging(K: Exponent, L: Exponent, table: RelationTable
     of the closed-form coefficients, so agreement is a real check.  Pass a
     dict as ``cache`` to reuse reduced symmetrizations across calls with
     the same table.
+
+    The words are rewritten at unit weight, so no rewritten term is
+    multiplied; the averages' weights 1/mult(K), 1/mult(L) and 1/mult(M)
+    are applied once per result term.
     """
     if sum(K) > 6 or sum(L) > 6:
         raise SigmaError("oracle guard: |K|, |L| <= 6")
     ring = table.ring
-    dim = table.dim
-    u = _symmetrized_word(K, ring, dim)
-    v = _symmetrized_word(L, ring, dim)
-    h = normal_form_sum(u.concat(v), table, step_limit)
+    words_L = _distinct_arrangements(L)
+    pairs = (u + v for u in _distinct_arrangements(K) for v in words_L)
+    h = normal_form_sum(_unit_words(pairs, table), table, step_limit)
 
-    sigma_cache: Dict[Exponent, Polynomial] = cache if cache is not None else {}
+    # sigma(x^M) = (s / mult(M)) x^M when M's unit words reduce to s x^M, so
+    # sigma_cache[M] = mult(M) / s inverts it
+    sigma_cache: Dict[Exponent, object] = cache if cache is not None else {}
 
-    def sigma_reduced(M: Exponent) -> Polynomial:
+    def sigma_inverse(M: Exponent):
         if M not in sigma_cache:
-            sigma_cache[M] = normal_form_sum(_symmetrized_word(M, ring, dim), table, step_limit)
+            image = normal_form_sum(_unit_words(_distinct_arrangements(M), table), table,
+                                    step_limit).terms
+            if not image:
+                raise SigmaError(
+                    "symmetrization is not invertible at this q (root-of-unity degeneration)")
+            if set(image) != {M}:
+                raise SigmaError("symmetrization is not diagonal on this table; "
+                                 "the oracle inverts only a diagonal one")
+            sigma_cache[M] = ring.coerce(multinomial(M)) * ring.inverse(image[M])
         return sigma_cache[M]
 
     # solve sigma(g) = h monomial by monomial, which needs sigma(x^M) = c x^M
-    out = {}
-    for M, c in h.terms.items():
-        image = sigma_reduced(M).terms
-        if not image:
-            raise SigmaError(
-                "symmetrization is not invertible at this q (root-of-unity degeneration)")
-        if set(image) != {M}:
-            raise SigmaError("symmetrization is not diagonal on this table; "
-                             "the oracle inverts only a diagonal one")
-        out[M] = c * ring.inverse(image[M])
-    return Polynomial(ring, dim, out, table.kind)
+    weight = ring.coerce(Fraction(1, multinomial(K) * multinomial(L)))
+    out = {M: c * weight * sigma_inverse(M) for M, c in h.terms.items()}
+    return Polynomial(ring, table.dim, out, table.kind)
 
 
 # -- catalog registry -----------------------------------------------------------

@@ -2,10 +2,15 @@
 
 The q-multinomial of a multi-index K is the inversion-weighted count of
 arrangements of the multiset {1^K_1, ..., d^K_d}: a polynomial in q with
-non-negative integer coefficients and constant term 1.  It is computed by
-the Pascal-type recurrence for q-binomials rather than the factorial
-quotient, so evaluating at a root of unity is exact and a genuine pole of a
-symmetrized-product coefficient is the only place division can fail.
+non-negative integer coefficients and constant term 1.  Every quantity here
+is first built as that integer polynomial, a row of Python ints: q-binomial
+rows by the Pascal-type recurrence [n k]_q = [n-1 k-1]_q + q^k [n-1 k]_q as
+a shift-and-add, a q-multinomial as the product of the q-binomial rows over
+the prefix sums of K.  The row is then evaluated at q once, by Horner in the
+target ring (at the RationalQ generator it is the numerator as it stands).
+Neither step divides, unlike the factorial quotient, so evaluating at a root
+of unity is exact and a genuine pole of a symmetrized-product coefficient is
+the only place division can fail.
 """
 
 from __future__ import annotations
@@ -14,6 +19,13 @@ import math
 from typing import Dict, Sequence, Tuple
 
 from .scalars import GaussRational, RationalQ, Ring
+
+# coefficients of a polynomial in q with integer coefficients, lowest power first
+Row = Tuple[int, ...]
+# q-binomial rows by (n, k), shared by the q-multinomials of one computation
+Rows = Dict[Tuple[int, int], Row]
+_ONE_ROW: Row = (1,)
+_Q = RationalQ.generator()
 
 
 class PoleAtRootOfUnity(ArithmeticError):
@@ -36,52 +48,90 @@ def multinomial(K: Sequence[int]) -> int:
     return out
 
 
-def q_integer(k: int, q, ring: Ring):
-    """[k]_q = 1 + q + ... + q^(k-1)."""
-    acc = ring.zero
-    power = ring.one
-    for _ in range(k):
-        acc = acc + power
-        power = power * q
-    return acc
+def _shift_add(low: Row, high: Row, k: int) -> Row:
+    """low + q^k high, on coefficient rows."""
+    out = list(low) + [0] * (len(high) + k - len(low))
+    for i, c in enumerate(high, k):
+        out[i] += c
+    return tuple(out)
 
 
-def q_factorial(k: int, q, ring: Ring):
-    out = ring.one
-    for m in range(1, k + 1):
-        out = out * q_integer(m, q, ring)
-    return out
+def _times(a: Row, b: Row) -> Row:
+    """Product of two coefficient rows."""
+    if a == _ONE_ROW:
+        return b
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b, i):
+            out[j] += x * y
+    return tuple(out)
 
 
-def q_binomial(n: int, k: int, q, ring: Ring, _memo: Dict[Tuple[int, int], object] | None = None):
-    """Gaussian binomial via [n k]_q = [n-1 k-1]_q + q^k [n-1 k]_q."""
-    if k < 0 or k > n:
-        return ring.zero
-    if k == 0 or k == n:
-        return ring.one
-    memo = _memo if _memo is not None else {}
+def _binomial_row(n: int, k: int, rows: Rows) -> Row:
+    """Coefficients of [n k]_q by [n k]_q = [n-1 k-1]_q + q^k [n-1 k]_q."""
+    k = min(k, n - k)
+    if k == 0:
+        return _ONE_ROW
     key = (n, k)
-    if key in memo:
-        return memo[key]
-    value = (q_binomial(n - 1, k - 1, q, ring, memo)
-             + q ** k * q_binomial(n - 1, k, q, ring, memo))
-    memo[key] = value
-    return value
+    row = rows.get(key)
+    if row is None:
+        row = rows[key] = _shift_add(_binomial_row(n - 1, k - 1, rows),
+                                     _binomial_row(n - 1, k, rows), k)
+    return row
 
 
-def q_multinomial(K: Sequence[int], q, ring: Ring):
-    """[|K|]_q! / ([K_1]_q! ... [K_d]_q!), computed pole-free.
-
-    Factors as a product of q-binomials over prefix sums, each evaluated by
-    the Pascal recurrence.
-    """
-    memo: Dict[Tuple[int, int], object] = {}
-    out = ring.one
+def _multinomial_row(K: Sequence[int], rows: Rows) -> Row:
+    """Coefficients of the q-multinomial: q-binomials over the prefix sums of K."""
+    out = _ONE_ROW
     prefix = 0
     for k in K:
         prefix += k
-        out = out * q_binomial(prefix, k, q, ring, memo)
+        out = _times(out, _binomial_row(prefix, k, rows))
     return out
+
+
+def _evaluate(row: Row, q, ring: Ring):
+    """The row's polynomial at q, by Horner: no division, so no spurious pole.
+
+    At the RationalQ generator the row already is the numerator.
+    """
+    if isinstance(q, RationalQ) and q == _Q:
+        return RationalQ(tuple(map(GaussRational, row)))
+    coerce = ring.coerce
+    acc = coerce(row[-1])
+    for c in reversed(row[:-1]):
+        acc = acc * q + coerce(c)
+    return acc
+
+
+def q_integer(k: int, q, ring: Ring):
+    """[k]_q = 1 + q + ... + q^(k-1)."""
+    return _evaluate((1,) * k, q, ring) if k > 0 else ring.zero
+
+
+def q_factorial(k: int, q, ring: Ring):
+    """[k]_q! = [1]_q [2]_q ... [k]_q."""
+    row = _ONE_ROW
+    for m in range(2, k + 1):
+        row = _times(row, (1,) * m)
+    return _evaluate(row, q, ring)
+
+
+def q_binomial(n: int, k: int, q, ring: Ring):
+    """Gaussian binomial [n k]_q."""
+    if k < 0 or k > n:
+        return ring.zero
+    return _evaluate(_binomial_row(n, k, {}), q, ring)
+
+
+def q_multinomial(K: Sequence[int], q, ring: Ring,
+                  _rows: Rows | None = None):
+    """[|K|]_q! / ([K_1]_q! ... [K_d]_q!), computed pole-free.
+
+    Pass a dict as ``_rows`` to share q-binomial rows between the
+    q-multinomials of one computation.
+    """
+    return _evaluate(_multinomial_row(K, {} if _rows is None else _rows), q, ring)
 
 
 def root_of_unity_order(q, ring: Ring, max_order: int, tol: float = 1e-9) -> int | None:
@@ -99,25 +149,20 @@ def root_of_unity_order(q, ring: Ring, max_order: int, tol: float = 1e-9) -> int
     return None
 
 
-def q_multinomial_value_or_pole(K: Sequence[int], q, ring: Ring):
+def q_multinomial_value_or_pole(K: Sequence[int], q, ring: Ring,
+                                _rows: Rows | None = None):
     """q-multinomial value; raises PoleAtRootOfUnity when it vanishes.
 
     A vanishing q-multinomial at an evaluated q certifies that q is a
     nontrivial root of unity, which is exactly the pole set of the
     symmetrized coefficients.
     """
-    value = q_multinomial(K, q, ring)
+    value = q_multinomial(K, q, ring, _rows)
     if ring.is_zero(value):
         raise PoleAtRootOfUnity(root_of_unity_order(q, ring, max_order=max(2, sum(K))))
     return value
 
 
 def q_multinomial_coefficients(K: Sequence[int]) -> Tuple[GaussRational, ...]:
-    """Integer coefficient vector of the q-multinomial, exact."""
-    from .scalars import RationalQRing
-
-    ring = RationalQRing()
-    value = q_multinomial(K, ring.q, ring)
-    if not isinstance(value, RationalQ) or not value.is_polynomial():
-        raise ArithmeticError("q-multinomial did not reduce to a polynomial")
-    return value.numerator_coefficients()
+    """Integer coefficient vector of the q-multinomial, exact, lowest power first."""
+    return tuple(map(GaussRational, _multinomial_row(K, {})))

@@ -363,7 +363,10 @@ def _rewrite(terms: Iterable[Tuple[Word, object]], table: RelationTable, misses:
     depths: Dict[Exponent, int] = {}
     for word, c in terms:
         for M, d, k in normal_form(word, misses):
-            d = c if d is one else d * c
+            if d is one:
+                d = c
+            elif c is not one:
+                d = d * c
             out[M] = out[M] + d if M in out else d
             depths[M] = max(depths.get(M, 0), k)
     if strategy == "leftmost":

@@ -383,15 +383,23 @@ _ONE_POLY = (GaussRational(1),)
 def _pmul(p, q):
     if not p or not q:
         return ()
-    # the constant 1, the denominator of every polynomial RationalQ, is the
-    # commonest factor; factors are trimmed, so the other one is the product
-    if q == _ONE_POLY:
-        return p
-    if p == _ONE_POLY:
-        return q
+    # a monomial c*q^k factor (the constant 1, the denominator of every
+    # polynomial RationalQ, most often) shifts and scales the other factor
+    if not any(q[:-1]):
+        return _pshift(p, len(q) - 1, q[-1])
+    if not any(p[:-1]):
+        return _pshift(q, len(p) - 1, p[-1])
     zero = GaussRational(0)
     return _ptrim([zero if c is None else c
                    for c in _convolve(p, q, len(p) + len(q) - 1)])
+
+
+def _pshift(p, k, c):
+    """c * q^k * p, trimmed."""
+    if not c:
+        return ()
+    p = _ptrim(p if c == _ONE_POLY[0] else [a * c for a in p])
+    return (GaussRational(0),) * k + p if k and p else p
 
 
 def _pdivmod(p, q):
