@@ -23,14 +23,14 @@ by the CLI:
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .params import ParameterCatalog, ParameterRule
-from .poly import DimensionMismatch, Exponent, NcPolynomial, Polynomial, inversion_weight
+from .poly import (DimensionMismatch, Exponent, NcPolynomial, Polynomial, exponent_to_word,
+                   inversion_weight)
 from .qcomb import (
     PoleAtRootOfUnity,
     multinomial,
@@ -155,6 +155,16 @@ def wick_involution_condition(table: RelationTable, tol: float = 1e-10) -> bool:
     return True
 
 
+def _climb_weight(left: int, p, base, ring: Ring):
+    """(p - 1) * sum_{j < left} base^j, summed from j = 0 up."""
+    acc = ring.zero
+    power = ring.one
+    for _ in range(left):
+        acc = acc + power
+        power = power * base
+    return (p - 1) * acc
+
+
 def step_weight(m: int, prefix: Sequence[int], bit: int, p, q, r, N: int, ring: Ring):
     """Weight of extending a binary word by one letter.
 
@@ -164,13 +174,7 @@ def step_weight(m: int, prefix: Sequence[int], bit: int, p, q, r, N: int, ring: 
     ones = sum(prefix)
     if bit == 0:
         return q ** (m - ones)
-    base = q * scalar_power(ring, r, N)
-    acc = ring.zero
-    power = ring.one
-    for _ in range(m - ones):
-        acc = acc + power
-        power = power * base
-    return (p - 1) * acc
+    return _climb_weight(m - ones, p, q * scalar_power(ring, r, N), ring)
 
 
 def word_weight(m: int, word: Sequence[int], p, q, r, N: int, ring: Ring):
@@ -184,26 +188,41 @@ def word_weight(m: int, word: Sequence[int], p, q, r, N: int, ring: Ring):
     return acc
 
 
-def _binary_words(k: int, max_ones: int) -> Iterable[Tuple[int, ...]]:
-    """Words in {0,1}^k with at most max_ones ones, lexicographic."""
-    return (w for w in itertools.product((0, 1), repeat=k) if sum(w) <= max_ones)
-
-
 def _nonquadratic_terms(e1: Exponent, e2: Exponent, p, q, r, N: int,
                         ring: Ring) -> Dict[Exponent, object]:
-    """The word sum of ``nonquadratic_star``, as an exponent -> coefficient dict."""
+    """The word sum of ``nonquadratic_star``, as an exponent -> coefficient dict.
+
+    The words in {0,1}^k with at most m ones grow a letter at a time: a
+    level lists (ones, weight) for every prefix, in lexicographic order, so
+    each word's weight is the chain of products ``word_weight`` computes and
+    the words are summed in the order they always were.  The twist, the
+    step weights and the r-power of the result are computed once per count
+    of ones.
+    """
     i, j, k = e1
     l, m, n = e2
+    before = range(min(k - 1, m) + 1)  # the ones counts a letter can follow
+    twists = [scalar_power(ring, r, -N * ones) for ones in before]
+    stays = [q ** (m - ones) for ones in before]
+    climbs = []
+    if min(k, m):
+        base = q * scalar_power(ring, r, N)
+        climbs = [_climb_weight(m - ones, p, base, ring) for ones in range(min(k, m))]
+    level = [(0, ring.one)]
+    for _ in range(k):
+        grown = []
+        for ones, weight in level:
+            weight = weight * twists[ones]
+            grown.append((ones, weight * stays[ones]))
+            if ones < m:
+                grown.append((ones + 1, weight * climbs[ones]))
+        level = grown
+    scales = [scalar_power(ring, r, (j - k) * l + j * N * ones) for ones in range(min(k, m) + 1)]
     terms: Dict[Exponent, object] = {}
-    for w in _binary_words(k, m):
-        ones = sum(w)
-        coeff = scalar_power(ring, r, (j - k) * l + j * N * ones)
-        coeff = coeff * word_weight(m, w, p, q, r, N, ring)
+    for ones, weight in level:
+        coeff = scales[ones] * weight
         M = (i + l + N * ones, j + m - ones, k + n - ones)
-        if M in terms:
-            terms[M] = terms[M] + coeff
-        else:
-            terms[M] = coeff
+        terms[M] = terms[M] + coeff if M in terms else coeff
     return terms
 
 
@@ -306,25 +325,27 @@ class SigmaError(ArithmeticError):
 
 
 def _distinct_arrangements(K: Exponent) -> List[Tuple[int, ...]]:
-    """Distinct orderings of the multiset word of x^K, lexicographic."""
-    counts = list(K)
-    total = sum(counts)
-    out: List[Tuple[int, ...]] = []
+    """Distinct orderings of the multiset word of x^K, lexicographic.
 
-    def walk(prefix):
-        if len(prefix) == total:
-            out.append(tuple(prefix))
-            return
-        for letter in range(1, len(counts) + 1):
-            if counts[letter - 1]:
-                counts[letter - 1] -= 1
-                prefix.append(letter)
-                walk(prefix)
-                prefix.pop()
-                counts[letter - 1] += 1
-
-    walk([])
-    return out
+    Each is the next permutation of the one before it, from the standard
+    word on: raise the rightmost letter that has a larger one after it to
+    the smallest such, and sort what follows it.
+    """
+    word = list(exponent_to_word(K))
+    out = [tuple(word)]
+    n = len(word)
+    while True:
+        i = n - 2
+        while i >= 0 and word[i] >= word[i + 1]:
+            i -= 1
+        if i < 0:
+            return out
+        j = n - 1
+        while word[j] <= word[i]:
+            j -= 1
+        word[i], word[j] = word[j], word[i]
+        word[i + 1:] = reversed(word[i + 1:])
+        out.append(tuple(word))
 
 
 def _unit_words(words: Iterable[Tuple[int, ...]], table: RelationTable) -> NcPolynomial:

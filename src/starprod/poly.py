@@ -16,6 +16,7 @@ correspond bijectively to exponent tuples.
 
 from __future__ import annotations
 
+from math import comb
 from operator import le
 from typing import Dict, Mapping, Tuple
 
@@ -234,25 +235,42 @@ class Polynomial:
         return Polynomial.from_checked(self.ring, self.dim, out, self.kind)
 
     def shift(self, offsets) -> "Polynomial":
-        """Substitute generator i -> generator i + offsets[i-1]."""
-        offsets = [self.ring.coerce(c) for c in offsets]
+        """Substitute generator i -> generator i + offsets[i-1].
+
+        (x_p + c_p)^e expands as the binomial row sum_k C(e, k) c_p^(e-k) x_p^k.
+        Each term multiplies its rows across p straight into one dict; the
+        row of each (p, e) is built once per call.
+        """
+        ring = self.ring
+        offsets = [ring.coerce(c) for c in offsets]
         if len(offsets) != self.dim:
             raise DimensionMismatch("offset vector length must equal the dimension")
-        shifted_vars = [
-            Polynomial(self.ring, self.dim,
-                       {tuple(1 if k == p else 0 for k in range(self.dim)): self.ring.one,
-                        (0,) * self.dim: offsets[p]},
-                       self.kind)
-            for p in range(self.dim)
-        ]
-        result = Polynomial.zero(self.ring, self.dim, self.kind)
+        rows: Dict[Tuple[int, int], list] = {}
+
+        def row(p: int, e: int) -> list:
+            # (k, C(e, k) c^(e-k)) for the nonzero entries; None at k = e
+            # stands for the coefficient 1, which needs no product
+            c = offsets[p]
+            out = [(e, None)]
+            if e and not ring.is_zero(c):
+                power = ring.one
+                for k in range(e - 1, -1, -1):
+                    power = power * c
+                    out.append((k, power * comb(e, k)))
+            return out
+
+        out: Dict[Exponent, object] = {}
         for K, c in self.terms.items():
-            term = Polynomial.constant(self.ring, self.dim, 1, self.kind).scale(c)
+            partial = [((), c)]
             for p, e in enumerate(K):
-                if e:
-                    term = term * (shifted_vars[p] ** e)
-            result = result + term
-        return result
+                entries = rows.get((p, e))
+                if entries is None:
+                    entries = rows[(p, e)] = row(p, e)
+                partial = [(M + (k,), a if b is None else a * b)
+                           for M, a in partial for k, b in entries]
+            for M, a in partial:
+                out[M] = out[M] + a if M in out else a
+        return Polynomial.from_checked(ring, self.dim, out, self.kind)
 
     def evaluate(self, point):
         """Evaluate at a point; entries anything the coefficients multiply with."""

@@ -88,20 +88,36 @@ def finish_report(kind: str, cases: List[ProbeCase], passed: Optional[bool] = No
 # -- random sample generators -----------------------------------------------------
 
 
+def _below(rng, n: int) -> int:
+    """``rng.randrange(n)`` for n >= 1, from the same draws.
+
+    As ``Random.randrange`` does, it draws getrandbits(n.bit_length()) until
+    the value falls below n.
+    """
+    bits = n.bit_length()
+    r = rng.getrandbits(bits)
+    while r >= n:
+        r = rng.getrandbits(bits)
+    return r
+
+
 def random_coefficient(rng, ring: Ring):
     if isinstance(ring, SeriesRing):
         return ring.coerce(random_coefficient(rng, ring.base))
     if ring.exact:
-        re = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
-        im = Fraction(rng.randint(-9, 9), rng.randint(1, 9))
+        # randint(-9, 9) and randint(1, 9)
+        re = Fraction(_below(rng, 19) - 9, _below(rng, 9) + 1)
+        im = Fraction(_below(rng, 19) - 9, _below(rng, 9) + 1)
         return ring.coerce(GaussRational(re, im))
-    return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+    # uniform(-1, 1) computes -1 + 2 * random()
+    return complex(-1 + 2 * rng.random(), -1 + 2 * rng.random())
 
 
 def random_exponent(rng, dim: int, degree: int) -> Exponent:
+    """``degree`` letters, each ``rng.randrange(dim)`` from the same draws."""
     K = [0] * dim
     for _ in range(degree):
-        K[rng.randrange(dim)] += 1
+        K[_below(rng, dim)] += 1
     return tuple(K)
 
 
@@ -121,7 +137,7 @@ def _random_sum(rng, ring: Ring, dim: int, degree: int, terms: int, kind: str,
             c = random_coefficient(rng, ring)
             out[random_exponent(rng, dim, degree)] = c
         else:
-            K = random_exponent(rng, dim, rng.randint(0, degree))
+            K = random_exponent(rng, dim, _below(rng, degree + 1))
             out[K] = random_coefficient(rng, ring)
     f = Polynomial.from_checked(ring, dim, out, kind)
     if f.terms:

@@ -215,7 +215,7 @@ class RelationTable:
         for w, c, k in parts:
             left = budget
             if budget is not None:
-                left -= _valuation(c)
+                left -= c.valuation()
                 if left <= 0:
                     continue
             if is_standard(w):
@@ -248,14 +248,6 @@ def _interned(pool: Dict, c):
     if type(c) is GaussRational:
         return pool.setdefault(c.fields(), c)
     return c
-
-
-def _valuation(c) -> int:
-    """Lowest order in t with a nonzero entry of an exact series."""
-    for k, entry in enumerate(c.coeffs):
-        if entry:
-            return k
-    return len(c.coeffs)
 
 
 class MemoMisses:

@@ -6,7 +6,9 @@ Four interchangeable scalar types back every polynomial in this package:
                  integers with d > 0 and gcd(a, b, d) == 1
   complex        plain double-precision complex (Python builtin)
   TruncSeries    truncated power series in a formal parameter t with exact
-                 GaussRational entries, fixed truncation order
+                 complex rational entries, fixed truncation order, kept as
+                 two integer rows (real and imaginary numerators) over one
+                 denominator d > 0 with gcd(*re, *im, d) == 1
   RationalQ      quotients of polynomials in an indeterminate q with
                  GaussRational coefficients, kept gcd-reduced with monic
                  denominator
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 from typing import Iterable, Tuple, Union
 
 Rationalish = Union[int, Fraction]
@@ -236,37 +239,67 @@ def _convolve(p, q, length: int) -> list:
 class TruncSeries(_FieldOps):
     """Power series in t truncated at a fixed order, with exact entries.
 
-    Coefficients are GaussRational values stored densely as ``coeffs[k]``
-    for t^k.  Arithmetic discards orders beyond the truncation; operands
-    must share the same order.
+    Stored as two rows of Python ints, the real and imaginary numerators
+    ``re[k]`` and ``im[k]`` of the entry at t^k, over one common denominator
+    ``d``, in the normal form ``d > 0`` and ``gcd(*re, *im, d) == 1`` (zero
+    is all zeros over 1), so two series are equal exactly when their fields
+    are.  A product is the integer Cauchy product of the rows, which skips
+    zero entries and stops at the truncation order; sums over one
+    denominator add the rows.  Each result is normalised by one gcd.
+    ``coeffs`` and ``coefficient(k)`` read entries back as GaussRational
+    values.  Operands must share the truncation order.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_re", "_im", "_d")
 
     def __init__(self, coeffs: Iterable):
-        self.coeffs = tuple(coeffs)
-        if not self.coeffs:
+        entries = [c if isinstance(c, GaussRational) else GaussRational(c) for c in coeffs]
+        if not entries:
             raise ValueError("TruncSeries needs at least the constant term")
+        d = lcm(*(c._d for c in entries))
+        # every entry is in lowest terms and d is the least common
+        # denominator, so gcd(*re, *im, d) is already 1
+        self._re = tuple(c._a * (d // c._d) for c in entries)
+        self._im = tuple(c._b * (d // c._d) for c in entries)
+        self._d = d
+
+    @staticmethod
+    def _make(re, im, d: int) -> "TruncSeries":
+        """The series with rows re, im over d > 0, brought to normal form."""
+        g = gcd(*re, *im, d)
+        self = _new_object(TruncSeries)
+        if g == 1:
+            self._re, self._im, self._d = tuple(re), tuple(im), d
+        else:
+            self._re = tuple(a // g for a in re)
+            self._im = tuple(b // g for b in im)
+            self._d = d // g
+        return self
 
     @property
     def order(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._re) - 1
+
+    @property
+    def coeffs(self) -> Tuple[GaussRational, ...]:
+        d = self._d
+        return tuple(GaussRational._make(a, b, d) for a, b in zip(self._re, self._im))
 
     @staticmethod
     def constant(value: GaussRational, order: int) -> "TruncSeries":
-        return TruncSeries((value,) + (GaussRational(0),) * order)
+        self = _new_object(TruncSeries)
+        pad = (0,) * order
+        self._re, self._im, self._d = (value._a,) + pad, (value._b,) + pad, value._d
+        return self
 
     @staticmethod
     def parameter(order: int) -> "TruncSeries":
         """The series t itself."""
-        coeffs = [GaussRational(0)] * (order + 1)
-        if order >= 1:
-            coeffs[1] = GaussRational(1)
-        return TruncSeries(coeffs)
+        return TruncSeries(([0, 1] + [0] * order)[:order + 1])
 
     def _coerce(self, other):
         if isinstance(other, TruncSeries):
-            if other.order != self.order:
+            if len(other._re) != len(self._re):
                 raise ValueError("truncation order mismatch")
             return other
         if isinstance(other, (int, Fraction)):
@@ -275,19 +308,28 @@ class TruncSeries(_FieldOps):
             return TruncSeries.constant(other, self.order)
         return None
 
-    def __add__(self, other):
+    def _combine(self, other, op):
+        """self + other or self - other, as op is add or sub.
+
+        Rows over one denominator combine as they are; others cross-multiply.
+        """
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return TruncSeries(a + b for a, b in zip(self.coeffs, o.coeffs))
+        d, e = self._d, o._d
+        if d == e:
+            return TruncSeries._make(list(map(op, self._re, o._re)),
+                                     list(map(op, self._im, o._im)), d)
+        return TruncSeries._make([op(a * e, b * d) for a, b in zip(self._re, o._re)],
+                                 [op(a * e, b * d) for a, b in zip(self._im, o._im)], d * e)
+
+    def __add__(self, other):
+        return self._combine(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return TruncSeries(a - b for a, b in zip(self.coeffs, o.coeffs))
+        return self._combine(other, sub)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -299,25 +341,40 @@ class TruncSeries(_FieldOps):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        zero = GaussRational(0)
-        return TruncSeries(zero if c is None else c
-                           for c in _convolve(self.coeffs, o.coeffs, len(self.coeffs)))
+        n = len(self._re)
+        re = [0] * n
+        im = [0] * n
+        right = [(j, c, e) for j, (c, e) in enumerate(zip(o._re, o._im)) if c or e]
+        for i, (a, b) in enumerate(zip(self._re, self._im)):
+            if not (a or b):
+                continue
+            limit = n - i
+            for j, c, e in right:
+                if j >= limit:
+                    break
+                re[i + j] += a * c - b * e
+                im[i + j] += a * e + b * c
+        return TruncSeries._make(re, im, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return TruncSeries(-a for a in self.coeffs)
+        out = _new_object(TruncSeries)
+        out._re, out._im = tuple(-a for a in self._re), tuple(-b for b in self._im)
+        out._d = self._d
+        return out
 
     def inverse(self) -> "TruncSeries":
-        c0 = self.coeffs[0]
+        coeffs = self.coeffs
+        c0 = coeffs[0]
         if c0.is_zero():
             raise ZeroDivisionError("series with zero constant term has no inverse")
         inv0 = c0.inverse()
         out = [inv0]
-        for k in range(1, self.order + 1):
+        for k in range(1, len(coeffs)):
             acc = GaussRational(0)
             for j in range(1, k + 1):
-                acc = acc + self.coeffs[j] * out[k - j]
+                acc = acc + coeffs[j] * out[k - j]
             out.append(-(inv0 * acc))
         return TruncSeries(out)
 
@@ -325,31 +382,40 @@ class TruncSeries(_FieldOps):
         return TruncSeries.constant(GaussRational(1), self.order)
 
     def conjugate(self) -> "TruncSeries":
-        return TruncSeries(a.conjugate() for a in self.coeffs)
+        out = _new_object(TruncSeries)
+        out._re, out._im, out._d = self._re, tuple(-b for b in self._im), self._d
+        return out
 
-    def coefficient(self, k: int):
-        return self.coeffs[k]
+    def coefficient(self, k: int) -> GaussRational:
+        return GaussRational._make(self._re[k], self._im[k], self._d)
+
+    def valuation(self) -> int:
+        """Lowest order in t with a nonzero entry; order + 1 for zero."""
+        for k, (a, b) in enumerate(zip(self._re, self._im)):
+            if a or b:
+                return k
+        return len(self._re)
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return not (any(self._re) or any(self._im))
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self._re) or any(self._im)
 
     def __eq__(self, other):
-        if isinstance(other, TruncSeries) and other.order != self.order:
+        if isinstance(other, TruncSeries) and len(other._re) != len(self._re):
             # unequal, not an error: constants of both orders share a hash
             return False
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self._d == o._d and self._re == o._re and self._im == o._im
 
     def __hash__(self):
         # a constant series hashes as the constant it equals
-        if any(self.coeffs[1:]):
-            return hash(self.coeffs)
-        return hash(self.coeffs[0])
+        if any(self._re[1:]) or any(self._im[1:]):
+            return hash((self._re, self._im, self._d))
+        return hash(self.coefficient(0))
 
     def __repr__(self):
         return f"TruncSeries({list(self.coeffs)!r})"

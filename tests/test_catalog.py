@@ -1,6 +1,7 @@
 """Closed-form products against the rewrite engine and each other."""
 
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -9,6 +10,8 @@ import pytest
 
 from starprod.catalog import (
     CatalogError,
+    _distinct_arrangements,
+    _nonquadratic_terms,
     SigmaError,
     build_catalog,
     catalog_poisson,
@@ -39,7 +42,7 @@ from starprod.probes import (
 )
 from starprod.qcomb import PoleAtRootOfUnity
 from starprod.reduction import poisson_from_table, star_by_reduction
-from starprod.scalars import GaussRational, SeriesRing, make_ring
+from starprod.scalars import GaussRational, SeriesRing, make_ring, scalar_power
 
 R = make_ring("rational")
 C = make_ring("complex")
@@ -593,3 +596,54 @@ def test_closed_form_product_rejects_operands_of_another_dimension():
     x1 = Polynomial.variable(C, 3, 1)
     with pytest.raises(DimensionMismatch):
         inst.star(x1, x1)
+
+
+# -- word sums a letter at a time, and arrangements by next permutation -------------
+
+
+def _word_sum_by_words(e1, e2, p, q, r, N, ring):
+    """The word sum of nonquadratic_star, one word_weight per binary word."""
+    i, j, k = e1
+    l, m, n = e2
+    terms = {}
+    for w in itertools.product((0, 1), repeat=k):
+        ones = sum(w)
+        if ones > m:
+            continue
+        coeff = scalar_power(ring, r, (j - k) * l + j * N * ones)
+        coeff = coeff * word_weight(m, w, p, q, r, N, ring)
+        M = (i + l + N * ones, j + m - ones, k + n - ones)
+        terms[M] = terms[M] + coeff if M in terms else coeff
+    return terms
+
+
+def _word_sum_parameters():
+    """(ring, p, q, r) with complex parameters over every ring the sums run in."""
+    series = SeriesRing(order=3)
+    yield (R, GaussRational(Fraction(7, 5), Fraction(1, 3)),
+           GaussRational(Fraction(5, 4), Fraction(-1, 2)), GaussRational(Fraction(4, 3), 1))
+    yield (series, ParameterRule("exp_i").series(series), ParameterRule("affine").series(series),
+           ParameterRule("exp_scaled", scale=Fraction(1, 2)).series(series))
+    yield C, cmath.exp(0.4j), 1.1 * cmath.exp(0.3j), 0.9 * cmath.exp(-0.7j)
+
+
+def test_word_sums_grown_a_letter_at_a_time_match_the_per_word_sums():
+    ball = exponent_ball(3, 3)
+    for ring, p, q, r in _word_sum_parameters():
+        for N in (0, 1, 2):
+            for K in ball:
+                for L in ball:
+                    got = _nonquadratic_terms(K, L, p, q, r, N, ring)
+                    expected = _word_sum_by_words(K, L, p, q, r, N, ring)
+                    if ring is C:
+                        # bit for bit, in the same order
+                        assert repr(list(got.items())) == repr(list(expected.items())), (K, L)
+                    else:
+                        assert got == expected, (ring, N, K, L)
+
+
+def test_arrangements_are_the_sorted_distinct_permutations():
+    for d in (1, 2, 3):
+        for K in exponent_ball(d, 6):
+            word = tuple(letter for i, k in enumerate(K, start=1) for letter in [i] * k)
+            assert _distinct_arrangements(K) == sorted(set(itertools.permutations(word)))

@@ -1,5 +1,6 @@
 """Polynomial arithmetic, involutions, and the text form."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import gauss_rationals
+from conftest import bounded_complex, gauss_rationals
 from starprod.parsing import ParseError, format_poly, parse_poly
 from starprod.poly import DimensionMismatch, Polynomial, exponent_to_word, word_to_exponent
-from starprod.scalars import GaussRational, RingError, make_ring
+from starprod.scalars import GaussRational, RingError, SeriesRing, make_ring
 
 R = make_ring("rational")
 C = make_ring("complex")
@@ -90,6 +91,61 @@ def test_shift_rejects_an_offset_of_another_truncation_order():
     other = make_ring("series", truncation_order=2).one
     with pytest.raises(RingError, match="truncation order"):
         Polynomial.variable(ring, 2, 1).shift([other, ring.zero])
+
+
+def _shift_by_powers(f, offsets):
+    """f with x_p -> x_p + c_p, substituted through Polynomial powers."""
+    ring, dim, kind = f.ring, f.dim, f.kind
+    result = Polynomial.zero(ring, dim, kind)
+    for K, c in f.terms.items():
+        term = Polynomial.constant(ring, dim, c, kind)
+        for p, e in enumerate(K):
+            moved = (Polynomial.variable(ring, dim, p + 1, kind)
+                     + Polynomial.constant(ring, dim, offsets[p], kind))
+            term = term * moved ** e
+        result = result + term
+    return result
+
+
+S3 = SeriesRing(order=3)
+
+
+def _shift_cases(ring, scalars):
+    """(f, offsets) over a ring: up to five terms of degree <= 4 in d = 1..3,
+    offsets often zero."""
+    def build(dim, entries, offsets):
+        terms = {K[:dim]: c for K, c in entries}
+        return Polynomial(ring, dim, terms, "x"), offsets[:dim]
+
+    exponent = st.tuples(*[st.integers(0, 4)] * 3)
+    offset = st.one_of(scalars, st.just(ring.zero))
+    return st.builds(build, st.integers(1, 3),
+                     st.lists(st.tuples(exponent, scalars), min_size=1, max_size=5),
+                     st.lists(offset, min_size=3, max_size=3))
+
+
+_SERIES_SCALARS = st.lists(gauss_rationals(), min_size=1, max_size=4).map(S3.from_coefficients)
+
+
+@settings(max_examples=40)
+@given(st.one_of(_shift_cases(R, gauss_rationals()), _shift_cases(S3, _SERIES_SCALARS)))
+def test_shift_by_binomial_rows_is_the_substitution(case):
+    f, offsets = case
+    shifted = f.shift(offsets)
+    assert shifted == _shift_by_powers(f, offsets)
+    assert shifted.shift([-c for c in offsets]) == f
+
+
+@settings(max_examples=40)
+@given(_shift_cases(C, bounded_complex()))
+def test_complex_shift_matches_the_substitution_to_rounding(case):
+    f, offsets = case
+    expected = _shift_by_powers(f, offsets)
+    # the largest magnitude any partial product can reach, so that terms
+    # which cancel are held to the rounding of what they cancel
+    scale = sum(abs(c) * math.prod((1 + abs(o)) ** e for o, e in zip(offsets, K))
+                for K, c in f.terms.items())
+    assert f.shift(offsets).close_to(expected, tol=1e-12, scale=scale)
 
 
 def test_evaluate():

@@ -2,6 +2,7 @@
 
 import cmath
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -329,6 +330,26 @@ def test_random_builders_keep_every_draw():
                         assert list(got.terms.items()) == list(expected.terms.items())
                     assert new_rng.getstate() == old_rng.getstate()
     assert fallbacks > 0
+
+
+def test_draws_take_what_randrange_randint_and_uniform_take():
+    # the builders above share these draws, so they are checked here against
+    # the Random methods themselves: same values, generator in the same state
+    ring_r, ring_c = make_ring("rational"), make_ring("complex")
+    for seed in range(20):
+        new_rng, old_rng = random.Random(seed), random.Random(seed)
+        for dim in (1, 2, 3, 4, 5, 7, 8):
+            for degree in range(6):
+                K = [0] * dim
+                for _ in range(degree):
+                    K[old_rng.randrange(dim)] += 1
+                assert random_exponent(new_rng, dim, degree) == tuple(K)
+            assert random_coefficient(new_rng, ring_r) == GaussRational(
+                Fraction(old_rng.randint(-9, 9), old_rng.randint(1, 9)),
+                Fraction(old_rng.randint(-9, 9), old_rng.randint(1, 9)))
+            expected = complex(old_rng.uniform(-1, 1), old_rng.uniform(-1, 1))
+            assert repr(random_coefficient(new_rng, ring_c)) == repr(expected)
+        assert new_rng.getstate() == old_rng.getstate()
 
 
 def test_deferred_digests_name_each_case_inputs():

@@ -1,5 +1,6 @@
 """Ring laws and conjugation for the four coefficient rings."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -343,3 +344,86 @@ def test_rational_q_with_denominator_one_matches_the_full_products(a, b, which):
     }
     for op, got in (("+", a + b), ("-", a - b), ("*", a * b)):
         assert (got.num, got.den) == (expected[op].num, expected[op].den), op
+
+
+# -- series as integer rows against entry-wise GaussRational arithmetic -------------
+
+
+def _series_entries(order):
+    """Entry tuples of one truncation order in which zero entries are common."""
+    return _with_zeros(gauss_rationals(), ZERO_Q, min_size=order + 1, max_size=order + 1)
+
+
+def _entrywise_inverse(entries):
+    inv0 = entries[0].inverse()
+    out = [inv0]
+    for k in range(1, len(entries)):
+        acc = ZERO_Q
+        for j in range(1, k + 1):
+            acc = acc + entries[j] * out[k - j]
+        out.append(-(inv0 * acc))
+    return tuple(out)
+
+
+def _assert_normal_form(s: TruncSeries):
+    assert s._d > 0
+    assert math.gcd(*s._re, *s._im, s._d) == 1
+
+
+@settings(max_examples=150)
+@given(st.integers(0, 5), st.data())
+def test_row_series_match_entrywise_arithmetic(order, data):
+    a = data.draw(_series_entries(order))
+    b = data.draw(_series_entries(order))
+    k = data.draw(st.integers(0, order))
+    x, y = TruncSeries(a), TruncSeries(b)
+    expected = {
+        "+": tuple(u + v for u, v in zip(a, b)),
+        "-": tuple(u - v for u, v in zip(a, b)),
+        "*": tuple(_dense_product(a, b, order + 1, ZERO_Q)),
+    }
+    for op, got in (("+", x + y), ("-", x - y), ("*", x * y)):
+        _assert_normal_form(got)
+        assert got.coeffs == expected[op], op
+        assert got == TruncSeries(expected[op]), op
+    for s, entries in ((x, a), (y, b)):
+        _assert_normal_form(s)
+        assert s.coeffs == entries
+        assert s.coefficient(k) == entries[k]
+        assert s.valuation() == next((n for n, c in enumerate(entries) if c), order + 1)
+        assert s.conjugate().coeffs == tuple(c.conjugate() for c in entries)
+        assert s.is_zero() == (not any(entries))
+        if entries[0]:
+            inverse = s.inverse()
+            _assert_normal_form(inverse)
+            assert inverse.coeffs == _entrywise_inverse(entries)
+    # equal series have equal fields, however they were reached
+    assert (x == y) == (a == b)
+    same = (x + y) - y
+    assert (same._re, same._im, same._d) == (x._re, x._im, x._d)
+    assert same == x and hash(same) == hash(x)
+
+
+@given(gauss_rationals(), st.integers(0, 4))
+def test_constant_row_series_is_its_gauss_rational(c, order):
+    s = TruncSeries.constant(c, order)
+    _assert_normal_form(s)
+    assert s == c and c == s and hash(s) == hash(c)
+    # the same constant reached over a larger denominator
+    third = TruncSeries([GaussRational(Fraction(1, 3), Fraction(-1, 7))] * (order + 1))
+    reached = (s + third) - third
+    assert (reached._re, reached._im, reached._d) == (s._re, s._im, s._d)
+    assert reached == c and hash(reached) == hash(c)
+    if c.im == 0:
+        assert s == c.re and hash(s) == hash(c.re)
+    assert TruncSeries([c] + [ZERO_Q] * order) == s
+
+
+def test_row_series_reject_a_mismatch_of_truncation_orders():
+    a, b = SeriesRing(order=2).t, SeriesRing(order=3).t
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b, lambda: b * a):
+        with pytest.raises(ValueError, match="truncation order"):
+            op()
+    assert a != b and not (a == b)
+    with pytest.raises(ValueError):
+        TruncSeries([])
