@@ -165,39 +165,16 @@ def _climb_weight(left: int, p, base, ring: Ring):
     return (p - 1) * acc
 
 
-def step_weight(m: int, prefix: Sequence[int], bit: int, p, q, r, N: int, ring: Ring):
-    """Weight of extending a binary word by one letter.
-
-    bit 0 contributes q^(m - ones(prefix)); bit 1 contributes
-    (p - 1) * sum_{j < m - ones(prefix)} (q r^N)^j.
-    """
-    ones = sum(prefix)
-    if bit == 0:
-        return q ** (m - ones)
-    return _climb_weight(m - ones, p, q * scalar_power(ring, r, N), ring)
-
-
-def word_weight(m: int, word: Sequence[int], p, q, r, N: int, ring: Ring):
-    """Product of step weights along a binary word, with r^(-N ones) twists."""
-    acc = ring.one
-    ones = 0
-    for idx, bit in enumerate(word):
-        acc = acc * scalar_power(ring, r, -N * ones)
-        acc = acc * step_weight(m, word[:idx], bit, p, q, r, N, ring)
-        ones += bit
-    return acc
-
-
 def _nonquadratic_terms(e1: Exponent, e2: Exponent, p, q, r, N: int,
                         ring: Ring) -> Dict[Exponent, object]:
     """The word sum of ``nonquadratic_star``, as an exponent -> coefficient dict.
 
     The words in {0,1}^k with at most m ones grow a letter at a time: a
     level lists (ones, weight) for every prefix, in lexicographic order, so
-    each word's weight is the chain of products ``word_weight`` computes and
-    the words are summed in the order they always were.  The twist, the
-    step weights and the r-power of the result are computed once per count
-    of ones.
+    each word's weight is the chain of step weights along the word (its
+    twists r^(-N ones) included) and the words are summed in lexicographic
+    order.  The twist, the step weights and the r-power of the result are
+    computed once per count of ones.
     """
     i, j, k = e1
     l, m, n = e2

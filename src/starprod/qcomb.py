@@ -6,8 +6,10 @@ non-negative integer coefficients and constant term 1.  Every quantity here
 is first built as that integer polynomial, a row of Python ints: q-binomial
 rows by the Pascal-type recurrence [n k]_q = [n-1 k-1]_q + q^k [n-1 k]_q as
 a shift-and-add, a q-multinomial as the product of the q-binomial rows over
-the prefix sums of K.  The row is then evaluated at q once, by Horner in the
-target ring (at the RationalQ generator it is the numerator as it stands).
+the prefix sums of K.  The row is then evaluated at q once, by Horner: on
+integers at a GaussRational or RationalQ q (``scalars._row_at``; at the
+RationalQ generator the row is the numerator as it stands), in the target
+ring otherwise.
 Neither step divides, unlike the factorial quotient, so evaluating at a root
 of unity is exact and a genuine pole of a symmetrized-product coefficient is
 the only place division can fail.
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Sequence, Tuple
 
-from .scalars import GaussRational, RationalQ, Ring
+from .scalars import GaussRational, RationalQ, Ring, _horner, _row_add, _row_at, _row_mul
 
 # coefficients of a polynomial in q with integer coefficients, lowest power first
 Row = Tuple[int, ...]
@@ -39,32 +41,14 @@ class PoleAtRootOfUnity(ArithmeticError):
 
 def multinomial(K: Sequence[int]) -> int:
     """|K|! / (K_1! ... K_d!)."""
-    total = sum(K)
-    out = 1
-    rest = total
-    for k in K:
-        out *= math.comb(rest, k)
-        rest -= k
-    return out
-
-
-def _shift_add(low: Row, high: Row, k: int) -> Row:
-    """low + q^k high, on coefficient rows."""
-    out = list(low) + [0] * (len(high) + k - len(low))
-    for i, c in enumerate(high, k):
-        out[i] += c
-    return tuple(out)
+    return math.factorial(sum(K)) // math.prod(map(math.factorial, K))
 
 
 def _times(a: Row, b: Row) -> Row:
     """Product of two coefficient rows."""
     if a == _ONE_ROW:
         return b
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b, i):
-            out[j] += x * y
-    return tuple(out)
+    return tuple(_row_mul(a, b, len(a) + len(b) - 1))
 
 
 def _binomial_row(n: int, k: int, rows: Rows) -> Row:
@@ -75,8 +59,8 @@ def _binomial_row(n: int, k: int, rows: Rows) -> Row:
     key = (n, k)
     row = rows.get(key)
     if row is None:
-        row = rows[key] = _shift_add(_binomial_row(n - 1, k - 1, rows),
-                                     _binomial_row(n - 1, k, rows), k)
+        row = rows[key] = tuple(_row_add(_binomial_row(n - 1, k - 1, rows),
+                                         _binomial_row(n - 1, k, rows), k))
     return row
 
 
@@ -91,17 +75,12 @@ def _multinomial_row(K: Sequence[int], rows: Rows) -> Row:
 
 
 def _evaluate(row: Row, q, ring: Ring):
-    """The row's polynomial at q, by Horner: no division, so no spurious pole.
-
-    At the RationalQ generator the row already is the numerator.
-    """
-    if isinstance(q, RationalQ) and q == _Q:
-        return RationalQ(tuple(map(GaussRational, row)))
-    coerce = ring.coerce
-    acc = coerce(row[-1])
-    for c in reversed(row[:-1]):
-        acc = acc * q + coerce(c)
-    return acc
+    """The row's polynomial at q, by Horner: no division, so no spurious pole."""
+    if isinstance(q, RationalQ):
+        return RationalQ.from_integer_row(row) if q == _Q else _row_at(row, q)
+    if isinstance(q, GaussRational):
+        return ring.coerce(_row_at(row, q))
+    return _horner(list(map(ring.coerce, row)), q)
 
 
 def q_integer(k: int, q, ring: Ring):
@@ -140,12 +119,8 @@ def root_of_unity_order(q, ring: Ring, max_order: int, tol: float = 1e-9) -> int
     one = ring.one
     for n in range(2, max_order + 1):
         power = power * q
-        if ring.exact:
-            if power == one:
-                return n
-        else:
-            if abs(ring.to_complex(power) - 1.0) < tol:
-                return n
+        if power == one if ring.exact else abs(ring.to_complex(power) - 1.0) < tol:
+            return n
     return None
 
 

@@ -9,9 +9,15 @@ Four interchangeable scalar types back every polynomial in this package:
                  complex rational entries, fixed truncation order, kept as
                  two integer rows (real and imaginary numerators) over one
                  denominator d > 0 with gcd(*re, *im, d) == 1
-  RationalQ      quotients of polynomials in an indeterminate q with
-                 GaussRational coefficients, kept gcd-reduced with monic
-                 denominator
+  RationalQ      quotients X / Y of polynomials in an indeterminate q with
+                 Gaussian integer coefficients, kept as four integer rows:
+                 X and Y coprime, the leading coefficient of Y a positive
+                 integer and the content of all four rows 1
+
+TruncSeries, RationalQ and the q-integer rows of ``qcomb`` share one kernel
+of integer-row helpers (Cauchy products, sums, Horner evaluation and, for
+RationalQ, pseudo-division and a primitive gcd over Z[i]), so their
+arithmetic is integer arithmetic with integer gcds.
 
 Each ring is described by a small descriptor object (RationalRing,
 ComplexRing, SeriesRing, RationalQRing) that knows how to build constants,
@@ -36,30 +42,26 @@ _new_object = object.__new__
 class _FieldOps:
     """Division and square-and-multiply powers for the scalar classes.
 
-    A subclass supplies ``_coerce`` (None for a foreign operand),
-    ``inverse``, ``__mul__`` and ``_unit``, its multiplicative identity.
+    A subclass supplies ``_coerce`` (None for a foreign operand, the
+    constant for an int), ``inverse`` and ``__mul__``.
     """
 
     __slots__ = ()
 
     def __truediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.inverse()
+        return NotImplemented if o is None else self * o.inverse()
 
     def __rtruediv__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        return NotImplemented if o is None else o * self.inverse()
 
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
         if n < 0:
             return self.inverse() ** (-n)
-        result = self._unit()
+        result = self._coerce(1)
         base = self
         while n:
             if n & 1:
@@ -145,9 +147,7 @@ class GaussRational(_FieldOps):
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
         o = other if isinstance(other, GaussRational) else self._coerce(other)
@@ -169,9 +169,6 @@ class GaussRational(_FieldOps):
         if n == 0:
             raise ZeroDivisionError("inverse of zero GaussRational")
         return GaussRational._make(a * d, -b * d, n)
-
-    def _unit(self) -> "GaussRational":
-        return GaussRational(1)
 
     def conjugate(self) -> "GaussRational":
         out = _new_object(GaussRational)
@@ -214,26 +211,110 @@ class GaussRational(_FieldOps):
         return f"({self.re}{'+' if im >= 0 else '-'}{abs(im)}i)"
 
 
-def _convolve(p, q, length: int) -> list:
-    """Entries 0..length-1 of the Cauchy product of coefficient sequences.
+# -- integer rows (int coefficients, lowest power first): the shared kernel -----
 
-    Zero entries on either side are skipped, and a slot holds its first
-    product as it is rather than a sum with zero.  Slots no product reaches
-    are None.  Each slot sums its products in order of the left index, as
-    the dense schoolbook product does.
+def _rows_of(entries) -> Tuple[tuple, tuple, int]:
+    """(re, im, d): entries as rows over their least common d; gcd(*re, *im, d) is 1."""
+    entries = [c if isinstance(c, GaussRational) else GaussRational(c) for c in entries]
+    d = lcm(*(c._d for c in entries))
+    return (tuple([c._a * (d // c._d) for c in entries]),
+            tuple([c._b * (d // c._d) for c in entries]), d)
+
+
+def _entries(re, im, d: int) -> Tuple[GaussRational, ...]:
+    """The GaussRational entries of rows re, im over d."""
+    return tuple([GaussRational._make(a, b, d) for a, b in zip(re, im)])
+
+
+def _row_mul(a, b, n: int) -> list:
+    """Entries 0..n-1 of the Cauchy product of two integer rows.
+
+    Zero entries on either side are skipped.
     """
-    out = [None] * length
-    right = [(j, b) for j, b in enumerate(q[:length]) if b]
-    for i, a in enumerate(p[:length]):
-        if not a:
+    out = [0] * n
+    right = [(j, y) for j, y in enumerate(b) if y]
+    for i, x in enumerate(a):
+        if not x:
             continue
-        limit = length - i
-        for j, b in right:
+        limit = n - i
+        for j, y in right:
             if j >= limit:
                 break
-            c = out[i + j]
-            out[i + j] = a * b if c is None else c + a * b
+            out[i + j] += x * y
     return out
+
+
+def _cauchy(ar, ai, br, bi, n: int = None):
+    """Entries 0..n-1 of (ar + i ai)(br + i bi), as rows re, im; all by default.
+
+    Zero entries on either side are skipped; real rows take one real product.
+    """
+    if n is None:
+        n = len(ar) + len(br) - 1
+    if not (any(ai) or any(bi)):
+        return _row_mul(ar, br, n), [0] * n
+    re = [0] * n
+    im = [0] * n
+    right = [(j, c, e) for j, (c, e) in enumerate(zip(br, bi)) if c or e]
+    for i, (a, b) in enumerate(zip(ar, ai)):
+        if not (a or b):
+            continue
+        limit = n - i
+        for j, c, e in right:
+            if j >= limit:
+                break
+            re[i + j] += a * c - b * e
+            im[i + j] += a * e + b * c
+    return re, im
+
+
+def _row_add(a, b, shift: int = 0, scale: int = 1) -> list:
+    """a + scale * x^shift * b on integer rows."""
+    out = list(a)
+    out += [0] * (len(b) + shift - len(out))
+    for i, c in enumerate(b, shift):
+        out[i] += scale * c
+    return out
+
+
+def _horner(coeffs, x):
+    """coeffs[0] + coeffs[1] x + coeffs[2] x^2 + ..., for nonempty coeffs."""
+    acc = coeffs[-1]
+    for c in reversed(coeffs[:-1]):
+        acc = acc * x + c
+    return acc
+
+
+def _row_at(row, q):
+    """The integer row's polynomial at a GaussRational or a RationalQ q.
+
+    Horner on integers: at q = (a + b i) / d a Gaussian integer over d^n,
+    and at q = P / Q the numerator sum_k row[k] P^k Q^(n-k) over Q^n, for
+    n = len(row) - 1, which is reduced as P and Q are coprime.
+    """
+    if isinstance(q, GaussRational):
+        a, b, d = q._a, q._b, q._d
+        x, y, e = row[-1], 0, 1
+        for c in reversed(row[:-1]):
+            e *= d
+            x, y = x * a - y * b + c * e, x * b + y * a
+        return GaussRational._make(x, y, e)
+    pr, pi, qr, qi = q._rows
+    nr, ni, wr, wi = [row[-1]], [0], [1], [0]
+    for c in reversed(row[:-1]):
+        nr, ni = _cauchy(nr, ni, pr, pi)
+        wr, wi = _cauchy(wr, wi, qr, qi)
+        if c:
+            nr, ni = _row_add(nr, wr, 0, c), _row_add(ni, wi, 0, c)
+    return RationalQ._of(_normal(nr, ni, wr, wi, False))
+
+
+def _pmul(p, q) -> Tuple[GaussRational, ...]:
+    """Product of polynomials given as GaussRational tuples, trimmed."""
+    if not p or not q:
+        return ()
+    (ar, ai, d), (br, bi, e) = _rows_of(p), _rows_of(q)
+    return _entries(*_trim(*_cauchy(ar, ai, br, bi)), d * e)
 
 
 class TruncSeries(_FieldOps):
@@ -253,15 +334,9 @@ class TruncSeries(_FieldOps):
     __slots__ = ("_re", "_im", "_d")
 
     def __init__(self, coeffs: Iterable):
-        entries = [c if isinstance(c, GaussRational) else GaussRational(c) for c in coeffs]
-        if not entries:
+        self._re, self._im, self._d = _rows_of(coeffs)
+        if not self._re:
             raise ValueError("TruncSeries needs at least the constant term")
-        d = lcm(*(c._d for c in entries))
-        # every entry is in lowest terms and d is the least common
-        # denominator, so gcd(*re, *im, d) is already 1
-        self._re = tuple(c._a * (d // c._d) for c in entries)
-        self._im = tuple(c._b * (d // c._d) for c in entries)
-        self._d = d
 
     @staticmethod
     def _make(re, im, d: int) -> "TruncSeries":
@@ -271,8 +346,8 @@ class TruncSeries(_FieldOps):
         if g == 1:
             self._re, self._im, self._d = tuple(re), tuple(im), d
         else:
-            self._re = tuple(a // g for a in re)
-            self._im = tuple(b // g for b in im)
+            self._re = tuple([a // g for a in re])
+            self._im = tuple([b // g for b in im])
             self._d = d // g
         return self
 
@@ -282,8 +357,7 @@ class TruncSeries(_FieldOps):
 
     @property
     def coeffs(self) -> Tuple[GaussRational, ...]:
-        d = self._d
-        return tuple(GaussRational._make(a, b, d) for a, b in zip(self._re, self._im))
+        return _entries(self._re, self._im, self._d)
 
     @staticmethod
     def constant(value: GaussRational, order: int) -> "TruncSeries":
@@ -333,34 +407,25 @@ class TruncSeries(_FieldOps):
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        n = len(self._re)
-        re = [0] * n
-        im = [0] * n
-        right = [(j, c, e) for j, (c, e) in enumerate(zip(o._re, o._im)) if c or e]
-        for i, (a, b) in enumerate(zip(self._re, self._im)):
-            if not (a or b):
-                continue
-            limit = n - i
-            for j, c, e in right:
-                if j >= limit:
-                    break
-                re[i + j] += a * c - b * e
-                im[i + j] += a * e + b * c
+        # the unit is a common factor (powers of r = 1 in quantum_weyl)
+        if o._is_one():
+            return self
+        if self._is_one():
+            return o
+        re, im = _cauchy(self._re, self._im, o._re, o._im, len(self._re))
         return TruncSeries._make(re, im, self._d * o._d)
 
     __rmul__ = __mul__
 
     def __neg__(self):
         out = _new_object(TruncSeries)
-        out._re, out._im = tuple(-a for a in self._re), tuple(-b for b in self._im)
+        out._re, out._im = tuple([-a for a in self._re]), tuple([-b for b in self._im])
         out._d = self._d
         return out
 
@@ -378,12 +443,13 @@ class TruncSeries(_FieldOps):
             out.append(-(inv0 * acc))
         return TruncSeries(out)
 
-    def _unit(self) -> "TruncSeries":
-        return TruncSeries.constant(GaussRational(1), self.order)
+    def _is_one(self) -> bool:
+        re = self._re
+        return self._d == 1 and re[0] == 1 and not (any(self._im) or any(re[1:]))
 
     def conjugate(self) -> "TruncSeries":
         out = _new_object(TruncSeries)
-        out._re, out._im, out._d = self._re, tuple(-b for b in self._im), self._d
+        out._re, out._im, out._d = self._re, tuple([-b for b in self._im]), self._d
         return out
 
     def coefficient(self, k: int) -> GaussRational:
@@ -421,144 +487,162 @@ class TruncSeries(_FieldOps):
         return f"TruncSeries({list(self.coeffs)!r})"
 
 
-# -- dense univariate polynomials over GaussRational, used by RationalQ ------
+# -- rational functions on Gaussian integer rows, used by RationalQ ------------
 
-def _ptrim(p):
-    k = len(p)
-    while k > 0 and p[k - 1].is_zero():
+_ZERO_ROWS = ((), (), (1,), (0,))
+
+
+def _trim(re, im):
+    """Rows re, im without the top entries that are zero in both, as tuples."""
+    k = len(re)
+    while k and not (re[k - 1] or im[k - 1]):
         k -= 1
-    return tuple(p[:k])
+    return tuple(re[:k]), tuple(im[:k])
 
 
-def _padd(p, q):
-    n = max(len(p), len(q))
-    zero = GaussRational(0)
-    return _ptrim([
-        (p[k] if k < len(p) else zero) + (q[k] if k < len(q) else zero)
-        for k in range(n)
-    ])
+def _divide(ar, ai, br, bi):
+    """Pseudo-division of Gaussian integer rows a by b, b trimmed and nonzero.
 
-
-def _pneg(p):
-    return tuple(-a for a in p)
-
-
-_ONE_POLY = (GaussRational(1),)
-
-
-def _pmul(p, q):
-    if not p or not q:
-        return ()
-    # a monomial c*q^k factor (the constant 1, the denominator of every
-    # polynomial RationalQ, most often) shifts and scales the other factor
-    if not any(q[:-1]):
-        return _pshift(p, len(q) - 1, q[-1])
-    if not any(p[:-1]):
-        return _pshift(q, len(p) - 1, p[-1])
-    zero = GaussRational(0)
-    return _ptrim([zero if c is None else c
-                   for c in _convolve(p, q, len(p) + len(q) - 1)])
-
-
-def _pshift(p, k, c):
-    """c * q^k * p, trimmed."""
-    if not c:
-        return ()
-    p = _ptrim(p if c == _ONE_POLY[0] else [a * c for a in p])
-    return (GaussRational(0),) * k + p if k and p else p
-
-
-def _pdivmod(p, q):
-    if not q:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(p)
-    quo = [GaussRational(0)] * max(0, len(p) - len(q) + 1)
-    lead_inv = q[-1].inverse()
-    for k in range(len(p) - len(q), -1, -1):
-        c = rem[k + len(q) - 1] * lead_inv
-        if c.is_zero():
+    Returns (qr, qi, s, rr, ri) with s * a = q * b + r, s > 0 and r shorter
+    than b.  Each step multiplies what is left by n = |lead b|^2 and
+    subtracts t * conj(lead b) * q^k * b, t the entry to clear, so every
+    entry stays a Gaussian integer and s is a power of n.
+    """
+    m = len(br) - 1
+    lr, li = br[-1], bi[-1]
+    n = lr * lr + li * li
+    low = list(zip(br[:m], bi[:m]))
+    rr, ri = list(ar), list(ai)
+    size = max(0, len(rr) - m)
+    qr, qi = [0] * size, [0] * size
+    s = 1
+    for k in range(size - 1, -1, -1):
+        tr, ti = rr[k + m], ri[k + m]
+        if not (tr or ti):
             continue
-        quo[k] = c
-        for j, b in enumerate(q):
-            rem[k + j] = rem[k + j] - c * b
-    return _ptrim(quo), _ptrim(rem)
+        if n != 1:
+            s *= n
+            for j in range(k + m):
+                rr[j] *= n
+                ri[j] *= n
+            for j in range(k + 1, size):
+                qr[j] *= n
+                qi[j] *= n
+        cr, ci = qr[k], qi[k] = tr * lr + ti * li, ti * lr - tr * li
+        for j, (c, e) in enumerate(low, k):
+            rr[j] -= cr * c - ci * e
+            ri[j] -= cr * e + ci * c
+    return qr, qi, s, rr[:m], ri[:m]
 
 
-def _pgcd(p, q):
-    a, b = _ptrim(p), _ptrim(q)
-    while b:
-        _, r = _pdivmod(a, b)
-        a, b = b, r
-        if a:
-            a = _pmonic(a)
-    return a if a else ()
+def _gcd(ar, ai, br, bi):
+    """A gcd of nonzero trimmed Gaussian integer polynomials, up to a unit: a
+    primitive pseudo-remainder sequence, each remainder freed of its content."""
+    if len(ar) < len(br):
+        ar, ai, br, bi = br, bi, ar, ai
+    while br:
+        rr, ri = _trim(*_divide(ar, ai, br, bi)[3:])
+        g = gcd(*rr, *ri)
+        ar, ai, br, bi = br, bi, [a // g for a in rr], [b // g for b in ri]
+    return ar, ai
 
 
-def _pmonic(p):
-    if not p:
-        return p
-    inv = p[-1].inverse()
-    return tuple(a * inv for a in p)
+def _cancel(xr, xi, yr, yi):
+    """X / g and Y / g up to one constant factor, g = gcd(X, Y), X and Y trimmed.
+
+    A monomial c q^k on either side shares only q^v with the other, v the
+    lesser of their orders at q = 0, so no gcd is taken.
+    """
+    if len(xr) == 1 or len(yr) == 1:  # a constant side
+        return xr, xi, yr, yi
+    vx = next(k for k, (a, b) in enumerate(zip(xr, xi)) if a or b)
+    vy = next(k for k, (a, b) in enumerate(zip(yr, yi)) if a or b)
+    if vx == len(xr) - 1 or vy == len(yr) - 1:
+        v = min(vx, vy)
+        return xr[v:], xi[v:], yr[v:], yi[v:]
+    gr, gi = _gcd(xr, xi, yr, yi)
+    if len(gr) == 1:
+        return xr, xi, yr, yi
+    xr, xi, s = _divide(xr, xi, gr, gi)[:3]
+    yr, yi, t = _divide(yr, yi, gr, gi)[:3]
+    # (X / s) / (Y / t)
+    return [a * t for a in xr], [b * t for b in xi], [a * s for a in yr], [b * s for b in yi]
+
+
+def _normal(xr, xi, yr, yi, cancel: bool = True):
+    """The rows of X / Y in RationalQ's normal form; cancel=False if X, Y are coprime."""
+    xr, xi = _trim(xr, xi)
+    yr, yi = _trim(yr, yi)
+    if not yr:
+        raise ZeroDivisionError("zero denominator")
+    if not xr:
+        return _ZERO_ROWS
+    if cancel:
+        xr, xi, yr, yi = _cancel(xr, xi, yr, yi)
+    a, b = yr[-1], -yi[-1]
+    if b or a < 0:
+        # times the conjugate a + b i of the leading coefficient of Y
+        xr, xi = [c * a - e * b for c, e in zip(xr, xi)], [c * b + e * a for c, e in zip(xr, xi)]
+        yr, yi = [c * a - e * b for c, e in zip(yr, yi)], [c * b + e * a for c, e in zip(yr, yi)]
+    g = 1 if yr[-1] == 1 else gcd(*xr, *xi, *yr, *yi)
+    if g != 1:
+        xr, xi, yr, yi = ([c // g for c in row] for row in (xr, xi, yr, yi))
+    return tuple(xr), tuple(xi), tuple(yr), tuple(yi)
 
 
 class RationalQ(_FieldOps):
     """Rational function in one indeterminate q over GaussRational.
 
-    Stored gcd-reduced with monic denominator, so structural equality is
-    mathematical equality.  A monomial denominator c*q^k, which the
-    q-multinomials (c*q^0) and their images under q -> 1/q have, is reduced
-    without a polynomial gcd: with v the lesser of k and the order of the
-    numerator at q = 0, the numerator is shifted down by v and divided by c,
-    and the denominator becomes q^(k-v).  That is the normal form the gcd
-    reduction gives.
+    Stored as ``_rows = (xr, xi, yr, yi)``, the real and imaginary integer
+    rows of a numerator X and a denominator Y: the value is X / Y.  In the
+    normal form X and Y are coprime, the leading coefficient L of Y is a
+    positive integer and the integers of all four rows have gcd 1; zero is
+    () over (1,).  Then ``num`` = X / L and ``den`` = Y / L are the reduced
+    numerator and monic denominator, and equal values have equal rows.  The
+    gcd is a primitive pseudo-remainder sequence over Z[i]; a monomial c*q^k
+    on either side of a quotient, as the q-multinomials (c*q^0) and their
+    images under q -> 1/q have, shares only a power of q with the other side
+    and needs no gcd.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("_rows",)
 
-    def __init__(self, num, den=None):
-        if den is None:
-            den = (GaussRational(1),)
-        num = _ptrim(tuple(num))
-        den = _ptrim(tuple(den))
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if not num:
-            self.num = ()
-            self.den = (GaussRational(1),)
-            return
-        k = len(den) - 1
-        if not any(den[:k]):
-            # den = c*q^k, whose gcd with num is a power of q (see above)
-            v = 0
-            while v < k and not num[v]:
-                v += 1
-            c = den[k]
-            if c == 1:
-                self.num = num[v:]
-            else:
-                lead_inv = c.inverse()
-                self.num = tuple(a * lead_inv for a in num[v:])
-            self.den = (GaussRational(0),) * (k - v) + (GaussRational(1),)
-            return
-        g = _pgcd(num, den)
-        if len(g) > 1:
-            num, _ = _pdivmod(num, g)
-            den, _ = _pdivmod(den, g)
-        lead_inv = den[-1].inverse()
-        self.num = tuple(a * lead_inv for a in num)
-        self.den = _pmonic(den)
+    def __init__(self, num, den=(1,)):
+        nr, ni, nd = _rows_of(num)
+        dr, di, dd = _rows_of(den)
+        # (N / nd) / (D / dd) = (N dd) / (D nd)
+        self._rows = _normal([a * dd for a in nr], [b * dd for b in ni],
+                             [a * nd for a in dr], [b * nd for b in di])
+
+    @staticmethod
+    def _of(rows) -> "RationalQ":
+        self = _new_object(RationalQ)
+        self._rows = rows
+        return self
+
+    @property
+    def num(self) -> Tuple[GaussRational, ...]:
+        xr, xi, yr, _ = self._rows
+        return _entries(xr, xi, yr[-1])
+
+    @property
+    def den(self) -> Tuple[GaussRational, ...]:
+        _, _, yr, yi = self._rows
+        return _entries(yr, yi, yr[-1])
 
     @staticmethod
     def generator() -> "RationalQ":
-        return RationalQ((GaussRational(0), GaussRational(1)))
+        return RationalQ._of(((0, 1), (0, 0), (1,), (0,)))
+
+    @staticmethod
+    def from_integer_row(row) -> "RationalQ":
+        """The polynomial with these integer coefficients; the last is nonzero."""
+        return RationalQ._of((tuple(row), (0,) * len(row), (1,), (0,)))
 
     @staticmethod
     def constant(value) -> "RationalQ":
-        if isinstance(value, GaussRational):
-            c = value
-        else:
-            c = GaussRational(value)
-        return RationalQ((c,))
+        c = value if isinstance(value, GaussRational) else GaussRational(value)
+        return RationalQ._of(((c._a,), (c._b,), (c._d,), (0,)) if c else _ZERO_ROWS)
 
     def _coerce(self, other):
         if isinstance(other, RationalQ):
@@ -567,100 +651,87 @@ class RationalQ(_FieldOps):
             return RationalQ.constant(other)
         return None
 
+    def _add(self, o: "RationalQ") -> "RationalQ":
+        (ar, ai, br, bi), (cr, ci, dr, di) = self._rows, o._rows
+        if br != dr or bi != di:  # a / b + c / d = (a d + c b) / (b d)
+            ar, ai = _cauchy(ar, ai, dr, di)
+            cr, ci = _cauchy(cr, ci, br, bi)
+            br, bi = _cauchy(br, bi, dr, di)
+        return RationalQ._of(_normal(_row_add(ar, cr), _row_add(ai, ci), br, bi))
+
     def __add__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        num = _padd(_pmul(self.num, o.den), _pmul(o.num, self.den))
-        den = _pmul(self.den, o.den)
-        return RationalQ(num, den)
+        return NotImplemented if o is None else self._add(o)
 
     __radd__ = __add__
 
     def __sub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        num = _padd(_pmul(self.num, o.den), _pneg(_pmul(o.num, self.den)))
-        den = _pmul(self.den, o.den)
-        return RationalQ(num, den)
+        return NotImplemented if o is None else self._add(-o)
 
     def __rsub__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o - self
+        return NotImplemented if o is None else o._add(-self)
 
     def __mul__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return RationalQ(_pmul(self.num, o.num), _pmul(self.den, o.den))
+        (ar, ai, br, bi), (cr, ci, dr, di) = self._rows, o._rows
+        if not (ar and cr):
+            return RationalQ._of(_ZERO_ROWS)
+        # (a / b)(c / d) = (a / g)(c / h) / ((b / h)(d / g)) for g = gcd(a, d)
+        # and h = gcd(c, b) is reduced, as a / b and c / d are
+        ar, ai, dr, di = _cancel(ar, ai, dr, di)
+        cr, ci, br, bi = _cancel(cr, ci, br, bi)
+        return RationalQ._of(_normal(*_cauchy(ar, ai, cr, ci), *_cauchy(br, bi, dr, di), False))
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        out = _new_object(RationalQ)
-        out.num, out.den = _pneg(self.num), self.den
-        return out
+        xr, xi, yr, yi = self._rows
+        return RationalQ._of((tuple([-a for a in xr]), tuple([-b for b in xi]), yr, yi))
 
     def inverse(self) -> "RationalQ":
-        if not self.num:
+        xr, xi, yr, yi = self._rows
+        if not xr:
             raise ZeroDivisionError("inverse of zero rational function")
-        return RationalQ(self.den, self.num)
-
-    def _unit(self) -> "RationalQ":
-        return RationalQ.constant(1)
+        return RationalQ._of(_normal(yr, yi, xr, xi, False))
 
     def conjugate(self) -> "RationalQ":
-        return RationalQ(
-            tuple(a.conjugate() for a in self.num),
-            tuple(a.conjugate() for a in self.den),
-        )
+        # L is real, so the conjugate rows are in normal form
+        xr, xi, yr, yi = self._rows
+        return RationalQ._of((xr, tuple([-b for b in xi]), yr, tuple([-b for b in yi])))
 
     def is_zero(self) -> bool:
-        return not self.num
+        return not self._rows[0]
 
     def is_polynomial(self) -> bool:
-        return self.den == (GaussRational(1),)
+        return len(self._rows[2]) == 1
 
     def numerator_coefficients(self):
         return self.num
 
     def evaluate(self, value):
         """Substitute a scalar for q (Horner)."""
-        def horner(coeffs):
-            acc = None
-            for c in reversed(coeffs):
-                if acc is None:
-                    acc = c if isinstance(value, GaussRational) else complex(c)
-                else:
-                    acc = acc * value + (c if isinstance(value, GaussRational) else complex(c))
-            if acc is None:
-                return GaussRational(0) if isinstance(value, GaussRational) else 0j
-            return acc
-
-        den = horner(self.den)
-        num = horner(self.num)
         if isinstance(value, GaussRational):
-            return num * den.inverse()
-        return num / den
+            return _horner(self.num or (GaussRational(0),), value) / _horner(self.den, value)
+        num = [complex(c) for c in self.num] or [0j]
+        return _horner(num, value) / _horner([complex(c) for c in self.den], value)
 
     def __bool__(self):
-        return not self.is_zero()
+        return bool(self._rows[0])
 
     def __eq__(self, other):
         o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.num == o.num and self.den == o.den
+        return NotImplemented if o is None else self._rows == o._rows
 
     def __hash__(self):
-        # a constant hashes as the GaussRational it equals (the denominator
-        # is monic, so a constant has denominator (1,))
-        if len(self.den) == 1 and len(self.num) <= 1:
-            return hash(self.num[0]) if self.num else 0
-        return hash((self.num, self.den))
+        # a constant hashes as the GaussRational it equals
+        xr, xi, yr, _ = self._rows
+        if len(yr) == 1 and len(xr) <= 1:
+            return hash(GaussRational._make(xr[0], xi[0], yr[0])) if xr else 0
+        return hash(self._rows)
 
     def __repr__(self):
         return f"RationalQ({list(self.num)!r}, {list(self.den)!r})"
@@ -695,21 +766,21 @@ class _ExactRing:
     def close(self, a, b, tol: float = 0.0, scale: float = 1.0) -> bool:
         return a == b
 
-
-class RationalRing(_ExactRing):
-    name = "rational"
-
     @property
     def zero(self):
-        return GaussRational(0)
+        return self.coerce(0)
 
     @property
     def one(self):
-        return GaussRational(1)
+        return self.coerce(1)
 
     @property
     def imaginary_unit(self):
-        return GaussRational(0, 1)
+        return self.coerce(GaussRational(0, 1))
+
+
+class RationalRing(_ExactRing):
+    name = "rational"
 
     def coerce(self, value):
         if isinstance(value, GaussRational):
@@ -744,9 +815,7 @@ class ComplexRing:
         return 1j
 
     def coerce(self, value):
-        if isinstance(value, GaussRational):
-            return complex(value)
-        if isinstance(value, (int, float, complex, Fraction)):
+        if isinstance(value, (GaussRational, int, float, complex, Fraction)):
             return complex(value)
         raise RingError(f"cannot coerce {value!r} into the complex ring")
 
@@ -783,18 +852,6 @@ class SeriesRing(_ExactRing):
         self.base = RationalRing()
 
     @property
-    def zero(self):
-        return TruncSeries.constant(self.base.zero, self.order)
-
-    @property
-    def one(self):
-        return TruncSeries.constant(self.base.one, self.order)
-
-    @property
-    def imaginary_unit(self):
-        return TruncSeries.constant(self.base.imaginary_unit, self.order)
-
-    @property
     def t(self):
         return TruncSeries.parameter(self.order)
 
@@ -819,18 +876,6 @@ class SeriesRing(_ExactRing):
 
 class RationalQRing(_ExactRing):
     name = "rational_q"
-
-    @property
-    def zero(self):
-        return RationalQ(())
-
-    @property
-    def one(self):
-        return RationalQ.constant(1)
-
-    @property
-    def imaginary_unit(self):
-        return RationalQ.constant(GaussRational(0, 1))
 
     @property
     def q(self):

@@ -10,6 +10,7 @@ import pytest
 
 from starprod.catalog import (
     CatalogError,
+    _climb_weight,
     _distinct_arrangements,
     _nonquadratic_terms,
     SigmaError,
@@ -22,7 +23,6 @@ from starprod.catalog import (
     nonquadratic_table,
     quantum_weyl_star,
     quantum_weyl_table,
-    step_weight,
     symmetrized_star,
     symmetrized_star_by_averaging,
     translated_star,
@@ -30,7 +30,6 @@ from starprod.catalog import (
     wick_involution_condition,
     wick_log_canonical_table,
     wick_star,
-    word_weight,
 )
 from starprod.params import ParameterCatalog, ParameterRule
 from starprod.poly import DimensionMismatch, Polynomial
@@ -112,6 +111,29 @@ def test_wick_series_requires_minus_t():
 
 
 # -- the d=3 word-sum family ---------------------------------------------------------
+
+
+def step_weight(m, prefix, bit, p, q, r, N, ring):
+    """Weight of extending a binary word by one letter: the per-word reference.
+
+    bit 0 contributes q^(m - ones(prefix)); bit 1 contributes
+    (p - 1) * sum_{j < m - ones(prefix)} (q r^N)^j.
+    """
+    ones = sum(prefix)
+    if bit == 0:
+        return q ** (m - ones)
+    return _climb_weight(m - ones, p, q * scalar_power(ring, r, N), ring)
+
+
+def word_weight(m, word, p, q, r, N, ring):
+    """Product of step weights along a binary word, with r^(-N ones) twists."""
+    acc = ring.one
+    ones = 0
+    for idx, bit in enumerate(word):
+        acc = acc * scalar_power(ring, r, -N * ones)
+        acc = acc * step_weight(m, word[:idx], bit, p, q, r, N, ring)
+        ones += bit
+    return acc
 
 
 def test_word_weights():
