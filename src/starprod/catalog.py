@@ -117,14 +117,30 @@ def translated_table(base: RelationTable, offsets: Sequence) -> RelationTable:
 # -- closed forms --------------------------------------------------------------
 
 # Each closed form has a private term function, (K, L) -> the terms (M, c) of
-# x^K * x^L, which StarProduct sums straight into its one dict; the exported
+# x^K * x^L, re-iterable (a tuple or a dict's items) as StarProduct keeps them
+# in its memo and sums them into its one dict on every hit; the exported
 # functions wrap those terms in a Polynomial.
 TermList = Iterable[Tuple[Exponent, object]]
 TermRoute = Callable[[Exponent, Exponent], TermList]
 
 
 def _log_canonical_terms(K: Exponent, L: Exponent, q) -> TermList:
-    return ((tuple(map(add, K, L)), q ** inversion_weight(K, L)),)
+    return ((tuple([*map(add, K, L)]), q ** inversion_weight(K, L)),)
+
+
+def _shared_log_canonical_route(q) -> TermRoute:
+    """``_log_canonical_terms`` for one product's memo: one ``q ** w`` per
+    weight w and one exponent tuple per sum K + L serve all its entries."""
+    powers: Dict[int, object] = {}
+    sums: Dict[Exponent, Exponent] = {}
+
+    def terms(K: Exponent, L: Exponent) -> TermList:
+        w = inversion_weight(K, L)
+        if w not in powers:
+            powers[w] = q ** w
+        M = tuple([*map(add, K, L)])
+        return ((sums.setdefault(M, M), powers[w]),)
+    return terms
 
 
 def log_canonical_star(K: Exponent, L: Exponent, q, ring: Ring, kind: str = "x") -> Polynomial:
@@ -244,7 +260,7 @@ def quantum_weyl_star(e1: Sequence[int], e2: Sequence[int], p, q, ring: Ring) ->
 
 
 def _symmetrized_terms(K: Exponent, L: Exponent, q, ring: Ring) -> TermList:
-    M = tuple(map(add, K, L))
+    M = tuple([*map(add, K, L)])
     rows: Dict = {}
     bq_K = q_multinomial(K, q, ring, rows)
     bq_L = q_multinomial(L, q, ring, rows)
@@ -386,7 +402,9 @@ class StarProduct:
 
     ``mono`` is the closed form as a term route: it maps a monomial pair
     ``(K, L)`` to the terms ``(M, c)`` of ``x^K * x^L``, raw ring scalars
-    with no Polynomial built and nothing dropped.
+    with no Polynomial built and nothing dropped.  ``__call__`` keeps them in
+    a memo ``K -> {L -> terms}`` for the product's life; ``monomial_product``
+    reads it but adds nothing, as sweeps ask for each pair once.
     """
 
     name: str
@@ -396,11 +414,14 @@ class StarProduct:
     table: Optional[RelationTable] = None
     mono: Optional[TermRoute] = None
     step_limit: int = DEFAULT_STEP_LIMIT
+    _pairs: Dict[Exponent, Dict[Exponent, TermList]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def monomial_product(self, K: Exponent, L: Exponent) -> Polynomial:
         if self.mono is not None:
-            return Polynomial(self.ring, self.dim, dict(self.mono(tuple(K), tuple(L))),
-                              self.kind)
+            K, L = tuple(K), tuple(L)
+            terms = self._pairs.get(K, {}).get(L) or self.mono(K, L)
+            return Polynomial(self.ring, self.dim, dict(terms), self.kind)
         if self.table is None:
             raise CatalogError(f"{self.name} has neither closed form nor table")
         return table_star(Polynomial.monomial(self.ring, self.dim, K, kind=self.kind),
@@ -428,12 +449,16 @@ class StarProduct:
         if f.dim != self.dim or g.dim != self.dim:
             raise DimensionMismatch(f"{self.name} lives on d={self.dim}, "
                                     f"operands have d={f.dim}/{g.dim}")
-        mono = self.mono
+        mono, pairs = self.mono, self._pairs
         out: Dict[Exponent, object] = {}
         for K, a in f.terms.items():
+            row = pairs.get(K) or pairs.setdefault(K, {})
             for L, b in g.terms.items():
+                terms = row.get(L)
+                if terms is None:
+                    terms = row[L] = mono(K, L)
                 ab = a * b
-                for M, c in mono(K, L):
+                for M, c in terms:
                     if M in out:
                         out[M] = out[M] + c * ab
                     else:
@@ -526,14 +551,12 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
         dim = d or 2
         q = scalars["q"]
         table = log_canonical_table(ring, dim, q)
-        mono = lambda K, L: _log_canonical_terms(K, L, q)
-        star = StarProduct(name, ring, dim, "x", table, mono)
+        star = StarProduct(name, ring, dim, "x", table, _shared_log_canonical_route(q))
     elif name == "wick_log_canonical":
         dim = d or 2
         q = scalars["q"]
         table = wick_log_canonical_table(ring, dim, q)
-        mono = lambda K, L: _log_canonical_terms(K, L, q)
-        star = StarProduct(name, ring, dim, "w", table, mono)
+        star = StarProduct(name, ring, dim, "w", table, _shared_log_canonical_route(q))
     elif name == "nonquadratic":
         dim = 3
         if d not in (None, 3):

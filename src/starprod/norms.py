@@ -10,6 +10,9 @@ Four kinds, all finite sums over the nonzero coefficients f_L:
 
 Completions never appear here; truncated coefficient tables stand in for
 analytic elements, so every evaluation is exact up to float rounding.
+
+Each spec keeps a memo of its weights, by exponent for rho and by degree for
+tr and macgyver; it is no dataclass field, so equality, hash and repr ignore it.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ class NormSpec:
         elif kind == "macgyver":
             if self.C is None or self.C <= 0:
                 raise ValueError("macgyver norm needs C > 0")
+        object.__setattr__(self, "_weights", {})
 
     @staticmethod
     def rho_norm(rho: Sequence[float]) -> "NormSpec":
@@ -74,23 +78,32 @@ def seminorm(f: Polynomial, spec: NormSpec) -> float:
     if spec.kind == "adic":
         return adic_order(f)
     to_complex = f.ring.to_complex
+    weights = spec._weights
     total = 0.0
     if spec.kind == "rho":
         if len(spec.rho) != f.dim:
             raise ValueError("rho weight vector length must equal the dimension")
         for K, c in f.terms.items():
-            w = 1.0
-            for r, e in zip(spec.rho, K):
-                w *= r ** e
+            w = weights.get(K)
+            if w is None:
+                w = 1.0
+                for r, e in zip(spec.rho, K):
+                    w *= r ** e
+                weights[K] = w
             total += abs(to_complex(c)) * w
     elif spec.kind == "tr":
         for K, c in f.terms.items():
             deg = sum(K)
-            total += abs(to_complex(c)) * spec.C ** deg * float(math.factorial(deg)) ** spec.R
+            if deg not in weights:
+                weights[deg] = (spec.C ** deg, float(math.factorial(deg)) ** spec.R)
+            C_deg, factorial_R = weights[deg]
+            total += abs(to_complex(c)) * C_deg * factorial_R
     else:  # macgyver
         for K, c in f.terms.items():
             deg = sum(K)
-            total += abs(to_complex(c)) * spec.C ** (deg * deg)
+            if deg not in weights:
+                weights[deg] = spec.C ** (deg * deg)
+            total += abs(to_complex(c)) * weights[deg]
     return total
 
 

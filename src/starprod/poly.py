@@ -58,7 +58,7 @@ def inversion_weight(K: Exponent, L: Exponent) -> int:
 
 def grlex_key(K: Exponent):
     # graded order, highest total degree first, then lexicographic on x1
-    return (-sum(K), tuple(-k for k in K))
+    return (-sum(K), tuple([-k for k in K]))
 
 
 class DimensionMismatch(ValueError):
@@ -173,7 +173,7 @@ class Polynomial:
             out: Dict[Exponent, object] = {}
             for K, a in self.terms.items():
                 for L, b in other.terms.items():
-                    M = tuple(k + l for k, l in zip(K, L))
+                    M = tuple([k + l for k, l in zip(K, L)])
                     c = a * b
                     if M in out:
                         out[M] = out[M] + c

@@ -233,7 +233,7 @@ class RelationTable:
                 out[M] = out[M] + d if M in out else d
                 depths[M] = max(depths.get(M, 0), k + j)
         pool = self._coefficients
-        found = tuple((M, _interned(pool, d), depths[M]) for M, d in out.items() if d)
+        found = tuple([(M, _interned(pool, d), depths[M]) for M, d in out.items() if d])
         if len(found) > misses.widest:
             misses.widest = len(found)
         return found
@@ -348,7 +348,7 @@ def _rewrite(terms: Iterable[Tuple[Word, object]], table: RelationTable, misses:
         raise ValueError(f"unknown rewriting strategy {strategy!r}")
     dim, kind = table.dim, table.kind
     if strategy == "leftmost":
-        terms = ((tuple(dim + 1 - letter for letter in reversed(w)), c) for w, c in terms)
+        terms = ((tuple([dim + 1 - letter for letter in reversed(w)]), c) for w, c in terms)
         table = table.mirror()
     normal_form, one = table.normal_form, table._one
     out: Dict[Exponent, object] = {}

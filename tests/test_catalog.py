@@ -4,6 +4,8 @@ import cmath
 import itertools
 import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
@@ -31,6 +33,7 @@ from starprod.catalog import (
     wick_log_canonical_table,
     wick_star,
 )
+from starprod.norms import NormSpec, seminorm
 from starprod.params import ParameterCatalog, ParameterRule
 from starprod.poly import DimensionMismatch, Polynomial
 from starprod.probes import (
@@ -618,6 +621,108 @@ def test_closed_form_product_rejects_operands_of_another_dimension():
     x1 = Polynomial.variable(C, 3, 1)
     with pytest.raises(DimensionMismatch):
         inst.star(x1, x1)
+
+
+# -- the product's memo of monomial pairs -------------------------------------------
+
+
+def _memo_catalog(name, ring, hbar=0.7):
+    if name != "symmetrized_log_canonical":
+        return _closed_form_catalog(name, ring, hbar if not ring.exact else None)
+    if ring.exact:
+        return build_catalog(name, ring, 3, ParameterCatalog({"q": _const("5/4")}))
+    return build_catalog(name, ring, 3, hbar=hbar)
+
+
+def _same_terms(p, q):
+    """Equal term for term and in the same order; complex values by exact ==."""
+    return list(p.terms.items()) == list(q.terms.items())
+
+
+def _memo_size(star):
+    return sum(len(row) for row in star._pairs.values())
+
+
+def _operands(inst, seed):
+    rng = random.Random(seed)
+    fs = [_multi_term(rng, inst.ring, inst.dim, inst.kind) for _ in range(3)]
+    return fs, [f + _multi_term(rng, inst.ring, inst.dim, inst.kind) for f in fs]
+
+
+@pytest.mark.parametrize("ring", (R, C), ids=("exact", "complex"))
+@pytest.mark.parametrize("name", CLOSED_FORM_CATALOGS + ("symmetrized_log_canonical",))
+def test_a_product_with_a_warm_memo_equals_a_fresh_one(name, ring):
+    star = _memo_catalog(name, ring).star
+    fs, gs = _operands(star, f"memo:{name}")
+    for _ in range(2):
+        for f, g in itertools.product(fs, gs):
+            assert _same_terms(star(f, g), _memo_catalog(name, ring).star(f, g)), (f, g)
+    # every operand pair shares monomial pairs with another, so the memo was read
+    lookups = sum(len(f.terms) * len(g.terms) for f, g in itertools.product(fs, gs))
+    assert 0 < _memo_size(star) < lookups
+
+
+def test_a_product_at_another_hbar_shares_no_memo_entries():
+    earlier = _memo_catalog("wick_log_canonical", C, hbar=0.7).star
+    fs, gs = _operands(earlier, "memo:hbar")
+    for f, g in itertools.product(fs, gs):
+        earlier(f, g)
+    later = _memo_catalog("wick_log_canonical", C, hbar=0.3).star
+    assert _memo_size(earlier) and not later._pairs
+    for f, g in itertools.product(fs, gs):
+        product = later(f, g)
+        assert _same_terms(product, _memo_catalog("wick_log_canonical", C, hbar=0.3).star(f, g))
+        assert not _same_terms(product, earlier(f, g))
+    shared = {id(t) for row in earlier._pairs.values() for t in row.values()}
+    assert not shared & {id(t) for row in later._pairs.values() for t in row.values()}
+
+
+@pytest.mark.parametrize("name", CLOSED_FORM_CATALOGS + ("symmetrized_log_canonical",))
+def test_monomial_products_read_the_memo_that_products_fill(name):
+    star = _memo_catalog(name, C).star
+    fresh = _memo_catalog(name, C).star
+    fs, gs = _operands(star, f"memo-monomials:{name}")
+    for f, g in zip(fs, gs):
+        star(f, g)
+    size = _memo_size(star)
+    for K, row in star._pairs.items():
+        for L, terms in row.items():
+            got = star.monomial_product(K, L)
+            assert _same_terms(got, Polynomial(C, star.dim, dict(terms), star.kind))
+            assert _same_terms(got, fresh.monomial_product(K, L))
+            one = Polynomial.monomial(C, star.dim, K, kind=star.kind)
+            assert got == star(one, Polynomial.monomial(C, star.dim, L, kind=star.kind))
+    # a pair it has not seen is computed and left out of the memo
+    unseen = (9,) * star.dim
+    assert _same_terms(star.monomial_product(unseen, unseen),
+                       fresh.monomial_product(unseen, unseen))
+    assert _memo_size(star) == size and not fresh._pairs
+
+
+def test_threads_sharing_a_product_and_a_spec_get_the_fresh_answers():
+    star = _memo_catalog("wick_log_canonical", C).star
+    spec = NormSpec.rho_norm((0.9, 1.2, 0.7))
+    fs, gs = _operands(star, "memo-threads")
+    cases = [(f, g, _memo_catalog("wick_log_canonical", C).star(f, g),
+              seminorm(f, NormSpec.rho_norm(spec.rho))) for f, g in itertools.product(fs, gs)]
+    wrong = []
+
+    def work(shift):
+        for f, g, product, norm in (cases[shift:] + cases[:shift]) * 20:
+            if not _same_terms(star(f, g), product) or seminorm(f, spec) != norm:
+                wrong.append((f, g))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and not wrong
 
 
 # -- word sums a letter at a time, and arrangements by next permutation -------------

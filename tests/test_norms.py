@@ -1,5 +1,7 @@
 """Seminorm values, axioms, and comparisons."""
 
+import dataclasses
+import math
 import random
 
 import pytest
@@ -98,3 +100,59 @@ def test_rho_length_is_checked_also_on_the_zero_polynomial():
     with pytest.raises(ValueError):
         seminorm(Polynomial.variable(C, 3, 1), spec)
     assert seminorm(Polynomial.zero(C, 2), spec) == 0.0
+
+
+# -- each spec's memo of weights -----------------------------------------------------
+
+
+def _reference_seminorm(f, spec):
+    """The weighted sum written out term by term, with nothing remembered."""
+    total = 0.0
+    for K, c in f.terms.items():
+        size, deg = abs(f.ring.to_complex(c)), sum(K)
+        if spec.kind == "rho":
+            w = 1.0
+            for r, e in zip(spec.rho, K):
+                w *= r ** e
+            total += size * w
+        elif spec.kind == "tr":
+            total += size * spec.C ** deg * float(math.factorial(deg)) ** spec.R
+        else:
+            total += size * spec.C ** (deg * deg)
+    return total
+
+
+def test_remembered_weights_give_the_reference_sums_bit_for_bit():
+    rng = random.Random(17)
+    R = make_ring("rational")
+    polys = [random_polynomial(rng, ring, 3, 5, 6) for ring in (C, R) for _ in range(12)]
+    for spec in (NormSpec.rho_norm((1.5, 0.5, 2.25)), NormSpec.tr_norm(2.0, 0.5),
+                 NormSpec.tr_norm(0.75, 1.5), NormSpec.macgyver_norm(1.25)):
+        for _ in range(3):
+            for f in polys:
+                assert seminorm(f, spec).hex() == _reference_seminorm(f, spec).hex(), (spec, f)
+        assert spec._weights
+
+
+def test_a_wrong_rho_length_still_raises_once_the_memo_is_warm():
+    spec = NormSpec.rho_norm((1.0, 2.0))
+    rng = random.Random(18)
+    for _ in range(5):
+        seminorm(random_polynomial(rng, C, 2, 4, 4), spec)
+    assert spec._weights
+    for f in (Polynomial.zero(C, 3), Polynomial.variable(C, 3, 1),
+              Polynomial.monomial(C, 1, (1,))):
+        with pytest.raises(ValueError):
+            seminorm(f, spec)
+
+
+def test_a_warm_spec_equals_a_fresh_one():
+    rng = random.Random(19)
+    for make in (lambda: NormSpec.rho_norm((1.5, 0.5)), lambda: NormSpec.tr_norm(2.0, 0.5),
+                 lambda: NormSpec.macgyver_norm(1.5)):
+        warm, fresh = make(), make()
+        for _ in range(5):
+            seminorm(random_polynomial(rng, C, 2, 4, 4), warm)
+        assert warm._weights and not fresh._weights
+        assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
+        assert "_weights" not in {f.name for f in dataclasses.fields(warm)}
