@@ -124,13 +124,10 @@ TermList = Iterable[Tuple[Exponent, object]]
 TermRoute = Callable[[Exponent, Exponent], TermList]
 
 
-def _log_canonical_terms(K: Exponent, L: Exponent, q) -> TermList:
-    return ((tuple([*map(add, K, L)]), q ** inversion_weight(K, L)),)
-
-
-def _shared_log_canonical_route(q) -> TermRoute:
-    """``_log_canonical_terms`` for one product's memo: one ``q ** w`` per
-    weight w and one exponent tuple per sum K + L serve all its entries."""
+def _log_canonical_route(q) -> TermRoute:
+    """(K, L) -> ((K + L, q^w),), w = inversion_weight(K, L); within one
+    route one ``q ** w`` per weight and one exponent tuple per sum serve
+    every pair, so a product's memo entries share them."""
     powers: Dict[int, object] = {}
     sums: Dict[Exponent, Exponent] = {}
 
@@ -147,7 +144,7 @@ def log_canonical_star(K: Exponent, L: Exponent, q, ring: Ring, kind: str = "x")
     """x^K * x^L = q^(sum_{i<j} K_j L_i) x^(K+L)."""
     if len(K) != len(L):
         raise CatalogError("multi-index dimensions differ")
-    return Polynomial(ring, len(K), dict(_log_canonical_terms(K, L, q)), kind)
+    return Polynomial(ring, len(K), dict(_log_canonical_route(q)(K, L)), kind)
 
 
 def wick_star(K: Exponent, L: Exponent, q, ring: Ring) -> Polynomial:
@@ -404,7 +401,7 @@ class StarProduct:
     ``(K, L)`` to the terms ``(M, c)`` of ``x^K * x^L``, raw ring scalars
     with no Polynomial built and nothing dropped.  ``__call__`` keeps them in
     a memo ``K -> {L -> terms}`` for the product's life; ``monomial_product``
-    reads it but adds nothing, as sweeps ask for each pair once.
+    leaves it alone, as sweeps ask for each pair once.
     """
 
     name: str
@@ -419,9 +416,8 @@ class StarProduct:
 
     def monomial_product(self, K: Exponent, L: Exponent) -> Polynomial:
         if self.mono is not None:
-            K, L = tuple(K), tuple(L)
-            terms = self._pairs.get(K, {}).get(L) or self.mono(K, L)
-            return Polynomial(self.ring, self.dim, dict(terms), self.kind)
+            return Polynomial(self.ring, self.dim, dict(self.mono(tuple(K), tuple(L))),
+                              self.kind)
         if self.table is None:
             raise CatalogError(f"{self.name} has neither closed form nor table")
         return table_star(Polynomial.monomial(self.ring, self.dim, K, kind=self.kind),
@@ -551,12 +547,12 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
         dim = d or 2
         q = scalars["q"]
         table = log_canonical_table(ring, dim, q)
-        star = StarProduct(name, ring, dim, "x", table, _shared_log_canonical_route(q))
+        star = StarProduct(name, ring, dim, "x", table, _log_canonical_route(q))
     elif name == "wick_log_canonical":
         dim = d or 2
         q = scalars["q"]
         table = wick_log_canonical_table(ring, dim, q)
-        star = StarProduct(name, ring, dim, "w", table, _shared_log_canonical_route(q))
+        star = StarProduct(name, ring, dim, "w", table, _log_canonical_route(q))
     elif name == "nonquadratic":
         dim = 3
         if d not in (None, 3):

@@ -678,25 +678,18 @@ def test_a_product_at_another_hbar_shares_no_memo_entries():
 
 
 @pytest.mark.parametrize("name", CLOSED_FORM_CATALOGS + ("symmetrized_log_canonical",))
-def test_monomial_products_read_the_memo_that_products_fill(name):
+def test_monomial_products_equal_products_of_monomials_on_a_warm_product(name):
     star = _memo_catalog(name, C).star
     fresh = _memo_catalog(name, C).star
     fs, gs = _operands(star, f"memo-monomials:{name}")
     for f, g in zip(fs, gs):
         star(f, g)
-    size = _memo_size(star)
     for K, row in star._pairs.items():
-        for L, terms in row.items():
+        for L in row:
             got = star.monomial_product(K, L)
-            assert _same_terms(got, Polynomial(C, star.dim, dict(terms), star.kind))
             assert _same_terms(got, fresh.monomial_product(K, L))
             one = Polynomial.monomial(C, star.dim, K, kind=star.kind)
             assert got == star(one, Polynomial.monomial(C, star.dim, L, kind=star.kind))
-    # a pair it has not seen is computed and left out of the memo
-    unseen = (9,) * star.dim
-    assert _same_terms(star.monomial_product(unseen, unseen),
-                       fresh.monomial_product(unseen, unseen))
-    assert _memo_size(star) == size and not fresh._pairs
 
 
 def test_threads_sharing_a_product_and_a_spec_get_the_fresh_answers():
