@@ -35,7 +35,7 @@ from .qcomb import (
     PoleAtRootOfUnity,
     multinomial,
     q_multinomial,
-    q_multinomial_value_or_pole,
+    q_multinomial_ratio,
     root_of_unity_order,
 )
 from .reduction import (
@@ -261,9 +261,12 @@ def _symmetrized_terms(K: Exponent, L: Exponent, q, ring: Ring) -> TermList:
     rows: Dict = {}
     bq_K = q_multinomial(K, q, ring, rows)
     bq_L = q_multinomial(L, q, ring, rows)
-    bq_M = q_multinomial_value_or_pole(M, q, ring, rows)
-    classical = Fraction(multinomial(M), multinomial(K) * multinomial(L))
-    coeff = ring.coerce(classical) * bq_K * bq_L * ring.inverse(bq_M)
+    bq_M = q_multinomial(M, q, ring, rows)
+    classical = ring.coerce(Fraction(multinomial(M), multinomial(K) * multinomial(L)))
+    if ring.is_zero(bq_M):  # a removable singularity, or a genuine pole
+        coeff = classical * q_multinomial_ratio(K, L, q, ring, rows)
+    else:
+        coeff = classical * bq_K * bq_L * ring.inverse(bq_M)
     coeff = coeff * q ** inversion_weight(K, L)
     return ((M, coeff),)
 
@@ -471,7 +474,8 @@ class CatalogInstance:
 
     ``oracle`` holds the two computations of ``x^K * x^L`` that cross-check
     each other, as (route, reference): a closed form against rewriting, or,
-    for a table with no closed form, rightmost against leftmost rewriting.
+    for a table with no closed form, the product's own (rightmost)
+    rewriting against ``leftmost_route``.
     """
 
     name: str
@@ -486,21 +490,18 @@ class CatalogInstance:
     options: Dict[str, object] = field(default_factory=dict)
 
 
-def rewriting_routes(table: RelationTable) -> Tuple[MonomialRoute, MonomialRoute]:
-    """Rightmost against leftmost rewriting, the latter through the mirrored
-    table's memo: the normal form of an associative table does not depend
-    on the order of the rewrites."""
-    def monomials(K: Exponent, L: Exponent) -> Tuple[Polynomial, Polynomial]:
-        return (Polynomial.monomial(table.ring, table.dim, K, kind=table.kind),
-                Polynomial.monomial(table.ring, table.dim, L, kind=table.kind))
+def leftmost_route(table: RelationTable) -> MonomialRoute:
+    """x^K * x^L by leftmost rewriting, through the mirrored table's memo.
 
-    def rightmost(K: Exponent, L: Exponent) -> Polynomial:
-        return table_star(*monomials(K, L), table)
-
+    The reference for a product that rewrites rightmost: the normal form
+    of an associative table does not depend on the order of the rewrites.
+    """
     def leftmost(K: Exponent, L: Exponent) -> Polynomial:
-        return star_by_reduction(*monomials(K, L), table, strategy="leftmost").result
+        f = Polynomial.monomial(table.ring, table.dim, K, kind=table.kind)
+        g = Polynomial.monomial(table.ring, table.dim, L, kind=table.kind)
+        return star_by_reduction(f, g, table, strategy="leftmost").result
 
-    return rightmost, leftmost
+    return leftmost
 
 
 def default_rules(name: str, options: Optional[Dict] = None) -> ParameterCatalog:
@@ -605,8 +606,8 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
     if table is not None:
         reduction_star = StarProduct(name + "(reduction)", ring, dim, star.kind, table, None)
     if oracle is None:
-        oracle = ((star.monomial_product, reduction_star.monomial_product)
-                  if star.mono is not None else rewriting_routes(table))
+        oracle = (star.monomial_product, reduction_star.monomial_product
+                  if star.mono is not None else leftmost_route(table))
     return CatalogInstance(name, ring, dim, star.kind, star, table, reduction_star,
                            oracle, scalars, options)
 

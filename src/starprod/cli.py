@@ -6,9 +6,12 @@
     star gram    Gram matrix of a deformed evaluation functional
     star gns     quotient representation data built from such a functional
 
-Exit codes: 0 success (and all probes green for verify), 1 a probe failed,
-rewriting hit the step limit or a float computation overflowed, 2 usage,
-parse, config or table-file errors (a non-finite hbar among them).
+Exit codes: 0 success, 1 a failed verdict (a probe of ``verify``, the PSD
+check of ``gram``), and for an error the code ``EXIT_CODES`` gives its type,
+the one table that ``_guarded`` applies to every command: 2 for usage,
+parse, config or table-file errors (a non-finite hbar among them), 1 when
+rewriting hit the step limit, a coefficient has a genuine pole or a float
+computation overflowed.  The message goes to stderr as ``error: ...``.
 
 ``star eval`` turns its flags into one run-spec entry and builds its
 instance through ``context_from_run``, as ``star verify`` does.
@@ -17,11 +20,13 @@ instance through ``context_from_run``, as ``star verify`` does.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import csv
+import functools
 import json
 import os
 import sys
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import click
 
@@ -49,9 +54,46 @@ CONFIG_ERRORS = (ParseError, ParameterError, CatalogError, ConfigError,
                  TableFileError, TableError, RingError, ValueError)
 
 
-def _fail(message: str, code: int):
-    click.echo(f"error: {message}", err=True)
-    sys.exit(code)
+class FloatOverflow(ArithmeticError):
+    """A float computation overflowed in the named catalog at hbar."""
+
+    def __init__(self, label: str, hbar):
+        super().__init__(f"float overflow in {label} at hbar={hbar!r}")
+
+
+# error type -> exit code, the first type the error is an instance of
+EXIT_CODES = {**dict.fromkeys(CONFIG_ERRORS, 2),
+              StepLimitExceeded: 1, PoleAtRootOfUnity: 1, FloatOverflow: 1}
+
+
+def _guarded(command):
+    """The command, with an error of ``EXIT_CODES`` printed and exited on."""
+    @functools.wraps(command)
+    def run(*args, **kwargs):
+        try:
+            return command(*args, **kwargs)
+        except tuple(EXIT_CODES) as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)))
+    return run
+
+
+@contextlib.contextmanager
+def _overflow_in(label: str, hbar):
+    """Re-raise an OverflowError as a FloatOverflow naming label and hbar."""
+    try:
+        yield
+    except OverflowError:
+        raise FloatOverflow(label, hbar) from None
+
+
+def _emit(text: str, path: Optional[str]) -> None:
+    """Write ``text`` to the file at ``path``, or echo it when there is none."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        click.echo(text, nl=False)
 
 
 def _parse_params(params: Tuple[str, ...]) -> Dict:
@@ -83,8 +125,14 @@ def _finite_hbar_flag(ctx, param, value) -> float:
         raise click.BadParameter(str(exc)) from None
 
 
-def _overflow(label: str, hbar) -> None:
-    _fail(f"float overflow in {label} at hbar={hbar!r}", 1)
+def _hbar_list(text: str) -> List[float]:
+    """The hbars of a comma-separated --hbar value."""
+    try:
+        return [finite_hbar(h) for h in text.split(",")]
+    except ConfigError:
+        raise
+    except ValueError:
+        raise ConfigError(f"bad --hbar value {text!r}") from None
 
 
 def _overflowed(f) -> bool:
@@ -147,52 +195,26 @@ def main():
 @click.option("--rhs", required=True, help="right factor, polynomial text")
 @click.option("--json", "as_json", is_flag=True, default=False)
 @click.option("--exact", is_flag=True, default=False, help="full-precision output")
+@_guarded
 def cmd_eval(catalog, phi, d, params, hbar_text, ring_name, truncation, lhs, rhs,
              as_json, exact):
     """Evaluate LHS * RHS and print the canonical result."""
-    try:
-        hbars = ([finite_hbar(h) for h in hbar_text.split(",")] if hbar_text is not None
-                 else [None])
-    except ConfigError as exc:
-        _fail(str(exc), 2)
-        return
-    except ValueError:
-        _fail(f"bad --hbar value {hbar_text!r}", 2)
-        return
+    hbars = _hbar_list(hbar_text) if hbar_text is not None else [None]
     digits = None if exact else 5
-    try:
-        ctx = context_from_run(_run_from_flags(catalog, phi, d, params, ring_name,
-                                               truncation))
-    except CONFIG_ERRORS as exc:
-        _fail(str(exc), 2)
-        return
+    ctx = context_from_run(_run_from_flags(catalog, phi, d, params, ring_name, truncation))
     payloads = []
     for hbar in hbars:
-        try:
+        with _overflow_in(ctx.label, hbar):
             inst = ctx.instance(hbar=hbar)
             f = parse_poly(lhs, inst.dim, inst.ring, inst.kind, params=inst.params)
             g = parse_poly(rhs, inst.dim, inst.ring, inst.kind, params=inst.params)
-        except CONFIG_ERRORS as exc:
-            _fail(str(exc), 2)
-            return
-        except OverflowError:
-            _overflow(ctx.label, hbar)
-            return
-        try:
             if inst.table is not None:
                 trace = star_by_reduction(f, g, inst.table)
                 result, count = trace.result, trace.reduction_count
             else:
                 result, count = inst.star(f, g), None
-        except (StepLimitExceeded, PoleAtRootOfUnity) as exc:
-            _fail(str(exc), 1)
-            return
-        except OverflowError:
-            _overflow(ctx.label, hbar)
-            return
         if _overflowed(result):
-            _overflow(ctx.label, hbar)
-            return
+            raise FloatOverflow(ctx.label, hbar)
         payloads.append({"schema": SCHEMA, "catalog": catalog or "phi",
                          "hbar": hbar, "result": format_poly(result, digits=digits),
                          "reduction_count": count})
@@ -220,32 +242,26 @@ def cmd_eval(catalog, phi, d, params, hbar_text, ring_name, truncation, lhs, rhs
               help="include per-case rows in the JSON report")
 @click.option("--timings", "include_timings", is_flag=True, default=False,
               help="include wall-clock timings (breaks byte-for-byte determinism)")
+@_guarded
 def cmd_verify(spec_path, seed, out_path, csv_path, as_json,
                include_cases, include_timings):
     """Run verification suites; exit 0 only if every probe passes."""
-    try:
-        if spec_path:
-            with open(spec_path, "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
-        else:
-            spec = DEFAULT_RUNSPEC
-        actual_seed = _resolve_seed(seed, spec)
-        # digests are computed only for the outputs that show them
-        results = run_suites(spec, seed=actual_seed,
-                             digests=include_cases or bool(csv_path))
-    except CONFIG_ERRORS as exc:
-        _fail(str(exc), 2)
-        return
+    if spec_path:
+        with open(spec_path, "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
+    else:
+        spec = DEFAULT_RUNSPEC
+    actual_seed = _resolve_seed(seed, spec)
+    # digests are computed only for the outputs that show them
+    results = run_suites(spec, seed=actual_seed, digests=include_cases or bool(csv_path))
     report = assemble_report(results, actual_seed, include_cases, include_timings)
     text = report_to_json(report)
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    _emit(text, out_path)
     if csv_path:
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerows(cases_to_csv_rows(results))
-    if as_json or not out_path:
+    if as_json and out_path:
         click.echo(text, nl=False)
     for row in report["suites"]:
         status = "pass" if row["pass"] else "FAIL"
@@ -258,19 +274,18 @@ def cmd_verify(spec_path, seed, out_path, csv_path, as_json,
 @click.argument("inputs", nargs=-1, type=click.Path(exists=True))
 @click.option("--out", "out_path", type=click.Path(), default=None)
 @click.option("--json", "as_json", is_flag=True, default=False)
+@_guarded
 def cmd_report(inputs, out_path, as_json):
     """Merge verify reports into one summary; later files win duplicate keys."""
     merged: Dict[Tuple, Dict] = {}
     for path in inputs:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
+            try:
                 data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            _fail(f"{path}: {exc}", 2)
-            return
+            except json.JSONDecodeError as exc:
+                raise ConfigError(f"{path}: {exc}") from None
         if data.get("schema") != SCHEMA:
-            _fail(f"{path}: schema mismatch (want {SCHEMA})", 2)
-            return
+            raise ConfigError(f"{path}: schema mismatch (want {SCHEMA})")
         for row in data.get("suites", []):
             key = (row.get("catalog"), row.get("probe"), repr(row.get("hbar")))
             if key in merged:
@@ -278,12 +293,7 @@ def cmd_report(inputs, out_path, as_json):
             merged[key] = row
     rows = [merged[k] for k in sorted(merged)]
     if as_json:
-        text = json.dumps({"schema": SCHEMA, "suites": rows}, sort_keys=True, indent=2)
-        if out_path:
-            with open(out_path, "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-        else:
-            click.echo(text)
+        _emit(_json_text({"schema": SCHEMA, "suites": rows}), out_path)
         return
     header = ["catalog", "probe", "hbar", "pass", "worst_margin", "case_count"]
     lines = [header] + [[str(r.get(h)) for h in header] for r in rows]
@@ -300,10 +310,21 @@ def _state_from_flags(hbar: float, z_text: str) -> StateFunctional:
     return StateFunctional(WickPoint(z), hbar)
 
 
+def _state_payload(catalog: str, state: StateFunctional, degree: int, basis) -> Dict:
+    """The fields that open the gram and gns payloads."""
+    return {"schema": SCHEMA, "catalog": catalog, "hbar": state.hbar,
+            "z": [[v.real, v.imag] for v in state.point.z],
+            "degree": degree, "basis": [list(K) for K in basis]}
+
+
 def _matrix_payload(M) -> Dict:
     """Shape and (real, imaginary) entries of a complex numpy matrix."""
     return {"shape": list(M.shape),
             "entries": [[float(v.real), float(v.imag)] for v in M.reshape(-1)]}
+
+
+def _json_text(payload: Dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 @main.command("gram")
@@ -313,34 +334,17 @@ def _matrix_payload(M) -> Dict:
 @click.option("--z", "z_text", required=True, help="comma-separated complex entries")
 @click.option("--degree", type=int, default=3)
 @click.option("--out", "out_path", type=click.Path(), default=None)
+@_guarded
 def cmd_gram(catalog, hbar, z_text, degree, out_path):
     """Gram matrix of the deformed evaluation at z."""
-    try:
+    with _overflow_in(catalog, hbar):
         state = _state_from_flags(hbar, z_text)
         basis, M = gram_matrix(state, degree)
-    except CONFIG_ERRORS as exc:
-        _fail(str(exc), 2)
-        return
-    except OverflowError:
-        _overflow(catalog, hbar)
-        return
     check = psd_check(M)
-    payload = {
-        "schema": SCHEMA,
-        "catalog": catalog,
-        "hbar": hbar,
-        "z": [[v.real, v.imag] for v in state.point.z],
-        "degree": degree,
-        "basis": [list(K) for K in basis],
-        "gram": _matrix_payload(M),
-        "psd": {"pass": check.passed, "min_eigenvalue": check.min_eigenvalue},
-    }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(_json_text({**_state_payload(catalog, state, degree, basis),
+                      "gram": _matrix_payload(M),
+                      "psd": {"pass": check.passed, "min_eigenvalue": check.min_eigenvalue}}),
+          out_path)
     sys.exit(0 if check.passed else 1)
 
 
@@ -351,37 +355,21 @@ def cmd_gram(catalog, hbar, z_text, degree, out_path):
 @click.option("--z", "z_text", required=True)
 @click.option("--degree", type=int, default=3)
 @click.option("--report", "report_path", type=click.Path(), default=None)
+@_guarded
 def cmd_gns(catalog, hbar, z_text, degree, report_path):
     """Quotient representation data from the deformed evaluation at z."""
-    try:
+    with _overflow_in(catalog, hbar):
         state = _state_from_flags(hbar, z_text)
         data = gns_build(state, degree)
-    except CONFIG_ERRORS as exc:
-        _fail(str(exc), 2)
-        return
-    except OverflowError:
-        _overflow(catalog, hbar)
-        return
-    payload = {
-        "schema": SCHEMA,
-        "catalog": catalog,
-        "hbar": hbar,
-        "z": [[v.real, v.imag] for v in state.point.z],
-        "degree": degree,
-        "basis": [list(K) for K in data.basis],
-        "eigenvalues": [float(v) for v in data.eigenvalues],
-        "rank": data.rank,
-        "rank_gap_warning": data.rank_gap_warning,
-        "adjoint_residual": data.adjoint_residual,
-        "gram": _matrix_payload(data.gram),
-        "operators": {f"w{i}": _matrix_payload(op) for i, op in data.operators.items()},
-    }
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if report_path:
-        with open(report_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        click.echo(text, nl=False)
+    _emit(_json_text({**_state_payload(catalog, state, degree, data.basis),
+                      "eigenvalues": [float(v) for v in data.eigenvalues],
+                      "rank": data.rank,
+                      "rank_gap_warning": data.rank_gap_warning,
+                      "adjoint_residual": data.adjoint_residual,
+                      "gram": _matrix_payload(data.gram),
+                      "operators": {f"w{i}": _matrix_payload(op)
+                                    for i, op in data.operators.items()}}),
+          report_path)
 
 
 if __name__ == "__main__":

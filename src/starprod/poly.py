@@ -56,6 +56,11 @@ def inversion_weight(K: Exponent, L: Exponent) -> int:
     return total
 
 
+def _add_term(out: Dict, key, c) -> None:
+    """out[key] += c, a missing entry counting as zero."""
+    out[key] = out[key] + c if key in out else c
+
+
 def grlex_key(K: Exponent):
     # graded order, highest total degree first, then lexicographic on x1
     return (-sum(K), tuple([-k for k in K]))
@@ -145,23 +150,14 @@ class Polynomial:
         self._check_compatible(other)
         out = dict(self.terms)
         for K, c in other.terms.items():
-            if K in out:
-                out[K] = out[K] + c
-            else:
-                out[K] = c
+            _add_term(out, K, c)
         return Polynomial.from_checked(self.ring, self.dim, out, self.kind)
 
     def __sub__(self, other):
+        # a - c and a + (-c) are the same scalar in every ring, floats included
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for K, c in other.terms.items():
-            if K in out:
-                out[K] = out[K] - c
-            else:
-                out[K] = -c
-        return Polynomial.from_checked(self.ring, self.dim, out, self.kind)
+        return self + (-other)
 
     def __neg__(self):
         return Polynomial.from_checked(self.ring, self.dim,
@@ -173,12 +169,7 @@ class Polynomial:
             out: Dict[Exponent, object] = {}
             for K, a in self.terms.items():
                 for L, b in other.terms.items():
-                    M = tuple([k + l for k, l in zip(K, L)])
-                    c = a * b
-                    if M in out:
-                        out[M] = out[M] + c
-                    else:
-                        out[M] = c
+                    _add_term(out, tuple([k + l for k, l in zip(K, L)]), a * b)
             return Polynomial.from_checked(self.ring, self.dim, out, self.kind)
         return self.scale(other)
 
@@ -207,14 +198,12 @@ class Polynomial:
     # -- involution and calculus ---------------------------------------------
 
     def conjugate(self) -> "Polynomial":
-        out = {}
-        for K, c in self.terms.items():
-            key = tuple(reversed(K)) if self.kind == "w" else K
-            cc = self.ring.conjugate(c)
-            if key in out:
-                out[key] = out[key] + cc
-            else:
-                out[key] = cc
+        # reversal is one-to-one on exponents, so no two terms meet
+        conj = self.ring.conjugate
+        if self.kind == "w":
+            out = {tuple(reversed(K)): conj(c) for K, c in self.terms.items()}
+        else:
+            out = {K: conj(c) for K, c in self.terms.items()}
         return Polynomial.from_checked(self.ring, self.dim, out, self.kind)
 
     def derivative(self, index: int) -> "Polynomial":
@@ -222,16 +211,9 @@ class Polynomial:
         if not 1 <= index <= self.dim:
             raise ValueError(f"generator index {index} out of range 1..{self.dim}")
         p = index - 1
-        out = {}
-        for K, c in self.terms.items():
-            if K[p] == 0:
-                continue
-            M = K[:p] + (K[p] - 1,) + K[p + 1:]
-            scaled = c * K[p]
-            if M in out:
-                out[M] = out[M] + scaled
-            else:
-                out[M] = scaled
+        # lowering K[p] is one-to-one on the exponents it applies to
+        out = {K[:p] + (K[p] - 1,) + K[p + 1:]: c * K[p]
+               for K, c in self.terms.items() if K[p]}
         return Polynomial.from_checked(self.ring, self.dim, out, self.kind)
 
     def shift(self, offsets) -> "Polynomial":
@@ -269,21 +251,8 @@ class Polynomial:
                 partial = [(M + (k,), a if b is None else a * b)
                            for M, a in partial for k, b in entries]
             for M, a in partial:
-                out[M] = out[M] + a if M in out else a
+                _add_term(out, M, a)
         return Polynomial.from_checked(ring, self.dim, out, self.kind)
-
-    def evaluate(self, point):
-        """Evaluate at a point; entries anything the coefficients multiply with."""
-        if len(point) != self.dim:
-            raise DimensionMismatch("point length must equal the dimension")
-        total = None
-        for K, c in self.terms.items():
-            value = c
-            for p, e in enumerate(K):
-                for _ in range(e):
-                    value = value * point[p]
-            total = value if total is None else total + value
-        return self.ring.zero if total is None else total
 
     # -- structure ------------------------------------------------------------
 
@@ -363,12 +332,7 @@ class NcPolynomial:
         out: Dict[Word, object] = {}
         for w1, a in self.terms.items():
             for w2, b in other.terms.items():
-                w = w1 + w2
-                c = a * b
-                if w in out:
-                    out[w] = out[w] + c
-                else:
-                    out[w] = c
+                _add_term(out, w1 + w2, a * b)
         return NcPolynomial(self.ring, self.dim, out)
 
     def __eq__(self, other):

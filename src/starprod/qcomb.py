@@ -11,8 +11,10 @@ integers at a GaussRational or RationalQ q (``scalars._row_at``; at the
 RationalQ generator the row is the numerator as it stands), in the target
 ring otherwise.
 Neither step divides, unlike the factorial quotient, so evaluating at a root
-of unity is exact and a genuine pole of a symmetrized-product coefficient is
-the only place division can fail.
+of unity is exact.  Where the q-multinomial of K + L vanishes at q, the
+ratio bq_K bq_L / bq_(K+L) of a symmetrized-product coefficient is reduced
+as a rational function first (``q_multinomial_ratio``), so a genuine pole
+is the only place division can fail.
 """
 
 from __future__ import annotations
@@ -129,13 +131,33 @@ def q_multinomial_value_or_pole(K: Sequence[int], q, ring: Ring,
     """q-multinomial value; raises PoleAtRootOfUnity when it vanishes.
 
     A vanishing q-multinomial at an evaluated q certifies that q is a
-    nontrivial root of unity, which is exactly the pole set of the
-    symmetrized coefficients.
+    nontrivial root of unity.  The symmetrized coefficients do not divide
+    through it: where bq_(K+L) vanishes, ``q_multinomial_ratio`` tells a
+    removable singularity from a pole.
     """
     value = q_multinomial(K, q, ring, _rows)
     if ring.is_zero(value):
         raise PoleAtRootOfUnity(root_of_unity_order(q, ring, max_order=max(2, sum(K))))
     return value
+
+
+def q_multinomial_ratio(K: Sequence[int], L: Sequence[int], q, ring: Ring, rows: Rows):
+    """bq_K bq_L / bq_(K+L) at q, from the ratio of the integer rows in lowest terms.
+
+    For a q where bq_(K+L) vanishes: the ratio is finite there when the
+    factors that vanish cancel (a removable singularity), and raises
+    PoleAtRootOfUnity only when its reduced denominator vanishes at q too.
+    ``rows`` holds the q-binomial rows the caller already built.
+    """
+    M = [k + l for k, l in zip(K, L)]
+    ratio = (RationalQ.from_integer_row(_multinomial_row(K, rows))
+             * RationalQ.from_integer_row(_multinomial_row(L, rows))
+             / RationalQ.from_integer_row(_multinomial_row(M, rows)))
+    num, den = ([ring.coerce(c) for c in row] for row in (ratio.num, ratio.den))
+    at_q = _horner(den, q)
+    if ring.is_zero(at_q):
+        raise PoleAtRootOfUnity(root_of_unity_order(q, ring, max_order=max(2, sum(M))))
+    return _horner(num, q) * ring.inverse(at_q)
 
 
 def q_multinomial_coefficients(K: Sequence[int]) -> Tuple[GaussRational, ...]:

@@ -309,14 +309,6 @@ def _row_at(row, q):
     return RationalQ._of(_normal(nr, ni, wr, wi, False))
 
 
-def _pmul(p, q) -> Tuple[GaussRational, ...]:
-    """Product of polynomials given as GaussRational tuples, trimmed."""
-    if not p or not q:
-        return ()
-    (ar, ai, d), (br, bi, e) = _rows_of(p), _rows_of(q)
-    return _entries(*_trim(*_cauchy(ar, ai, br, bi)), d * e)
-
-
 class TruncSeries(_FieldOps):
     """Power series in t truncated at a fixed order, with exact entries.
 
@@ -710,6 +702,7 @@ class RationalQ(_FieldOps):
         return len(self._rows[2]) == 1
 
     def numerator_coefficients(self):
+        """``num``, under the name that perfbench/workloads.py reads."""
         return self.num
 
     def evaluate(self, value):

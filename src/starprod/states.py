@@ -75,13 +75,13 @@ class WickPoint:
         return WickPoint(tuple(z))
 
 
-def random_wick_point(rng, dim: int, radius: float = 1.0) -> WickPoint:
+def random_wick_point(rng, dim: int) -> WickPoint:
     half = []
     for k in range((dim + 1) // 2):
         if dim % 2 == 1 and k == (dim + 1) // 2 - 1:
-            half.append(complex(rng.uniform(-radius, radius), 0.0))
+            half.append(complex(rng.uniform(-1.0, 1.0), 0.0))
         else:
-            half.append(complex(rng.uniform(-radius, radius), rng.uniform(-radius, radius)))
+            half.append(complex(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)))
     return WickPoint.from_half(half, dim)
 
 
@@ -322,14 +322,9 @@ def reversal_isomorphism(f: Polynomial, hbar: float, direction: str = "forward")
         raise StateError("the isomorphism acts on w-kind polynomials")
     ring = f.ring
     h = hbar if direction == "forward" else -hbar
-    out: Dict[Exponent, object] = {}
-    for K, c in f.terms.items():
-        target = tuple(reversed(K))
-        scaled = c * ring.coerce(math.exp(h * _pair_sum(K)))
-        if target in out:
-            out[target] = out[target] + scaled
-        else:
-            out[target] = scaled
+    # reversal is one-to-one on exponents, so no two terms meet
+    out = {tuple(reversed(K)): c * ring.coerce(math.exp(h * _pair_sum(K)))
+           for K, c in f.terms.items()}
     return Polynomial(ring, f.dim, out, "w")
 
 
@@ -417,21 +412,22 @@ class SeparationResult:
 
 
 GRID_VALUES = (-1.0, -0.5, 0.5, 1.0)
+RANDOM_POINTS = 100
 
 
 def point_separation_probe(f: Polynomial, hbar: float, rng,
-                           extra_random: int = 100, tol: float = 1e-9) -> SeparationResult:
+                           tol: float = 1e-9) -> SeparationResult:
     """Search for a point whose deformed evaluation does not kill f.
 
     Walks a small real tensor grid embedded in the antidiagonal set, then
-    random points.  Nonvanishing is generic, so absence after the search is
-    a probe failure rather than a proof.
+    ``RANDOM_POINTS`` random points.  Nonvanishing is generic, so absence
+    after the search is a probe failure rather than a proof.
     """
     if f.is_zero():
         raise StateError("point separation needs a nonzero polynomial")
     d = f.dim
     grid = itertools.product(GRID_VALUES, repeat=(d + 1) // 2)
-    for half in itertools.chain(grid, itertools.repeat(None, extra_random)):
+    for half in itertools.chain(grid, itertools.repeat(None, RANDOM_POINTS)):
         point = (WickPoint.from_half(half, d) if half is not None
                  else random_wick_point(rng, d))
         state = StateFunctional(point, hbar)

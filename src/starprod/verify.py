@@ -35,8 +35,8 @@ from .catalog import (
     build_catalog,
     catalog_poisson,
     catalog_rules,
+    leftmost_route,
     log_canonical_table,
-    rewriting_routes,
     symmetrized_star,
     symmetrized_star_by_averaging,
     wick_involution_condition,
@@ -102,7 +102,8 @@ class RunContext:
             table = table_from_dict(self.table_spec, hbar=hbar, ring=ring)
             star = StarProduct(self.label, table.ring, table.dim, table.kind, table, None)
             return CatalogInstance(self.label, table.ring, table.dim, table.kind,
-                                   star, table, star, rewriting_routes(table))
+                                   star, table, star,
+                                   (star.monomial_product, leftmost_route(table)))
         ring = make_ring(name or "complex", truncation_order=self.truncation)
         return build_catalog(self.catalog_name, ring, self.d, self.rules,
                              hbar, dict(self.options))
@@ -281,7 +282,7 @@ def suite_q_identities(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
         for K in exponent_ball(int(dim), int(cfg.get("max_total", 4))):
             value = q_multinomial(K, q, ring)
             ok = value.is_polynomial()
-            coeffs = value.numerator_coefficients() if ok else ()
+            coeffs = value.num if ok else ()
             if ok and coeffs:
                 ok = coeffs[0] == GaussRational(1)
                 ok = ok and all(c.im == 0 and c.re >= 0 and c.re.denominator == 1

@@ -546,3 +546,45 @@ def test_missing_catalog_parameters_exit_2(runner, tmp_path):
          "probes": [{"kind": "oracle", "max_degree": 1}]}]}))
     result = runner.invoke(main, ["verify", "--spec", str(spec_path)])
     _assert_config_failure(result, "catalog quantum_weyl needs parameters p, q; missing: p")
+
+
+# -- one failure policy for every command: (command, fault) -> (arguments, exit
+# code, first stderr line); "{bad}" stands for a file holding malformed JSON.
+# A removable singularity is no fault: it exits 0 with nothing on stderr.
+
+MALFORMED = ("error: {bad}Expecting property name enclosed in double quotes: "
+             "line 1 column 2 (char 1)")
+NOT_ANTIDIAGONAL = "error: point must satisfy z_i = conj(z_(d+1-i))"
+FAILURE_POLICY = {
+    ("eval", "hbar_not_a_number"): (
+        ["--catalog", "log_canonical", "--hbar", "abc", "--lhs", "x1", "--rhs", "x2"],
+        2, "error: bad --hbar value 'abc'"),
+    ("eval", "genuine_pole"): (
+        ["--catalog", "symmetrized_log_canonical", "--d", "2", "--ring", "rational",
+         "--param", "q=const:-1", "--lhs", "x1", "--rhs", "x2"],
+        1, "error: coefficient has a pole: q is a primitive root of unity of order 2"),
+    ("eval", "removable_singularity"): (
+        ["--catalog", "symmetrized_log_canonical", "--d", "3", "--ring", "rational",
+         "--param", "q=const:-1", "--lhs", "x1*x2", "--rhs", "x3^2"], 0, None),
+    ("verify", "malformed_spec"): (["--spec", "{bad}"], 2, MALFORMED.format(bad="")),
+    ("report", "malformed_json"): (["{bad}"], 2, MALFORMED.format(bad="{bad}: ")),
+    ("gram", "point_not_antidiagonal"): (["--hbar", "0.5", "--z", "1+1i,1+1i"],
+                                         2, NOT_ANTIDIAGONAL),
+    ("gns", "point_not_antidiagonal"): (["--hbar", "0.5", "--z", "1+1i,1+1i"],
+                                        2, NOT_ANTIDIAGONAL),
+}
+
+
+@pytest.mark.parametrize("command, fault", sorted(FAILURE_POLICY))
+def test_failure_policy(runner, tmp_path, command, fault):
+    args, code, first_line = FAILURE_POLICY[command, fault]
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    result = runner.invoke(main, [command] + [a.replace("{bad}", str(bad)) for a in args])
+    assert result.exit_code == code
+    if first_line is None:
+        assert result.stderr == "" and result.stdout == "3*x1*x2*x3^2\n"
+        return
+    assert isinstance(result.exception, SystemExit)  # no exception escaped
+    assert result.stderr.splitlines()[0] == first_line.replace("{bad}", str(bad))
+    assert result.stdout == ""

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from starprod.catalog import StarProduct, build_catalog, nonquadratic_table, rewriting_routes
+from starprod.catalog import StarProduct, build_catalog, leftmost_route, nonquadratic_table
 from starprod.params import ParameterCatalog, ParameterRule
 from starprod.poly import NcPolynomial, Polynomial, exponent_to_word, word_to_exponent
 from starprod.probes import exponent_ball, random_polynomial
@@ -243,9 +243,9 @@ def test_step_limit_stops_every_memo_route():
                        match=r"^table diverging: stopped at step limit 100 after 101 memo "
                              r"misses and \d+ letters rewritten; widest intermediate \d+ terms"):
         star_by_reduction(_monomial(2, (0, 1)), _monomial(2, (2, 0)), table, step_limit=100)
-    rightmost, _ = rewriting_routes(table)
-    with pytest.raises(StepLimitExceeded, match="table diverging: stopped at step limit"):
-        rightmost((0, 1), (2, 0))
+    for route in (limited.monomial_product, leftmost_route(table)):
+        with pytest.raises(StepLimitExceeded, match="table diverging: stopped at step limit"):
+            route((0, 1), (2, 0))
     # in three generators, with x3 x2 -> x2 x3 + x1^2, the generator triples diverge
     table3 = RelationTable(R, 3, "x", {(1, 2): _tail(3, (2, 2, 0)), (2, 3): _tail(3, (2, 0, 0))},
                            name="diverging3")

@@ -148,11 +148,6 @@ def test_complex_shift_matches_the_substitution_to_rounding(case):
     assert f.shift(offsets).close_to(expected, tol=1e-12, scale=scale)
 
 
-def test_evaluate():
-    f = parse_poly("x1^2*x2 - 2", 2, C)
-    assert abs(f.evaluate([2 + 0j, 3 + 0j]) - 10) < 1e-14
-
-
 # -- text form ---------------------------------------------------------------------
 
 

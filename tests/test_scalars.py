@@ -16,7 +16,10 @@ from starprod.scalars import (
     RingError,
     SeriesRing,
     TruncSeries,
-    _pmul,
+    _cauchy,
+    _entries,
+    _rows_of,
+    _trim,
     make_ring,
 )
 
@@ -204,6 +207,14 @@ ZERO_Q = GaussRational(0)
 def _with_zeros(entries, zero, **sizes):
     """Coefficient tuples in which zero entries are common."""
     return st.lists(st.one_of(entries, st.just(zero)), **sizes).map(tuple)
+
+
+def _pmul(p, q):
+    """Product of polynomials given as GaussRational tuples, trimmed."""
+    if not p or not q:
+        return ()
+    (ar, ai, d), (br, bi, e) = _rows_of(p), _rows_of(q)
+    return _entries(*_trim(*_cauchy(ar, ai, br, bi)), d * e)
 
 
 @given(st.integers(0, 3), _with_zeros(gauss_rationals(), ZERO_Q, max_size=5),

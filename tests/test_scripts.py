@@ -40,3 +40,23 @@ def test_gns_demo_prints_spectrum_rank_and_operators(monkeypatch, capsys):
     assert sum(line.startswith("left multiplication by w") for line in lines) == 2
     assert lines[-1].startswith("adjoint residual")
     assert float(lines[-1].split()[-1]) <= 1e-8
+
+
+def test_src_size_prints_every_module_and_a_total_that_adds_up(monkeypatch, capsys):
+    lines = _run("src_size.py", [], monkeypatch, capsys)
+    assert lines[0].split() == ["module", "lines", "code"]
+    rows = [line.split() for line in lines[1:]]
+    modules = sorted(path.name for path in (SCRIPTS.parent / "src" / "starprod").glob("*.py"))
+    assert [row[0] for row in rows[:-1]] == modules
+    counts = [(int(row[1]), int(row[2])) for row in rows]
+    assert all(0 < code < total for total, code in counts)
+    assert rows[-1][0] == "total"
+    assert counts[-1] == tuple(map(sum, zip(*counts[:-1])))
+
+
+def test_src_size_leaves_out_blank_lines_comments_and_docstrings():
+    module = runpy.run_path(str(SCRIPTS / "src_size.py"))
+    text = ('"""Module\n\ndocstring."""\n\n# a comment\nimport os\n\n\n'
+            'class A:\n    """One line."""\n\n    def f(self):\n'
+            '        """Two\n        lines."""\n        return "not a docstring"\n')
+    assert module["module_size"](text) == (15, 4)
