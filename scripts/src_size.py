@@ -7,10 +7,8 @@ comment lines and docstrings (of the module, its classes and functions,
 found with ``ast``) are taken out.
 
     python scripts/src_size.py
-    python scripts/src_size.py --package path/to/package
 """
 
-import argparse
 import ast
 from pathlib import Path
 
@@ -42,12 +40,9 @@ def module_size(text: str):
 
 
 def main():
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--package", type=Path, default=PACKAGE)
-    args = parser.parse_args()
     total_lines = total_code = 0
     print(f"{'module':16s} {'lines':>6s} {'code':>6s}")
-    for path in sorted(args.package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         lines, code = module_size(path.read_text(encoding="utf-8"))
         total_lines += lines
         total_code += code

@@ -7,11 +7,13 @@
     star gns     quotient representation data built from such a functional
 
 Exit codes: 0 success, 1 a failed verdict (a probe of ``verify``, the PSD
-check of ``gram``), and for an error the code ``EXIT_CODES`` gives its type,
-the one table that ``_guarded`` applies to every command: 2 for usage,
-parse, config or table-file errors (a non-finite hbar among them), 1 when
-rewriting hit the step limit, a coefficient has a genuine pole or a float
-computation overflowed.  The message goes to stderr as ``error: ...``.
+check of ``gram``).  For an error, ``_guarded``, the one wrapper around every
+command, gives 1 when rewriting hit the step limit, a coefficient has a
+genuine pole or a float computation overflowed, and 2 for ``CONFIG_ERRORS``:
+usage, parse, config or table-file errors (a non-finite hbar among them) and
+any other ``ValueError``, from whichever step of the command it comes (numpy's
+``LinAlgError`` in the PSD check of ``gram`` is one).  The message goes to
+stderr as ``error: ...``.
 
 ``star eval`` turns its flags into one run-spec entry and builds its
 instance through ``context_from_run``, as ``star verify`` does.
@@ -61,20 +63,19 @@ class FloatOverflow(ArithmeticError):
         super().__init__(f"float overflow in {label} at hbar={hbar!r}")
 
 
-# error type -> exit code, the first type the error is an instance of
-EXIT_CODES = {**dict.fromkeys(CONFIG_ERRORS, 2),
-              StepLimitExceeded: 1, PoleAtRootOfUnity: 1, FloatOverflow: 1}
-
-
 def _guarded(command):
-    """The command, with an error of ``EXIT_CODES`` printed and exited on."""
+    """The command, with a failure (exit 1) or a ``CONFIG_ERRORS`` error (exit 2)
+    printed and exited on."""
     @functools.wraps(command)
     def run(*args, **kwargs):
         try:
             return command(*args, **kwargs)
-        except tuple(EXIT_CODES) as exc:
+        except (StepLimitExceeded, PoleAtRootOfUnity, FloatOverflow) as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(next(code for cls, code in EXIT_CODES.items() if isinstance(exc, cls)))
+            sys.exit(1)
+        except CONFIG_ERRORS as exc:
+            click.echo(f"error: {exc}", err=True)
+            sys.exit(2)
     return run
 
 
