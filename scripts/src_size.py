@@ -2,9 +2,11 @@
 """Size of the starprod package, module by module.
 
 Prints, for each module of src/starprod and in total, its line count (as
-``wc -l`` counts) and its code lines: the lines left once blank lines,
+``wc -l`` counts), its code lines: the lines left once blank lines,
 comment lines and docstrings (of the module, its classes and functions,
-found with ``ast``) are taken out.
+found with ``ast``) are taken out, and its defaulted parameters: the
+positional and keyword-only parameters with a default, over every function
+and method, found with ``ast``.
 
     python scripts/src_size.py
 """
@@ -13,7 +15,8 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "starprod"
-DOCUMENTED = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DOCUMENTED = (ast.Module, ast.ClassDef) + FUNCTIONS
 
 
 def docstring_lines(tree: ast.AST) -> set:
@@ -39,15 +42,23 @@ def module_size(text: str):
     return text.count("\n"), code
 
 
+def defaulted_parameters(text: str) -> int:
+    """Parameters with a default, positional or keyword-only, over every
+    function of one module's source text."""
+    return sum(len(node.args.defaults)
+               + sum(default is not None for default in node.args.kw_defaults)
+               for node in ast.walk(ast.parse(text)) if isinstance(node, FUNCTIONS))
+
+
 def main():
-    total_lines = total_code = 0
-    print(f"{'module':16s} {'lines':>6s} {'code':>6s}")
+    totals = [0, 0, 0]
+    print(f"{'module':16s} {'lines':>6s} {'code':>6s} {'defaults':>8s}")
     for path in sorted(PACKAGE.glob("*.py")):
-        lines, code = module_size(path.read_text(encoding="utf-8"))
-        total_lines += lines
-        total_code += code
-        print(f"{path.name:16s} {lines:6d} {code:6d}")
-    print(f"{'total':16s} {total_lines:6d} {total_code:6d}")
+        text = path.read_text(encoding="utf-8")
+        sizes = (*module_size(text), defaulted_parameters(text))
+        totals = [t + s for t, s in zip(totals, sizes)]
+        print(f"{path.name:16s} {sizes[0]:6d} {sizes[1]:6d} {sizes[2]:8d}")
+    print(f"{'total':16s} {totals[0]:6d} {totals[1]:6d} {totals[2]:8d}")
 
 
 if __name__ == "__main__":

@@ -77,13 +77,16 @@ def log_canonical_table(ring: Ring, dim: int, q, kind: str = "x") -> RelationTab
     return RelationTable(ring, dim, kind, tails, name="log_canonical")
 
 
+def _check_wick_q(q, ring: Ring) -> None:
+    """Over a series ring, q must expand as 1 - t + O(t^2)."""
+    if isinstance(ring, SeriesRing) and q.coefficient(1) != ring.base.coerce(-1):
+        raise CatalogError("Wick-type q must expand as 1 - t + O(t^2)")
+
+
 def wick_log_canonical_table(ring: Ring, dim: int, q) -> RelationTable:
+    _check_wick_q(q, ring)
     table = log_canonical_table(ring, dim, q, kind="w")
     table.name = "wick_log_canonical"
-    if isinstance(ring, SeriesRing):
-        first = q.coefficient(1)
-        if first != ring.base.coerce(-1):
-            raise CatalogError("Wick-type q must expand as 1 - t + O(t^2)")
     return table
 
 
@@ -149,8 +152,7 @@ def log_canonical_star(K: Exponent, L: Exponent, q, ring: Ring, kind: str = "x")
 
 def wick_star(K: Exponent, L: Exponent, q, ring: Ring) -> Polynomial:
     """Same exponent rule on Wick coordinates; q must expand as 1 - t + O(t^2)."""
-    if isinstance(ring, SeriesRing) and q.coefficient(1) != ring.base.coerce(-1):
-        raise CatalogError("Wick-type q must expand as 1 - t + O(t^2)")
+    _check_wick_q(q, ring)
     return log_canonical_star(K, L, q, ring, kind="w")
 
 
@@ -271,11 +273,11 @@ def _symmetrized_terms(K: Exponent, L: Exponent, q, ring: Ring) -> TermList:
     return ((M, coeff),)
 
 
-def symmetrized_star(K: Exponent, L: Exponent, q, ring: Ring, kind: str = "x") -> Polynomial:
+def symmetrized_star(K: Exponent, L: Exponent, q, ring: Ring) -> Polynomial:
     """Symmetrized product: a q-multinomial ratio times the log-canonical term."""
     if len(K) != len(L):
         raise CatalogError("multi-index dimensions differ")
-    return Polynomial(ring, len(K), dict(_symmetrized_terms(K, L, q, ring)), kind)
+    return Polynomial(ring, len(K), dict(_symmetrized_terms(K, L, q, ring)))
 
 
 def equivalence_transform(f: Polynomial, q, direction: str = "forward") -> Polynomial:
@@ -301,12 +303,12 @@ def equivalence_transform(f: Polynomial, q, direction: str = "forward") -> Polyn
 
 
 def translated_star(f: Polynomial, g: Polynomial, base: RelationTable,
-                    offsets: Sequence, step_limit: int = DEFAULT_STEP_LIMIT) -> Polynomial:
+                    offsets: Sequence) -> Polynomial:
     """Pull-back product T(T^(-1) f * T^(-1) g) under T(x_i) = x_i + c_i."""
     ring = base.ring
     offs = [ring.coerce(c) for c in offsets]
     neg = [-c for c in offs]
-    inner = table_star(f.shift(neg), g.shift(neg), base, step_limit)
+    inner = table_star(f.shift(neg), g.shift(neg), base)
     return inner.shift(offs)
 
 
@@ -347,7 +349,6 @@ def _unit_words(words: Iterable[Tuple[int, ...]], table: RelationTable) -> NcPol
 
 
 def symmetrized_star_by_averaging(K: Exponent, L: Exponent, table: RelationTable,
-                                  step_limit: int = DEFAULT_STEP_LIMIT,
                                   cache: Optional[Dict] = None) -> Polynomial:
     """Oracle route for the symmetrized product.
 
@@ -368,7 +369,7 @@ def symmetrized_star_by_averaging(K: Exponent, L: Exponent, table: RelationTable
     ring = table.ring
     words_L = _distinct_arrangements(L)
     pairs = (u + v for u in _distinct_arrangements(K) for v in words_L)
-    h = normal_form_sum(_unit_words(pairs, table), table, step_limit)
+    h = normal_form_sum(_unit_words(pairs, table), table)
 
     # sigma(x^M) = (s / mult(M)) x^M when M's unit words reduce to s x^M, so
     # sigma_cache[M] = mult(M) / s inverts it
@@ -376,8 +377,7 @@ def symmetrized_star_by_averaging(K: Exponent, L: Exponent, table: RelationTable
 
     def sigma_inverse(M: Exponent):
         if M not in sigma_cache:
-            image = normal_form_sum(_unit_words(_distinct_arrangements(M), table), table,
-                                    step_limit).terms
+            image = normal_form_sum(_unit_words(_distinct_arrangements(M), table), table).terms
             if not image:
                 raise SigmaError(
                     "symmetrization is not invertible at this q (root-of-unity degeneration)")

@@ -13,7 +13,8 @@ genuine pole or a float computation overflowed, and 2 for ``CONFIG_ERRORS``:
 usage, parse, config or table-file errors (a non-finite hbar among them) and
 any other ``ValueError``, from whichever step of the command it comes (numpy's
 ``LinAlgError`` in the PSD check of ``gram`` is one).  The message goes to
-stderr as ``error: ...``.
+stderr as ``error: ...``; an input file of malformed JSON, or of JSON that is
+no object, exits 2 and names the file (``read_json``).
 
 ``star eval`` turns its flags into one run-spec entry and builds its
 instance through ``context_from_run``, as ``star verify`` does.
@@ -48,6 +49,7 @@ from .verify import (
     cases_to_csv_rows,
     context_from_run,
     finite_hbar,
+    read_json,
     report_to_json,
     run_suites,
 )
@@ -247,11 +249,7 @@ def cmd_eval(catalog, phi, d, params, hbar_text, ring_name, truncation, lhs, rhs
 def cmd_verify(spec_path, seed, out_path, csv_path, as_json,
                include_cases, include_timings):
     """Run verification suites; exit 0 only if every probe passes."""
-    if spec_path:
-        with open(spec_path, "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-    else:
-        spec = DEFAULT_RUNSPEC
+    spec = read_json(spec_path) if spec_path else DEFAULT_RUNSPEC
     actual_seed = _resolve_seed(seed, spec)
     # digests are computed only for the outputs that show them
     results = run_suites(spec, seed=actual_seed, digests=include_cases or bool(csv_path))
@@ -260,8 +258,7 @@ def cmd_verify(spec_path, seed, out_path, csv_path, as_json,
     _emit(text, out_path)
     if csv_path:
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerows(cases_to_csv_rows(results))
+            csv.writer(fh).writerows(cases_to_csv_rows(results))
     if as_json and out_path:
         click.echo(text, nl=False)
     for row in report["suites"]:
@@ -280,11 +277,7 @@ def cmd_report(inputs, out_path, as_json):
     """Merge verify reports into one summary; later files win duplicate keys."""
     merged: Dict[Tuple, Dict] = {}
     for path in inputs:
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                data = json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}: {exc}") from None
+        data = read_json(path)
         if data.get("schema") != SCHEMA:
             raise ConfigError(f"{path}: schema mismatch (want {SCHEMA})")
         for row in data.get("suites", []):
@@ -294,7 +287,7 @@ def cmd_report(inputs, out_path, as_json):
             merged[key] = row
     rows = [merged[k] for k in sorted(merged)]
     if as_json:
-        _emit(_json_text({"schema": SCHEMA, "suites": rows}), out_path)
+        _emit(report_to_json({"schema": SCHEMA, "suites": rows}), out_path)
         return
     header = ["catalog", "probe", "hbar", "pass", "worst_margin", "case_count"]
     lines = [header] + [[str(r.get(h)) for h in header] for r in rows]
@@ -324,10 +317,6 @@ def _matrix_payload(M) -> Dict:
             "entries": [[float(v.real), float(v.imag)] for v in M.reshape(-1)]}
 
 
-def _json_text(payload: Dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
-
-
 @main.command("gram")
 @click.option("--catalog", default="wick_log_canonical",
               type=click.Choice(["wick_log_canonical"]))
@@ -342,9 +331,10 @@ def cmd_gram(catalog, hbar, z_text, degree, out_path):
         state = _state_from_flags(hbar, z_text)
         basis, M = gram_matrix(state, degree)
     check = psd_check(M)
-    _emit(_json_text({**_state_payload(catalog, state, degree, basis),
-                      "gram": _matrix_payload(M),
-                      "psd": {"pass": check.passed, "min_eigenvalue": check.min_eigenvalue}}),
+    _emit(report_to_json({**_state_payload(catalog, state, degree, basis),
+                          "gram": _matrix_payload(M),
+                          "psd": {"pass": check.passed,
+                                  "min_eigenvalue": check.min_eigenvalue}}),
           out_path)
     sys.exit(0 if check.passed else 1)
 
@@ -362,14 +352,14 @@ def cmd_gns(catalog, hbar, z_text, degree, report_path):
     with _overflow_in(catalog, hbar):
         state = _state_from_flags(hbar, z_text)
         data = gns_build(state, degree)
-    _emit(_json_text({**_state_payload(catalog, state, degree, data.basis),
-                      "eigenvalues": [float(v) for v in data.eigenvalues],
-                      "rank": data.rank,
-                      "rank_gap_warning": data.rank_gap_warning,
-                      "adjoint_residual": data.adjoint_residual,
-                      "gram": _matrix_payload(data.gram),
-                      "operators": {f"w{i}": _matrix_payload(op)
-                                    for i, op in data.operators.items()}}),
+    _emit(report_to_json({**_state_payload(catalog, state, degree, data.basis),
+                          "eigenvalues": [float(v) for v in data.eigenvalues],
+                          "rank": data.rank,
+                          "rank_gap_warning": data.rank_gap_warning,
+                          "adjoint_residual": data.adjoint_residual,
+                          "gram": _matrix_payload(data.gram),
+                          "operators": {f"w{i}": _matrix_payload(op)
+                                        for i, op in data.operators.items()}}),
           report_path)
 
 

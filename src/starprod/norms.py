@@ -64,10 +64,6 @@ class NormSpec:
     def macgyver_norm(C: float) -> "NormSpec":
         return NormSpec("macgyver", C=C)
 
-    @staticmethod
-    def adic() -> "NormSpec":
-        return NormSpec("adic")
-
 
 def adic_order(f: Polynomial) -> float:
     return f.min_total_degree()

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Optional
 
 from .poly import Polynomial
 from .scalars import GaussRational, RationalQ, Ring, TruncSeries
@@ -94,10 +94,24 @@ class _Parser:
         self.idx += 1
         return tok
 
+    def accept(self, ops: str) -> Optional[Token]:
+        """The next token, consumed, if it is one of the operators ``ops``."""
+        tok = self.tokens[self.idx]
+        if tok.kind == "OP" and tok.text in ops:
+            self.idx += 1
+            return tok
+        return None
+
     def expect_op(self, op: str):
+        if not self.accept(op):
+            raise ParseError(f"expected {op!r}", self.peek().pos)
+
+    def _uint(self, message: str) -> int:
+        """The unsigned integer that must come next; ParseError(message) if not."""
         tok = self.next()
-        if tok.kind != "OP" or tok.text != op:
-            raise ParseError(f"expected {op!r}", tok.pos)
+        if tok.kind != "NUM" or not tok.text.isdigit():
+            raise ParseError(message, tok.pos)
+        return int(tok.text)
 
     # -- numbers ---------------------------------------------------------------
 
@@ -110,25 +124,24 @@ class _Parser:
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad number {text!r}: {exc}", pos) from None
 
+    # -- sums ----------------------------------------------------------------------
+
+    def _sum(self, summand, signs: str):
+        """summand (('+'|'-') summand)*, the first summand after an optional
+        sign among ``signs``; stops at the first other token."""
+        sign = self.accept(signs)
+        value = summand()
+        if sign and sign.text == "-":
+            value = -value
+        while tok := self.accept("+-"):
+            rhs = summand()
+            value = value - rhs if tok.text == "-" else value + rhs
+        return value
+
     # -- scalar expressions ------------------------------------------------------
 
     def scalar_expr(self):
-        tok = self.peek()
-        negate = False
-        if tok.kind == "OP" and tok.text in "+-":
-            self.next()
-            negate = tok.text == "-"
-        value = self.scalar_term()
-        if negate:
-            value = -value
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "+-":
-                self.next()
-                rhs = self.scalar_term()
-                value = value - rhs if tok.text == "-" else value + rhs
-            else:
-                return value
+        return self._sum(self.scalar_term, "+-")
 
     def _inverse(self, value, pos: int):
         """1/value; a divisor without inverse is a ParseError at its position."""
@@ -144,13 +157,9 @@ class _Parser:
 
     def scalar_term(self):
         value = self.scalar_atom()
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "*/":
-                self.next()
-                value = value * (self._divisor() if tok.text == "/" else self.scalar_atom())
-            else:
-                return value
+        while tok := self.accept("*/"):
+            value = value * (self._divisor() if tok.text == "/" else self.scalar_atom())
+        return value
 
     def scalar_atom(self):
         tok = self.next()
@@ -175,49 +184,26 @@ class _Parser:
         return self._maybe_power(value, tok.pos)
 
     def _maybe_power(self, value, pos: int):
-        tok = self.peek()
-        if tok.kind == "OP" and tok.text == "^":
-            self.next()
-            sign = 1
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text == "-":
-                self.next()
-                sign = -1
-            e = self.next()
-            if e.kind != "NUM" or not e.text.isdigit():
-                raise ParseError("expected an integer exponent", e.pos)
-            n = sign * int(e.text)
-            if n < 0:
-                return self._inverse(value, pos) ** (-n)
-            return value ** n
-        return value
+        if not self.accept("^"):
+            return value
+        sign = -1 if self.accept("-") else 1
+        n = sign * self._uint("expected an integer exponent")
+        if n < 0:
+            return self._inverse(value, pos) ** (-n)
+        return value ** n
 
     # -- polynomial level ---------------------------------------------------------
 
     def parse(self) -> Polynomial:
-        result = Polynomial.zero(self.ring, self.dim, self.kind)
+        result = self._sum(self.term, "-")
         tok = self.peek()
-        negate = False
-        if tok.kind == "OP" and tok.text == "-":
-            self.next()
-            negate = True
-        term = self.term()
-        result = result + (-term if negate else term)
-        while True:
-            tok = self.peek()
-            if tok.kind == "OP" and tok.text in "+-":
-                self.next()
-                term = self.term()
-                result = result + (-term if tok.text == "-" else term)
-            elif tok.kind == "END":
-                return result
-            else:
-                raise ParseError("expected '+', '-' or end of input", tok.pos)
+        if tok.kind != "END":
+            raise ParseError("expected '+', '-' or end of input", tok.pos)
+        return result
 
     def term(self) -> Polynomial:
         coeff = self.ring.one
         expo = [0] * self.dim
-        saw_factor = False
         while True:
             tok = self.peek()
             gen = _GEN_RE.match(tok.text) if tok.kind == "NAME" else None
@@ -230,33 +216,18 @@ class _Parser:
                 if not 1 <= index <= self.dim:
                     raise ParseError(
                         f"generator index {index} out of range 1..{self.dim}", tok.pos)
-                power = 1
-                nxt = self.peek()
-                if nxt.kind == "OP" and nxt.text == "^":
-                    self.next()
-                    e = self.next()
-                    if e.kind != "NUM" or not e.text.isdigit():
-                        raise ParseError("expected a non-negative integer exponent", e.pos)
-                    power = int(e.text)
-                expo[index - 1] += power
+                expo[index - 1] += (self._uint("expected a non-negative integer exponent")
+                                    if self.accept("^") else 1)
             else:
                 coeff = coeff * self.scalar_atom()
-            saw_factor = True
-            nxt = self.peek()
-            if nxt.kind == "OP" and nxt.text in "*/":
-                self.next()
-                if nxt.text == "/":
-                    # rational coefficients like 3/2: next factor must be scalar
-                    coeff = coeff * self._divisor()
-                    nxt2 = self.peek()
-                    if nxt2.kind == "OP" and nxt2.text == "*":
-                        self.next()
-                        continue
+            nxt = self.accept("*/")
+            if not nxt:
+                break
+            if nxt.text == "/":
+                # rational coefficients like 3/2: next factor must be scalar
+                coeff = coeff * self._divisor()
+                if not self.accept("*"):
                     break
-                continue
-            break
-        if not saw_factor:
-            raise ParseError("empty term", self.peek().pos)
         return Polynomial(self.ring, self.dim, {tuple(expo): coeff}, self.kind)
 
 

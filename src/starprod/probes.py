@@ -9,7 +9,8 @@ ones either expose a bug or document that a hypothesis was genuinely needed.
 A probe passes when every margin is non-negative (``finish_report``), unless
 it states its own rule: the norm inequalities (submultiplicativity,
 symmetrized growth, macgyver continuity) forgive a margin down to
--tol * max(1, rhs) (``_forgiving_case``), macgyver continuity also fails
+-tol * max(1, rhs) (``_forgiving_case``; tol is ``NORM_TOL`` unless the
+submultiplicativity probe is given another), macgyver continuity also fails
 on a violated hypothesis, and the classical limit also needs monotone
 residuals.
 
@@ -29,7 +30,7 @@ from fractions import Fraction
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from .catalog import StarProduct
+from .catalog import StarProduct, symmetrized_star
 from .norms import NormSpec, adic_order, seminorm
 from .parsing import format_poly
 from .poly import Exponent, Polynomial
@@ -38,6 +39,8 @@ from .reduction import star as table_star
 from .scalars import ComplexRing, GaussRational, Ring, SeriesRing
 
 BIG_MARGIN = 1e9  # stands in for an infinite margin in report rows
+NORM_TOL = 1e-10  # the rounding the norm inequalities forgive, relative to max(1, rhs)
+NOISE_FLOOR = 1e-12  # classical-limit residuals below this (times the scale) are noise
 
 
 def digest_of(*parts: str) -> str:
@@ -203,7 +206,7 @@ def degree_filtration_check(star: Callable[[Polynomial, Polynomial], Polynomial]
 def submultiplicativity_probe(star: Callable[[Polynomial, Polynomial], Polynomial],
                               rho: Sequence[float], rng, dim: int, ring: Ring,
                               samples: int = 1000, max_degree: int = 6, terms: int = 3,
-                              kind: str = "x", tol: float = 1e-10) -> ProbeReport:
+                              kind: str = "x", tol: float = NORM_TOL) -> ProbeReport:
     """||f * g||_rho <= ||f||_rho ||g||_rho with margin >= -tol * scale,
     on the monomial pairs x_d^n, x_1^n for n up to max_degree, then on
     random pairs."""
@@ -245,11 +248,11 @@ def generator_product_bound(star: StarProduct) -> Tuple[int, float]:
     return count, sup
 
 
-def macgyver_continuity_probe(star: StarProduct, C: float,
-                              alpha: float, beta: float, rng,
+def macgyver_continuity_probe(star: StarProduct, rng, C: float = 2.0,
+                              alpha: float = 1.0, beta: float = 1.0,
                               Q: Optional[float] = None,
-                              samples: int = 200, max_degree: int = 5, terms: int = 3,
-                              sweep_degree: int = 4, tol: float = 1e-10) -> ProbeReport:
+                              samples: int = 150, max_degree: int = 4, terms: int = 3,
+                              sweep_degree: int = 3) -> ProbeReport:
     """Continuity estimate in the squared-exponent norms.
 
     Checks |f * g|_C <= |f|_C' |g|_C' with C' = (Q^alpha C^(beta^2))^2,
@@ -290,7 +293,7 @@ def macgyver_continuity_probe(star: StarProduct, C: float,
         f = random_polynomial(rng, ring, star.dim, max_degree, terms, star.kind)
         g = random_polynomial(rng, ring, star.dim, max_degree, terms, star.kind)
         ok &= _forgiving_case(cases, partial(_poly_digest, f, g), seminorm(star(f, g), spec),
-                              seminorm(f, spec_prime) * seminorm(g, spec_prime), tol)
+                              seminorm(f, spec_prime) * seminorm(g, spec_prime), NORM_TOL)
     passed = ok and not violations
     return finish_report("macgyver_continuity", cases, passed,
                          {"Q": Q, "C_prime": c_prime, "hypothesis_violations": violations})
@@ -336,9 +339,10 @@ def _fit_order(hbars: Sequence[float], residuals: Sequence[float],
     return slope, intercept
 
 
-def default_hbar_sequence(start: float = 1e-1, stop: float = 1e-6, points: int = 11) -> List[float]:
-    ratio = (stop / start) ** (1.0 / (points - 1))
-    return [start * ratio ** k for k in range(points)]
+def default_hbar_sequence(points: int = 11) -> List[float]:
+    """``points`` hbars from 1e-1 down to 1e-6, evenly spaced in log."""
+    ratio = (1e-6 / 1e-1) ** (1.0 / (points - 1))
+    return [1e-1 * ratio ** k for k in range(points)]
 
 
 def classical_limit_probe(star_at: Callable[[float], Callable[[Polynomial, Polynomial], Polynomial]],
@@ -346,8 +350,7 @@ def classical_limit_probe(star_at: Callable[[float], Callable[[Polynomial, Polyn
                           pairs: Sequence[Tuple[Polynomial, Polynomial]],
                           rho: Sequence[float],
                           hbars: Optional[Sequence[float]] = None,
-                          tol: Optional[float] = None,
-                          noise_floor: float = 1e-12) -> ProbeReport:
+                          tol: Optional[float] = None) -> ProbeReport:
     """(f *_h g - g *_h f)/(i h) approaches the bracket as h decreases.
 
     Per pair: residuals ||Delta(h) - {f, g}||_rho along the h sequence must
@@ -368,17 +371,17 @@ def classical_limit_probe(star_at: Callable[[float], Callable[[Polynomial, Polyn
         for h, product in zip(hbars, products):
             delta = (product(f, g) - product(g, f)).scale(1.0 / (1j * h))
             residuals.append(seminorm(delta - bracket, spec))
-        slope, intercept = _fit_order(hbars, residuals, noise_floor * scale)
+        slope, intercept = _fit_order(hbars, residuals, NOISE_FLOOR * scale)
         if slope is not None:
             orders.append(float(f"{slope:.2g}"))
         case_tol = tol
         if case_tol is None:
             if intercept is not None:
-                case_tol = max(10.0 * hbars[-1] * math.exp(intercept), noise_floor * scale)
+                case_tol = max(10.0 * hbars[-1] * math.exp(intercept), NOISE_FLOOR * scale)
             else:
-                case_tol = noise_floor * scale * 10
+                case_tol = NOISE_FLOOR * scale * 10
         monotone = all(
-            residuals[k + 1] <= residuals[k] * 1.1 + noise_floor * scale
+            residuals[k + 1] <= residuals[k] * 1.1 + NOISE_FLOOR * scale
             for k in range(len(residuals) - 1)
         )
         final = residuals[-1]
@@ -424,20 +427,20 @@ def first_order_commutator(f: Polynomial, g: Polynomial, table: RelationTable) -
 # -- symmetrized coefficient growth -----------------------------------------------------
 
 
-def _pochhammer_products(q_abs: float, tol: float = 1e-12) -> Tuple[float, float]:
+def _pochhammer_products(q_abs: float) -> Tuple[float, float]:
     """(prod_{k>=1}(1 - |q|^k), prod_{k>=1}(1 + |q|^k)) for |q| < 1."""
     if not 0.0 < q_abs < 1.0:
         raise ValueError("the infinite products converge only for 0 < |q| < 1")
     minus = plus = 1.0
     power = q_abs
-    while power > tol:
+    while power > 1e-12:
         minus *= 1.0 - power
         plus *= 1.0 + power
         power *= q_abs
     return minus, plus
 
 
-def symmetrized_coefficient_bound(q: complex, dim: int, tol: float = 1e-12) -> float:
+def symmetrized_coefficient_bound(q: complex, dim: int) -> float:
     """Uniform bound on the q-multinomial ratio in the symmetrized product.
 
     Away from |q| = 1 the q-multinomials are bounded above and below by
@@ -449,21 +452,19 @@ def symmetrized_coefficient_bound(q: complex, dim: int, tol: float = 1e-12) -> f
     if abs(q_abs - 1.0) < 1e-9:
         raise ValueError("the bound degenerates on |q| = 1")
     base = q_abs if q_abs < 1.0 else 1.0 / q_abs
-    minus, plus = _pochhammer_products(base, tol)
+    minus, plus = _pochhammer_products(base)
     lower = minus / plus ** dim
     upper = plus / minus ** dim
     return upper * upper / lower
 
 
 def symmetrized_growth_probe(q: complex, dim: int, rho: Sequence[float],
-                             max_degree: int = 5, tol: float = 1e-10) -> ProbeReport:
+                             max_degree: int = 5) -> ProbeReport:
     """|x^K sym-star x^L|_rho <= C * d^(|K|+|L|) |x^K|_rho |x^L|_rho.
 
     The constant comes from symmetrized_coefficient_bound; only valid away
     from |q| = 1.
     """
-    from .catalog import symmetrized_star
-
     ring = ComplexRing()
     bound = symmetrized_coefficient_bound(q, dim)
     spec = NormSpec.rho_norm(rho)
@@ -475,5 +476,6 @@ def symmetrized_growth_probe(q: complex, dim: int, rho: Sequence[float],
             rhs = (bound * dim ** (sum(K) + sum(L))
                    * seminorm(Polynomial.monomial(ring, dim, K), spec)
                    * seminorm(Polynomial.monomial(ring, dim, L), spec))
-            ok &= _forgiving_case(cases, digest_of("symgrowth", str(K), str(L)), lhs, rhs, tol)
+            ok &= _forgiving_case(cases, digest_of("symgrowth", str(K), str(L)), lhs, rhs,
+                                  NORM_TOL)
     return finish_report("symmetrized_growth", cases, ok, {"bound": bound})

@@ -115,19 +115,18 @@ def q_multinomial(K: Sequence[int], q, ring: Ring,
     return _evaluate(_multinomial_row(K, {} if _rows is None else _rows), q, ring)
 
 
-def root_of_unity_order(q, ring: Ring, max_order: int, tol: float = 1e-9) -> int | None:
+def root_of_unity_order(q, ring: Ring, max_order: int) -> int | None:
     """Smallest 2 <= n <= max_order with q^n = 1, or None."""
     power = q
     one = ring.one
     for n in range(2, max_order + 1):
         power = power * q
-        if power == one if ring.exact else abs(ring.to_complex(power) - 1.0) < tol:
+        if power == one if ring.exact else abs(ring.to_complex(power) - 1.0) < 1e-9:
             return n
     return None
 
 
-def q_multinomial_value_or_pole(K: Sequence[int], q, ring: Ring,
-                                _rows: Rows | None = None):
+def q_multinomial_value_or_pole(K: Sequence[int], q, ring: Ring):
     """q-multinomial value; raises PoleAtRootOfUnity when it vanishes.
 
     A vanishing q-multinomial at an evaluated q certifies that q is a
@@ -135,7 +134,7 @@ def q_multinomial_value_or_pole(K: Sequence[int], q, ring: Ring,
     through it: where bq_(K+L) vanishes, ``q_multinomial_ratio`` tells a
     removable singularity from a pole.
     """
-    value = q_multinomial(K, q, ring, _rows)
+    value = q_multinomial(K, q, ring)
     if ring.is_zero(value):
         raise PoleAtRootOfUnity(root_of_unity_order(q, ring, max_order=max(2, sum(K))))
     return value

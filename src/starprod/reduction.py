@@ -45,7 +45,7 @@ rewritten, guard against runaway tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .poly import (
     Exponent,
@@ -89,14 +89,11 @@ class RelationTable:
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        normalized = {}
         for (i, j), tail in self.tails.items():
             if not 1 <= i < j <= self.dim:
                 raise TableError(f"relation pair ({i}, {j}) must satisfy 1 <= i < j <= d")
             if tail.dim != self.dim or tail.kind != self.kind:
                 raise TableError(f"tail for ({i}, {j}) has wrong dimension or kind")
-            normalized[(i, j)] = tail
-        self.tails = normalized
         if isinstance(self.ring, SeriesRing):
             for (i, j), tail in self.tails.items():
                 for K, c in tail.terms.items():
@@ -369,13 +366,12 @@ def _rewrite(terms: Iterable[Tuple[Word, object]], table: RelationTable, misses:
 
 
 def reduce_to_standard(f: NcPolynomial, table: RelationTable,
-                       step_limit: int = DEFAULT_STEP_LIMIT,
                        strategy: str = "rightmost") -> Tuple[NcPolynomial, int, int]:
     """The standard form of a word combination, its reduction count and the
     widest intermediate (in terms), through the table's memo."""
     if f.dim != table.dim:
         raise TableError("polynomial dimension does not match the table")
-    misses = MemoMisses(table, step_limit)
+    misses = MemoMisses(table, DEFAULT_STEP_LIMIT)
     result, count = _rewrite(f.terms.items(), table, misses, strategy)
     standard = NcPolynomial.from_checked(
         table.ring, f.dim, {exponent_to_word(K): c for K, c in result.terms.items()})
@@ -398,15 +394,22 @@ def star(f: Polynomial, g: Polynomial, table: RelationTable,
     return _rewrite(_product_words(f, g), table, MemoMisses(table, step_limit))[0]
 
 
-def normal_form_sum(f: NcPolynomial, table: RelationTable,
-                    step_limit: int = DEFAULT_STEP_LIMIT) -> Polynomial:
+def normal_form_sum(f: NcPolynomial, table: RelationTable) -> Polynomial:
     """The standard form of a word combination, as a commutative polynomial."""
     if f.dim != table.dim:
         raise TableError("polynomial dimension does not match the table")
-    return _rewrite(f.terms.items(), table, MemoMisses(table, step_limit))[0]
+    return _rewrite(f.terms.items(), table, MemoMisses(table, DEFAULT_STEP_LIMIT))[0]
 
 
 # -- associativity on generator triples -----------------------------------------
+
+
+def generator_triples(dim: int) -> Iterator[Tuple[int, int, int]]:
+    """The triples i < j < k of generators 1..dim, k outermost, then j, then i."""
+    for k in range(3, dim + 1):
+        for j in range(2, k):
+            for i in range(1, j):
+                yield i, j, k
 
 
 @dataclass
@@ -425,19 +428,17 @@ def check_overlaps(table: RelationTable, tol: float = 1e-10) -> OverlapReport:
     failures = []
     gens = {i: Polynomial.variable(ring, table.dim, i, table.kind)
             for i in range(1, table.dim + 1)}
-    for k in range(3, table.dim + 1):
-        for j in range(2, k):
-            for i in range(1, j):
-                right = star(gens[k], star(gens[j], gens[i], table), table)
-                left = star(star(gens[k], gens[j], table), gens[i], table)
-                diff = right - left
-                scale = 1.0
-                if isinstance(ring, ComplexRing):
-                    coeffs = [abs(c) for p in (left, right) for c in p.terms.values()]
-                    scale = max(coeffs, default=1.0)
-                if not diff.close_to(Polynomial.zero(ring, table.dim, table.kind),
-                                     tol=tol, scale=scale):
-                    failures.append((i, j, k, diff))
+    for i, j, k in generator_triples(table.dim):
+        right = star(gens[k], star(gens[j], gens[i], table), table)
+        left = star(star(gens[k], gens[j], table), gens[i], table)
+        diff = right - left
+        scale = 1.0
+        if isinstance(ring, ComplexRing):
+            coeffs = [abs(c) for p in (left, right) for c in p.terms.values()]
+            scale = max(coeffs, default=1.0)
+        if not diff.close_to(Polynomial.zero(ring, table.dim, table.kind),
+                             tol=tol, scale=scale):
+            failures.append((i, j, k, diff))
     return OverlapReport(ok=not failures, failures=failures)
 
 
@@ -500,13 +501,11 @@ def jacobi_check(eta: PoissonStructure, tol: float = 1e-10) -> bool:
     gens = {i: Polynomial.variable(ring, eta.dim, i, eta.kind)
             for i in range(1, eta.dim + 1)}
     zero = Polynomial.zero(ring, eta.dim, eta.kind)
-    for k in range(3, eta.dim + 1):
-        for j in range(2, k):
-            for i in range(1, j):
-                a, b, c = gens[i], gens[j], gens[k]
-                jac = (poisson_bracket(eta, a, poisson_bracket(eta, b, c))
-                       + poisson_bracket(eta, b, poisson_bracket(eta, c, a))
-                       + poisson_bracket(eta, c, poisson_bracket(eta, a, b)))
-                if not jac.close_to(zero, tol=tol):
-                    return False
+    for i, j, k in generator_triples(eta.dim):
+        a, b, c = gens[i], gens[j], gens[k]
+        jac = (poisson_bracket(eta, a, poisson_bracket(eta, b, c))
+               + poisson_bracket(eta, b, poisson_bracket(eta, c, a))
+               + poisson_bracket(eta, c, poisson_bracket(eta, a, b)))
+        if not jac.close_to(zero, tol=tol):
+            return False
     return True

@@ -44,9 +44,9 @@ def m_matrix(dim: int) -> List[List[int]]:
             for i in range(1, dim + 1)]
 
 
-def is_antidiagonal(z: Sequence[complex], tol: float = 1e-9) -> bool:
+def is_antidiagonal(z: Sequence[complex]) -> bool:
     d = len(z)
-    return all(abs(z[i] - z[d - 1 - i].conjugate()) <= tol for i in range(d))
+    return all(abs(z[i] - z[d - 1 - i].conjugate()) <= 1e-9 for i in range(d))
 
 
 @dataclass(frozen=True)
@@ -283,7 +283,7 @@ def psd_check(M: np.ndarray, tol: float = 1e-9) -> PsdResult:
     return PsdResult(min_eig >= -tol * max(1.0, spectral), min_eig, spectral)
 
 
-def vandermonde_psd_check(hbar: float, n: int, rtol: float = 1e-8) -> bool:
+def vandermonde_psd_check(hbar: float, n: int) -> bool:
     """V_ij = e^(-ij*hbar), 0 <= i,j <= n: PSD with Vandermonde determinant.
 
     det V = prod_{i<j} (e^(-j*hbar) - e^(-i*hbar)), non-negative for
@@ -302,7 +302,7 @@ def vandermonde_psd_check(hbar: float, n: int, rtol: float = 1e-8) -> bool:
     for i in range(n + 1):
         for j in range(i + 1, n + 1):
             expected *= nodes[j] - nodes[i]
-    close = abs(det - expected) <= rtol * max(1.0, abs(expected))
+    close = abs(det - expected) <= 1e-8 * max(1.0, abs(expected))
     return close and psd_check(V, tol=1e-9).passed
 
 
@@ -415,9 +415,8 @@ GRID_VALUES = (-1.0, -0.5, 0.5, 1.0)
 RANDOM_POINTS = 100
 
 
-def point_separation_probe(f: Polynomial, hbar: float, rng,
-                           tol: float = 1e-9) -> SeparationResult:
-    """Search for a point whose deformed evaluation does not kill f.
+def point_separation_probe(f: Polynomial, hbar: float, rng) -> SeparationResult:
+    """Search for a point whose deformed evaluation of f exceeds 1e-9 in modulus.
 
     Walks a small real tensor grid embedded in the antidiagonal set, then
     ``RANDOM_POINTS`` random points.  Nonvanishing is generic, so absence
@@ -432,6 +431,6 @@ def point_separation_probe(f: Polynomial, hbar: float, rng,
                  else random_wick_point(rng, d))
         state = StateFunctional(point, hbar)
         value = abs(state(f))
-        if value > tol:
+        if value > 1e-9:
             return SeparationResult(True, point, value)
     return SeparationResult(False, None, 0.0)

@@ -13,9 +13,9 @@ A suite's verdict is "every case margin >= 0" (``finish_report``); only the
 probes that state a rule of their own pass their own verdict.  A table file
 is read once, by ``context_from_run``, which also parses its tails before
 any suite runs; a run without a ``ring`` uses the file's declared ring, or
-``complex`` for a catalog.  Table-file faults (unreadable file, a relation
-lacking a field, a pair given twice, a tail that does not parse) stop the
-run like a config error.
+``complex`` for a catalog.  Table-file faults (unreadable file, malformed
+JSON, a relation lacking a field, a pair given twice, a tail that does not
+parse) stop the run like a config error.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from .catalog import (
     wick_involution_condition,
     wick_log_canonical_table,
 )
-from .params import ParameterCatalog
+from .params import ParameterCatalog, ParameterError
 from .poly import Polynomial
 from .probes import (
     BIG_MARGIN,
@@ -60,7 +60,8 @@ from .probes import (
     submultiplicativity_probe,
 )
 from .qcomb import q_multinomial
-from .reduction import check_overlaps, jacobi_check, poisson_bracket, poisson_from_table
+from .reduction import (check_overlaps, generator_triples, jacobi_check, poisson_bracket,
+                        poisson_from_table)
 from .reduction import star as table_star
 from .scalars import GaussRational, RationalQRing, RationalRing, make_ring
 from .states import (
@@ -77,6 +78,8 @@ from .states import (
 from .tableio import TableFileError, check_table, table_from_dict
 
 SCHEMA = "starprod/1"
+Q_DISC_POINTS = 16  # points on the boundary circle of the auto-Q disc
+_SAMPLING = {"samples": int, "max_degree": int, "terms": int}  # the random-input settings
 
 
 class ConfigError(ValueError):
@@ -132,13 +135,9 @@ def suite_overlaps(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     inst = ctx.instance(hbar=hbar)
     report = check_overlaps(inst.table, tol=float(cfg.get("tol", 1e-10)))
     failed = {(i, j, k) for (i, j, k, _) in report.failures}
-    rows = []
-    for k in range(3, inst.dim + 1):
-        for j in range(2, k):
-            for i in range(1, j):
-                rows.append((digest_of("overlap", str((i, j, k))), (i, j, k) not in failed))
-    if not rows:
-        rows.append((digest_of("overlap", "no-triples"), True))
+    rows = ([(digest_of("overlap", str(triple)), triple not in failed)
+             for triple in generator_triples(inst.dim)]
+            or [(digest_of("overlap", "no-triples"), True)])
     return _bool_report("overlaps", rows, {"failures": len(report.failures)})
 
 
@@ -173,13 +172,16 @@ def suite_oracle(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     return finish_report("oracle", cases)
 
 
+def _settings(cfg: Dict, **convert: Callable) -> Dict:
+    """The settings named in ``convert`` that ``cfg`` gives, each converted;
+    a probe's own defaults stand for the rest."""
+    return {name: to(cfg[name]) for name, to in convert.items() if name in cfg}
+
+
 def suite_degree_filtration(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     inst = ctx.instance(hbar=hbar)
-    return degree_filtration_check(inst.star, rng, inst.dim, inst.ring,
-                                   samples=int(cfg.get("samples", 200)),
-                                   max_degree=int(cfg.get("max_degree", 5)),
-                                   terms=int(cfg.get("terms", 3)),
-                                   kind=inst.kind)
+    return degree_filtration_check(inst.star, rng, inst.dim, inst.ring, kind=inst.kind,
+                                   **_settings(cfg, **_SAMPLING))
 
 
 def suite_submultiplicativity(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -187,26 +189,23 @@ def suite_submultiplicativity(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeRep
     rho = cfg.get("rho")
     if not rho:
         raise ConfigError("submultiplicativity probe needs 'rho'")
-    return submultiplicativity_probe(inst.star, rho, rng, inst.dim, inst.ring,
-                                     samples=int(cfg.get("samples", 1000)),
-                                     max_degree=int(cfg.get("max_degree", 6)),
-                                     terms=int(cfg.get("terms", 3)),
-                                     kind=inst.kind,
-                                     tol=float(cfg.get("tol", 1e-10)))
+    return submultiplicativity_probe(inst.star, rho, rng, inst.dim, inst.ring, kind=inst.kind,
+                                     **_settings(cfg, tol=float, **_SAMPLING))
 
 
-def _auto_q_bound(ctx: RunContext, hbar: float, samples: int = 16) -> float:
+def _auto_q_bound(ctx: RunContext, hbar: float) -> float:
     """N * sup of generator-product coefficients over a disc around 0 of
-    radius |hbar| + 0.5 (sampled on the boundary circle plus hbar itself)."""
+    radius |hbar| + 0.5 (sampled on the boundary circle plus hbar itself),
+    skipping a point where a parameter has a pole or a float op fails."""
     radius = abs(hbar) + 0.5
-    points = [hbar] + [radius * complex(math.cos(2 * math.pi * k / samples),
-                                        math.sin(2 * math.pi * k / samples))
-                       for k in range(samples)]
+    points = [hbar] + [radius * complex(math.cos(2 * math.pi * k / Q_DISC_POINTS),
+                                        math.sin(2 * math.pi * k / Q_DISC_POINTS))
+                       for k in range(Q_DISC_POINTS)]
     bound = 1.0
     for z in points:
         try:
             inst = ctx.instance(ring_name="complex", hbar=z)
-        except Exception:
+        except (ParameterError, OverflowError, ZeroDivisionError):
             continue
         count, sup = generator_product_bound(inst.star)
         bound = max(bound, count * sup)
@@ -218,25 +217,23 @@ def suite_macgyver(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     Q = cfg.get("Q", "auto")
     if Q == "auto":
         Q = _auto_q_bound(ctx, float(hbar if hbar is not None else 0.0))
-    return macgyver_continuity_probe(inst.star, float(cfg.get("C", 2.0)),
-                                     float(cfg.get("alpha", 1.0)),
-                                     float(cfg.get("beta", 1.0)), rng,
-                                     Q=float(Q),
-                                     samples=int(cfg.get("samples", 150)),
-                                     max_degree=int(cfg.get("max_degree", 4)),
-                                     terms=int(cfg.get("terms", 3)),
-                                     sweep_degree=int(cfg.get("sweep_degree", 3)))
+    return macgyver_continuity_probe(inst.star, rng, Q=float(Q),
+                                     **_settings(cfg, C=float, alpha=float, beta=float,
+                                                 sweep_degree=int, **_SAMPLING))
+
+
+def _random_pairs(cfg: Dict, count: int, rng, ring, dim: int, kind: str) -> List[Tuple]:
+    """``cfg["pairs"]`` (default ``count``) random pairs (f, g), f drawn before g."""
+    args = (rng, ring, dim, int(cfg.get("max_degree", 3)), int(cfg.get("terms", 3)), kind)
+    return [(random_polynomial(*args), random_polynomial(*args))
+            for _ in range(int(cfg.get("pairs", count)))]
 
 
 def suite_classical_limit(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     eta = ctx.poisson()
     ring = make_ring("complex")
     dim = ctx.instance(ring_name="complex", hbar=0.0).dim
-    pairs = [(random_polynomial(rng, ring, dim, int(cfg.get("max_degree", 3)),
-                                int(cfg.get("terms", 3))),
-              random_polynomial(rng, ring, dim, int(cfg.get("max_degree", 3)),
-                                int(cfg.get("terms", 3))))
-             for _ in range(int(cfg.get("pairs", 20)))]
+    pairs = _random_pairs(cfg, 20, rng, ring, dim, "x")
     hbars = cfg.get("hbars")
 
     def star_at(h):
@@ -254,13 +251,7 @@ def suite_first_order(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     base = inst.ring.base
     i_unit = base.imaginary_unit
     rows = []
-    for _ in range(int(cfg.get("pairs", 50))):
-        f = random_polynomial(rng, inst.ring, inst.dim,
-                              int(cfg.get("max_degree", 3)),
-                              int(cfg.get("terms", 3)), inst.kind)
-        g = random_polynomial(rng, inst.ring, inst.dim,
-                              int(cfg.get("max_degree", 3)),
-                              int(cfg.get("terms", 3)), inst.kind)
+    for f, g in _random_pairs(cfg, 50, rng, inst.ring, inst.dim, inst.kind):
         antisym = first_order_commutator(f, g, inst.table)
         f0 = f.map_coefficients(lambda s: s.coefficient(0), base)
         g0 = g.map_coefficients(lambda s: s.coefficient(0), base)
@@ -436,6 +427,19 @@ SUITES: Dict[str, Tuple[Callable, bool]] = {
 # -- spec handling -------------------------------------------------------------------
 
 
+def read_json(path) -> Dict:
+    """The JSON object in the file at ``path``; malformed JSON, or JSON that
+    is no object, is a ConfigError that names the file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            data = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: {exc}") from None
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
+
+
 def context_from_run(run: Dict) -> RunContext:
     ring_name = run.get("ring")
     truncation = int(run.get("truncation", 8))
@@ -443,8 +447,7 @@ def context_from_run(run: Dict) -> RunContext:
         spec = run.get("table")
         if spec is None:
             try:
-                with open(run["phi"], "r", encoding="utf-8") as fh:
-                    spec = json.load(fh)
+                spec = read_json(run["phi"])
             except OSError as exc:
                 raise TableFileError(f"cannot read table file {run['phi']!r}: "
                                      f"{exc.strerror}") from None

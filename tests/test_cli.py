@@ -549,7 +549,9 @@ def test_missing_catalog_parameters_exit_2(runner, tmp_path):
 
 
 # -- one failure policy for every command: (command, fault) -> (arguments, exit
-# code, first stderr line); "{bad}" stands for a file holding malformed JSON.
+# code, first stderr line); "{bad}" stands for a file holding malformed JSON,
+# "{list}" for one holding a JSON list, and "{spec}" for a run spec whose one
+# run reads "{bad}" as its table file.
 # A removable singularity is no fault: it exits 0 with nothing on stderr.
 
 MALFORMED = ("error: {bad}Expecting property name enclosed in double quotes: "
@@ -566,8 +568,13 @@ FAILURE_POLICY = {
     ("eval", "removable_singularity"): (
         ["--catalog", "symmetrized_log_canonical", "--d", "3", "--ring", "rational",
          "--param", "q=const:-1", "--lhs", "x1*x2", "--rhs", "x3^2"], 0, None),
-    ("verify", "malformed_spec"): (["--spec", "{bad}"], 2, MALFORMED.format(bad="")),
+    ("eval", "malformed_table"): (["--phi", "{bad}", "--lhs", "x1", "--rhs", "x1"],
+                                  2, MALFORMED.format(bad="{bad}: ")),
+    ("verify", "malformed_spec"): (["--spec", "{bad}"], 2, MALFORMED.format(bad="{bad}: ")),
+    ("verify", "malformed_table"): (["--spec", "{spec}"], 2, MALFORMED.format(bad="{bad}: ")),
     ("report", "malformed_json"): (["{bad}"], 2, MALFORMED.format(bad="{bad}: ")),
+    ("report", "json_not_an_object"): (["{list}"], 2,
+                                       "error: {list}: expected a JSON object, got list"),
     ("gram", "point_not_antidiagonal"): (["--hbar", "0.5", "--z", "1+1i,1+1i"],
                                          2, NOT_ANTIDIAGONAL),
     ("gns", "point_not_antidiagonal"): (["--hbar", "0.5", "--z", "1+1i,1+1i"],
@@ -578,13 +585,22 @@ FAILURE_POLICY = {
 @pytest.mark.parametrize("command, fault", sorted(FAILURE_POLICY))
 def test_failure_policy(runner, tmp_path, command, fault):
     args, code, first_line = FAILURE_POLICY[command, fault]
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    result = runner.invoke(main, [command] + [a.replace("{bad}", str(bad)) for a in args])
+    files = {name: tmp_path / f"{name[1:-1]}.json" for name in ("{bad}", "{list}", "{spec}")}
+    files["{bad}"].write_text("{not json")
+    files["{list}"].write_text("[1]")
+    files["{spec}"].write_text(json.dumps(
+        {"runs": [{"phi": str(files["{bad}"]), "probes": [{"kind": "overlaps"}]}]}))
+
+    def fill(text):
+        for name, path in files.items():
+            text = text.replace(name, str(path))
+        return text
+
+    result = runner.invoke(main, [command] + [fill(a) for a in args])
     assert result.exit_code == code
     if first_line is None:
         assert result.stderr == "" and result.stdout == "3*x1*x2*x3^2\n"
         return
     assert isinstance(result.exception, SystemExit)  # no exception escaped
-    assert result.stderr.splitlines()[0] == first_line.replace("{bad}", str(bad))
+    assert result.stderr.splitlines()[0] == fill(first_line)
     assert result.stdout == ""

@@ -27,7 +27,7 @@ def _add(K, L):
 
 @pytest.mark.parametrize("d", (2, 3))
 @pytest.mark.parametrize("name", sorted(ROOTS))
-def test_evaluated_route_raises_exactly_where_the_q_multinomial_of_m_vanishes(d, name):
+def test_evaluated_route_raises_exactly_where_the_reduced_denominator_vanishes(d, name):
     q = ROOTS[name]
     ball = exponent_ball(d, 3)
     poles = removable = 0

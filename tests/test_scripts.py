@@ -44,12 +44,12 @@ def test_gns_demo_prints_spectrum_rank_and_operators(monkeypatch, capsys):
 
 def test_src_size_prints_every_module_and_a_total_that_adds_up(monkeypatch, capsys):
     lines = _run("src_size.py", [], monkeypatch, capsys)
-    assert lines[0].split() == ["module", "lines", "code"]
+    assert lines[0].split() == ["module", "lines", "code", "defaults"]
     rows = [line.split() for line in lines[1:]]
     modules = sorted(path.name for path in (SCRIPTS.parent / "src" / "starprod").glob("*.py"))
     assert [row[0] for row in rows[:-1]] == modules
-    counts = [(int(row[1]), int(row[2])) for row in rows]
-    assert all(0 < code < total for total, code in counts)
+    counts = [(int(row[1]), int(row[2]), int(row[3])) for row in rows]
+    assert all(0 < code < total and defaults >= 0 for total, code, defaults in counts)
     assert rows[-1][0] == "total"
     assert counts[-1] == tuple(map(sum, zip(*counts[:-1])))
 
@@ -60,3 +60,12 @@ def test_src_size_leaves_out_blank_lines_comments_and_docstrings():
             'class A:\n    """One line."""\n\n    def f(self):\n'
             '        """Two\n        lines."""\n        return "not a docstring"\n')
     assert module["module_size"](text) == (15, 4)
+
+
+def test_src_size_counts_positional_and_keyword_only_defaults():
+    module = runpy.run_path(str(SCRIPTS / "src_size.py"))
+    text = ('def f(a, b=1, *args, c, d=2, **kw):\n    return lambda x=0: x\n\n\n'
+            'class A:\n    def g(self, e=3):\n        def inner(h, i=4):\n'
+            '            return h\n        return inner\n')
+    # the lambda's default is no function parameter
+    assert module["defaulted_parameters"](text) == 4

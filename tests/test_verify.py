@@ -1,12 +1,16 @@
 """suite_oracle on every kind of (route, reference) pair a catalog names,
 exact, and the run-spec defaults of the suite runners."""
 
+import math
 import random
 
 import pytest
 
+from starprod.params import ParameterError
 from starprod.probes import generator_product_bound
-from starprod.verify import context_from_run, suite_macgyver, suite_oracle
+from starprod.reduction import StepLimitExceeded
+from starprod.verify import (RunContext, _auto_q_bound, context_from_run, run_suites,
+                             suite_macgyver, suite_oracle)
 
 # nonquadratic with s bound has no closed form: rightmost against leftmost rewriting
 NONQUADRATIC = {"catalog": "nonquadratic", "options": {"N": 1},
@@ -56,6 +60,43 @@ def test_macgyver_q_defaults_to_the_generator_bound():
     count, sup = generator_product_bound(ctx.instance(hbar=0.3).star)
     assert report.meta["Q"] >= count * sup
     assert report.passed
+
+
+def test_auto_q_bound_skips_a_pole_on_its_disc(monkeypatch):
+    # q = 1/(1 - i hbar) has its pole at hbar = -i, the 13th of the 16
+    # boundary points of the disc of radius 0.5 + 0.5
+    ctx = context_from_run({"catalog": "log_canonical", "d": 2,
+                            "params": {"q": "inverse_affine"}})
+    skipped = []
+    instance = RunContext.instance
+
+    def recording(self, ring_name=None, hbar=None):
+        try:
+            return instance(self, ring_name, hbar)
+        except ParameterError:
+            skipped.append(hbar)
+            raise
+
+    monkeypatch.setattr(RunContext, "instance", recording)
+    Q = _auto_q_bound(ctx, 0.5)
+    assert len(skipped) == 1 and abs(skipped[0] + 1j) < 1e-12
+    assert math.isfinite(Q) and Q >= 1.0
+
+
+def test_auto_q_bound_lets_any_other_error_crash_the_suite(monkeypatch):
+    instance = RunContext.instance
+
+    def failing(self, ring_name=None, hbar=None):
+        if ring_name == "complex":  # only the disc points name their ring
+            raise StepLimitExceeded("table log_canonical: stopped")
+        return instance(self, ring_name, hbar)
+
+    monkeypatch.setattr(RunContext, "instance", failing)
+    spec = {"runs": [{"catalog": "log_canonical", "d": 2, "params": {"q": "exp_i"},
+                      "hbar": [0.5], "probes": [{"kind": "macgyver", "samples": 2}]}]}
+    (result,) = run_suites(spec, seed=1)
+    assert not result.report.passed and not result.report.cases
+    assert result.report.meta == {"error": "StepLimitExceeded: table log_canonical: stopped"}
 
 
 # -- verdicts come from margins ------------------------------------------------------
