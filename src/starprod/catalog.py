@@ -29,8 +29,8 @@ from operator import add
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .params import ParameterCatalog, ParameterRule
-from .poly import (DimensionMismatch, Exponent, NcPolynomial, Polynomial, exponent_to_word,
-                   inversion_weight)
+from .poly import (DimensionMismatch, Exponent, NcPolynomial, Polynomial, check_exponent,
+                   exponent_to_word, inversion_weight)
 from .qcomb import (
     PoleAtRootOfUnity,
     multinomial,
@@ -43,9 +43,9 @@ from .reduction import (
     PoissonStructure,
     ReductionTrace,
     RelationTable,
+    monomial_star,
     normal_form_sum,
     poisson_from_table,
-    star_by_reduction,
 )
 from .reduction import star as table_star
 from .scalars import Ring, SeriesRing, scalar_power
@@ -180,42 +180,77 @@ def _climb_weight(left: int, p, base, ring: Ring):
     return (p - 1) * acc
 
 
-def _nonquadratic_terms(e1: Exponent, e2: Exponent, p, q, r, N: int,
-                        ring: Ring) -> Dict[Exponent, object]:
-    """The word sum of ``nonquadratic_star``, as an exponent -> coefficient dict.
+def _nonquadratic_route(p, q, r, N: int, ring: Ring) -> Callable[[Exponent, Exponent], Dict]:
+    """(e1, e2) -> the word sum of ``nonquadratic_star``, as an exponent ->
+    coefficient dict.
 
     The words in {0,1}^k with at most m ones grow a letter at a time: a
     level lists (ones, weight) for every prefix, in lexicographic order, so
     each word's weight is the chain of step weights along the word (its
     twists r^(-N ones) included) and the words are summed in lexicographic
-    order.  The twist, the step weights and the r-power of the result are
-    computed once per count of ones.
+    order.  The words and their weights depend on k and m alone, and the
+    twist, the step weights and the r-power of the result on a count of
+    ones; the route keeps every word level, power of q and r and climb
+    weight it computes, by exponent, for the pairs after.
     """
-    i, j, k = e1
-    l, m, n = e2
-    before = range(min(k - 1, m) + 1)  # the ones counts a letter can follow
-    twists = [scalar_power(ring, r, -N * ones) for ones in before]
-    stays = [q ** (m - ones) for ones in before]
-    climbs = []
-    if min(k, m):
-        base = q * scalar_power(ring, r, N)
-        climbs = [_climb_weight(m - ones, p, base, ring) for ones in range(min(k, m))]
-    level = [(0, ring.one)]
-    for _ in range(k):
-        grown = []
+    q_powers: Dict[int, object] = {}
+    r_powers: Dict[int, object] = {}
+    climbs: Dict[int, object] = {}
+    levels: Dict[Tuple[int, int], List[Tuple[int, object]]] = {}
+
+    def q_power(e: int):
+        if e not in q_powers:
+            q_powers[e] = q ** e
+        return q_powers[e]
+
+    def r_power(e: int):
+        if e not in r_powers:
+            r_powers[e] = scalar_power(ring, r, e)
+        return r_powers[e]
+
+    def climb(left: int):
+        if left not in climbs:
+            climbs[left] = _climb_weight(left, p, q * r_power(N), ring)
+        return climbs[left]
+
+    def words(k: int, m: int) -> List[Tuple[int, object]]:
+        """(ones, weight) of every word in {0,1}^k with at most m ones."""
+        if (k, m) in levels:
+            return levels[(k, m)]
+        before = range(min(k - 1, m) + 1)  # the ones counts a letter can follow
+        twists = [r_power(-N * ones) for ones in before]
+        stays = [q_power(m - ones) for ones in before]
+        steps = [climb(m - ones) for ones in range(min(k, m))]
+        level = [(0, ring.one)]
+        for _ in range(k):
+            grown = []
+            for ones, weight in level:
+                weight = weight * twists[ones]
+                grown.append((ones, weight * stays[ones]))
+                if ones < m:
+                    grown.append((ones + 1, weight * steps[ones]))
+            level = grown
+        levels[(k, m)] = level
+        return level
+
+    def terms(e1: Exponent, e2: Exponent) -> Dict[Exponent, object]:
+        i, j, k = e1
+        l, m, n = e2
+        level = words(k, m)
+        scales = [r_power((j - k) * l + j * N * ones) for ones in range(min(k, m) + 1)]
+        out: Dict[Exponent, object] = {}
         for ones, weight in level:
-            weight = weight * twists[ones]
-            grown.append((ones, weight * stays[ones]))
-            if ones < m:
-                grown.append((ones + 1, weight * climbs[ones]))
-        level = grown
-    scales = [scalar_power(ring, r, (j - k) * l + j * N * ones) for ones in range(min(k, m) + 1)]
-    terms: Dict[Exponent, object] = {}
-    for ones, weight in level:
-        coeff = scales[ones] * weight
-        M = (i + l + N * ones, j + m - ones, k + n - ones)
-        terms[M] = terms[M] + coeff if M in terms else coeff
+            coeff = scales[ones] * weight
+            M = (i + l + N * ones, j + m - ones, k + n - ones)
+            out[M] = out[M] + coeff if M in out else coeff
+        return out
     return terms
+
+
+def _nonquadratic_terms(e1: Exponent, e2: Exponent, p, q, r, N: int,
+                        ring: Ring) -> Dict[Exponent, object]:
+    """The word sum of one pair, on a fresh route."""
+    return _nonquadratic_route(p, q, r, N, ring)(e1, e2)
 
 
 def nonquadratic_star(e1: Tuple[int, int, int], e2: Tuple[int, int, int],
@@ -231,11 +266,14 @@ def nonquadratic_star(e1: Tuple[int, int, int], e2: Tuple[int, int, int],
     return Polynomial.from_checked(ring, 3, _nonquadratic_terms(e1, e2, p, q, r, N, ring))
 
 
-def _quantum_weyl_terms(e1: Exponent, e2: Exponent, p, q, ring: Ring) -> Dict[Exponent, object]:
+def _quantum_weyl_route(p, q, ring: Ring) -> Callable[[Exponent, Exponent], Dict]:
     """The N=0 word sum with r = 1 on (y, z) pairs; its x-exponent is always 0."""
-    (j, k), (m, n) = e1, e2
-    full = _nonquadratic_terms((0, j, k), (0, m, n), p, q, ring.one, 0, ring)
-    return {(b, c): coeff for (_, b, c), coeff in full.items()}
+    full = _nonquadratic_route(p, q, ring.one, 0, ring)
+
+    def terms(e1: Exponent, e2: Exponent) -> Dict[Exponent, object]:
+        (j, k), (m, n) = e1, e2
+        return {(b, c): coeff for (_, b, c), coeff in full((0, j, k), (0, m, n)).items()}
+    return terms
 
 
 def quantum_weyl_star(e1: Sequence[int], e2: Sequence[int], p, q, ring: Ring) -> Polynomial:
@@ -255,7 +293,7 @@ def quantum_weyl_star(e1: Sequence[int], e2: Sequence[int], p, q, ring: Ring) ->
     e1, e2 = as_pair(e1), as_pair(e2)
     if min(*e1, *e2) < 0:
         raise CatalogError("exponents must be non-negative")
-    return Polynomial.from_checked(ring, 2, _quantum_weyl_terms(e1, e2, p, q, ring))
+    return Polynomial.from_checked(ring, 2, _quantum_weyl_route(p, q, ring)(e1, e2))
 
 
 def _symmetrized_terms(K: Exponent, L: Exponent, q, ring: Ring) -> TermList:
@@ -419,20 +457,19 @@ class StarProduct:
 
     def monomial_product(self, K: Exponent, L: Exponent) -> Polynomial:
         if self.mono is not None:
-            return Polynomial(self.ring, self.dim, dict(self.mono(tuple(K), tuple(L))),
-                              self.kind)
+            # terms made from checked exponents need no check of their own
+            check_exponent(K, self.dim)
+            check_exponent(L, self.dim)
+            return Polynomial.from_checked(self.ring, self.dim,
+                                           dict(self.mono(tuple(K), tuple(L))), self.kind)
         if self.table is None:
             raise CatalogError(f"{self.name} has neither closed form nor table")
-        return table_star(Polynomial.monomial(self.ring, self.dim, K, kind=self.kind),
-                          Polynomial.monomial(self.ring, self.dim, L, kind=self.kind),
-                          self.table, self.step_limit)
+        return monomial_star(K, L, self.table, self.step_limit).result
 
     def traced_monomials(self, K: Exponent, L: Exponent) -> ReductionTrace:
         if self.table is None:
             raise CatalogError(f"{self.name} has no relation table to trace")
-        f = Polynomial.monomial(self.ring, self.dim, K, kind=self.kind)
-        g = Polynomial.monomial(self.ring, self.dim, L, kind=self.kind)
-        return star_by_reduction(f, g, self.table, self.step_limit)
+        return monomial_star(K, L, self.table, self.step_limit)
 
     def __call__(self, f: Polynomial, g: Polynomial) -> Polynomial:
         """f * g: the bilinear extension of ``mono``, or the table's rewriting.
@@ -497,9 +534,7 @@ def leftmost_route(table: RelationTable) -> MonomialRoute:
     of an associative table does not depend on the order of the rewrites.
     """
     def leftmost(K: Exponent, L: Exponent) -> Polynomial:
-        f = Polynomial.monomial(table.ring, table.dim, K, kind=table.kind)
-        g = Polynomial.monomial(table.ring, table.dim, L, kind=table.kind)
-        return star_by_reduction(f, g, table, strategy="leftmost").result
+        return monomial_star(K, L, table, strategy="leftmost").result
 
     return leftmost
 
@@ -565,7 +600,8 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
         table = nonquadratic_table(ring, N, p, q, r, s)
         mono = None
         if s is None:
-            mono = lambda K, L: _nonquadratic_terms(K, L, p, q, r, N, ring).items()
+            route = _nonquadratic_route(p, q, r, N, ring)
+            mono = lambda K, L: route(K, L).items()
         star = StarProduct(name, ring, dim, "x", table, mono)
     elif name == "quantum_weyl":
         dim = 2
@@ -573,7 +609,8 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
             raise CatalogError("quantum_weyl lives on d = 2")
         p, q = scalars["p"], scalars["q"]
         table = quantum_weyl_table(ring, p, q)
-        mono = lambda K, L: _quantum_weyl_terms(K, L, p, q, ring).items()
+        route = _quantum_weyl_route(p, q, ring)
+        mono = lambda K, L: route(K, L).items()
         star = StarProduct(name, ring, dim, "x", table, mono)
     elif name == "symmetrized_log_canonical":
         dim = d or 2

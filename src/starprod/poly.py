@@ -17,7 +17,6 @@ correspond bijectively to exponent tuples.
 from __future__ import annotations
 
 from math import comb
-from operator import le
 from typing import Dict, Mapping, Tuple
 
 from .scalars import Ring
@@ -42,7 +41,7 @@ def word_to_exponent(word: Word, dim: int) -> Exponent:
 
 
 def is_standard(word: Word) -> bool:
-    return all(map(le, word, word[1:]))
+    return list(word) == sorted(word)
 
 
 def inversion_weight(K: Exponent, L: Exponent) -> int:
@@ -70,6 +69,22 @@ class DimensionMismatch(ValueError):
     pass
 
 
+def _check_shape(dim: int, kind: str) -> None:
+    if dim < 1:
+        raise ValueError("dimension must be at least 1")
+    if kind not in ("x", "w"):
+        raise ValueError("generator kind must be 'x' or 'w'")
+
+
+def check_exponent(K: Exponent, dim: int) -> None:
+    """Raise unless K is an exponent tuple of length dim with no negative entry."""
+    if len(K) != dim:
+        raise DimensionMismatch(f"exponent {K} does not fit dimension {dim}")
+    # dim >= 1, so K is not empty
+    if min(K) < 0:
+        raise ValueError(f"negative exponent in {K}")
+
+
 class Polynomial:
     """Immutable-by-convention sparse polynomial over a scalar ring."""
 
@@ -77,20 +92,14 @@ class Polynomial:
 
     def __init__(self, ring: Ring, dim: int, terms: Mapping[Exponent, object] | None = None,
                  kind: str = "x"):
-        if dim < 1:
-            raise ValueError("dimension must be at least 1")
-        if kind not in ("x", "w"):
-            raise ValueError("generator kind must be 'x' or 'w'")
+        _check_shape(dim, kind)
         self.ring = ring
         self.dim = dim
         self.kind = kind
         clean: Dict[Exponent, object] = {}
         if terms:
             for K, c in terms.items():
-                if len(K) != dim:
-                    raise DimensionMismatch(f"exponent {K} does not fit dimension {dim}")
-                if any(e < 0 for e in K):
-                    raise ValueError(f"negative exponent in {K}")
+                check_exponent(K, dim)
                 if not ring.is_zero(c):
                     clean[tuple(K)] = c
         self.terms = clean
@@ -106,12 +115,17 @@ class Polynomial:
         exponent: for terms computed from exponents of polynomials of the
         same dimension, which were checked when they were made.
         """
+        is_zero = ring.is_zero
+        return cls._of(ring, dim, {K: c for K, c in terms.items() if not is_zero(c)}, kind)
+
+    @classmethod
+    def _of(cls, ring: Ring, dim: int, terms: Dict[Exponent, object], kind: str) -> "Polynomial":
+        """The polynomial holding ``terms`` itself: checked, nonzero, not shared."""
         self = object.__new__(cls)
         self.ring = ring
         self.dim = dim
         self.kind = kind
-        is_zero = ring.is_zero
-        self.terms = {K: c for K, c in terms.items() if not is_zero(c)}
+        self.terms = terms
         return self
 
     @classmethod
@@ -135,7 +149,10 @@ class Polynomial:
 
     @classmethod
     def monomial(cls, ring: Ring, dim: int, K: Exponent, coeff=None, kind: str = "x") -> "Polynomial":
-        return cls(ring, dim, {tuple(K): ring.one if coeff is None else coeff}, kind)
+        _check_shape(dim, kind)
+        check_exponent(K, dim)
+        c = ring.one if coeff is None else coeff
+        return cls._of(ring, dim, {} if ring.is_zero(c) else {tuple(K): c}, kind)
 
     # -- arithmetic -----------------------------------------------------------
 

@@ -6,7 +6,10 @@ x_j x_i (j > i) inside a word by x_i x_j plus the tail re-embedded as a
 standard word.  Rewriting the concatenation of the standard words of f and
 g until every word is standard computes the star product f * g in the
 monomial basis.  ``reduce_once`` is the one rewrite step, and one route
-drives it over every ring: the table's memo of word normal forms.
+drives it over every ring: the table's memo of word normal forms.  Every
+miss that rewrites a word calls ``reduce_once``, also where a loop of its
+own would be quicker, because the benchmark's tracer (perfbench/tracing.py)
+counts its calls as the rewrite passes of a workload.
 
 Rightmost rewriting is linear: the normal form NF(w) of a word does not
 depend on its coefficient, so each table memoizes ``RelationTable.normal_form``
@@ -35,6 +38,10 @@ ring's ``drop_tol`` prunes once, the finished product: a normal form is
 computed at unit coefficient, and a term below the tolerance there may not
 be below it once the product scales it.
 
+Each table also keeps the standard word of every exponent and the exponent
+of every standard word it meets, so neither is rebuilt letter by letter
+for each product or each miss.
+
 In series mode tails start at order t, so rewriting terminates by
 truncation; the memo keys series words by the t-order they still need (a
 tail coefficient of t-valuation v lowers it by v, and none left means zero).
@@ -45,6 +52,7 @@ rewritten, guard against runaway tables.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import add
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .poly import (
@@ -52,11 +60,12 @@ from .poly import (
     NcPolynomial,
     Polynomial,
     Word,
+    check_exponent,
     exponent_to_word,
     is_standard,
     word_to_exponent,
 )
-from .scalars import ComplexRing, GaussRational, Ring, SeriesRing
+from .scalars import ComplexRing, GaussRational, RationalRing, Ring, SeriesRing
 
 DEFAULT_STEP_LIMIT = 10 ** 6
 
@@ -106,6 +115,11 @@ class RelationTable:
         # word needs all orders of t up to the truncation
         self._coefficients: Dict[Tuple[int, int, int], GaussRational] = {}
         self._one = _interned(self._coefficients, self.ring.one)
+        self._interning = isinstance(self.ring, RationalRing)
+        # the standard word of every exponent met, and the exponent of every
+        # standard word met
+        self._words: Dict[Exponent, Word] = {}
+        self._exponents: Dict[Word, Exponent] = {}
         self._budget = self.ring.order + 1 if isinstance(self.ring, SeriesRing) else None
         # tails pre-embedded as standard words, for the rewrite loop
         self.tail_words: Dict[Tuple[int, int], List[Tuple[Word, object]]] = {
@@ -132,6 +146,21 @@ class RelationTable:
             self._mirror = RelationTable(self.ring, d, self.kind, tails, name=self.name)
         return self._mirror
 
+    def word(self, K: Exponent) -> Word:
+        """The standard word of x^K, kept on the table for the products after."""
+        w = self._words.get(K)
+        if w is None:
+            w = self._words[K] = exponent_to_word(K)
+        return w
+
+    def exponent(self, word: Word) -> Optional[Exponent]:
+        """K with word(K) = word for a standard word, kept on the table; None
+        for a word that is not standard."""
+        K = self._exponents.get(word)
+        if K is None and is_standard(word):
+            K = self._exponents[word] = word_to_exponent(word, self.dim)
+        return K
+
     def normal_form(self, word: Word, misses: Optional["MemoMisses"] = None) -> NormalForm:
         """Rightmost normal form of a word, with depths, memoized on the table.
 
@@ -139,11 +168,12 @@ class RelationTable:
         stored.  Misses are charged to ``misses`` (by default a fresh count
         under DEFAULT_STEP_LIMIT).
         """
-        if is_standard(word):
-            return ((word_to_exponent(word, self.dim), self._one, 0),)
         key = (word, self._budget)
         found = self._normal_forms.get(key)
         if found is None:
+            K = self.exponent(word)
+            if K is not None:
+                return ((K, self._one, 0),)
             found = self._resolve(key, misses or MemoMisses(self, DEFAULT_STEP_LIMIT))
         return found
 
@@ -151,14 +181,13 @@ class RelationTable:
         """Fill the memo for ``root`` and every word its normal form needs.
 
         Each missing word is one ``_expand`` generator, which yields the
-        keys it still needs; they run on an explicit stack, so no recursion
-        limit applies.  Needing a word that is still being expanded means
-        the rewriting cycles.
+        keys it still needs and stores its own normal form; they run on an
+        explicit stack, so no recursion limit applies.  Needing a word that
+        is still being expanded means the rewriting cycles.
         """
-        memo = self._normal_forms
         stack = []
         expanding = set()
-        need, value = root, None
+        need = root
         while True:
             if need is not None:
                 if need in expanding:
@@ -170,17 +199,13 @@ class RelationTable:
                 expanding.add(need)
                 stack.append((need, self._expand(need, misses)))
             key, task = stack[-1]
-            try:
-                need = task.send(value)
-                value = None
-            except StopIteration as done:
-                value = memo[key] = done.value
+            need = next(task, None)
+            if need is None:
                 misses.close(key[0])
                 expanding.discard(key)
                 stack.pop()
                 if not stack:
-                    return value
-                need = None
+                    return self._normal_forms[key]
 
     def _expand(self, key, misses: "MemoMisses"):
         """The normal form of one non-standard word, as a generator.
@@ -189,51 +214,81 @@ class RelationTable:
         rewrite of a + s, at depth 1 + the depth within NF(w').
         NF(p + a + s) is the sum of c * NF(p + word(M)) over the terms c x^M
         of NF(a + s), at the depth of x^M + the depth within NF(p + word(M)).
+        Each part is (exponent, word, c, depth), its exponent None when its
+        word is not standard.  A key yielded is in the memo when the
+        generator resumes.
         """
         word, budget = key
-        memo, ring, dim = self._normal_forms, self.ring, self.dim
-        one = self._one
+        memo, one, exponent = self._normal_forms, self._one, self.exponent
         start = len(word) - 1
         while start > 1 and word[start - 1] <= word[start]:
             start -= 1
         if start == 1:
-            rewritten, _, _ = reduce_once(NcPolynomial.from_checked(ring, dim, {word: one}),
-                                          self)
-            parts = [(w, c, 1) for w, c in rewritten.terms.items()]
+            rewritten, _, _ = reduce_once(
+                NcPolynomial.from_checked(self.ring, self.dim, {word: one}), self)
+            parts = [(exponent(w), w, c, 1) for w, c in rewritten.terms.items()]
         else:
             head = (word[start - 1:], budget)
             found = memo.get(head)
             if found is None:
-                found = yield head
-            prefix = word[:start - 1]
-            parts = [(prefix + exponent_to_word(M), c, k) for M, c, k in found]
+                yield head
+                found = memo[head]
+            prefix, words = word[:start - 1], self._words
+            # p + word(M) is standard when p is and p's last letter is at most
+            # word(M)'s first; its exponent is then p's plus M
+            P = exponent(prefix)
+            if P is not None:
+                last = prefix[-1]
+                parts = []
+                for M, c, k in found:
+                    v = words.get(M) or self.word(M)
+                    if not v or last <= v[0]:
+                        parts.append((tuple([*map(add, P, M)]), None, c, k))
+                    else:
+                        parts.append((None, prefix + v, c, k))
+            else:
+                parts = [(None, prefix + (words.get(M) or self.word(M)), c, k)
+                         for M, c, k in found]
         out: Dict[Exponent, object] = {}
         depths: Dict[Exponent, int] = {}
-        for w, c, k in parts:
+        for S, w, c, k in parts:
             left = budget
             if budget is not None:
                 left -= c.valuation()
                 if left <= 0:
                     continue
-            if is_standard(w):
-                found = ((word_to_exponent(w, dim), one, 0),)
+            if S is not None:
+                found = ((S, one, 0),)
             else:
                 child = (w, left)
                 found = memo.get(child)
                 if found is None:
-                    found = yield child
+                    yield child
+                    found = memo[child]
             for M, d, j in found:
                 if d is one:
                     d = c
                 elif c is not one:
                     d = d * c
-                out[M] = out[M] + d if M in out else d
-                depths[M] = max(depths.get(M, 0), k + j)
-        pool = self._coefficients
-        found = tuple([(M, _interned(pool, d), depths[M]) for M, d in out.items() if d])
+                j += k
+                if M in out:
+                    out[M] = out[M] + d
+                    if j > depths[M]:
+                        depths[M] = j
+                else:
+                    out[M] = d
+                    depths[M] = j
+        if self._interning:
+            # one object per exact complex rational stored, keyed by its
+            # normal-form fields, as _interned does
+            pool = self._coefficients
+            found = tuple([(M, pool.setdefault((d._a, d._b, d._d), d), depths[M])
+                           for M, d in out.items() if d._a or d._b])
+        else:
+            found = tuple([(M, d, depths[M]) for M, d in out.items() if d])
         if len(found) > misses.widest:
             misses.widest = len(found)
-        return found
+        memo[key] = found
 
 
 def _interned(pool: Dict, c):
@@ -327,10 +382,12 @@ def _check_operands(f: Polynomial, g: Polynomial, table: RelationTable):
         raise TableError("polynomial kind does not match the table")
 
 
-def _product_words(f: Polynomial, g: Polynomial) -> Iterable[Tuple[Word, object]]:
+def _product_words(f: Polynomial, g: Polynomial,
+                   table: RelationTable) -> Iterable[Tuple[Word, object]]:
     """The words word(K) + word(L) of f g, with coefficients a*b."""
-    right = [(exponent_to_word(L), b) for L, b in g.terms.items()]
-    return ((exponent_to_word(K) + v, a * b) for K, a in f.terms.items() for v, b in right)
+    word = table.word
+    right = [(word(L), b) for L, b in g.terms.items()]
+    return ((word(K) + v, a * b) for K, a in f.terms.items() for v, b in right)
 
 
 def _rewrite(terms: Iterable[Tuple[Word, object]], table: RelationTable, misses: MemoMisses,
@@ -356,13 +413,18 @@ def _rewrite(terms: Iterable[Tuple[Word, object]], table: RelationTable, misses:
                 d = c
             elif c is not one:
                 d = d * c
-            out[M] = out[M] + d if M in out else d
-            depths[M] = max(depths.get(M, 0), k)
+            if M in out:
+                out[M] = out[M] + d
+                if k > depths[M]:
+                    depths[M] = k
+            else:
+                out[M] = d
+                depths[M] = k
     if strategy == "leftmost":
         out = {M[::-1]: c for M, c in out.items()}
         depths = {M[::-1]: k for M, k in depths.items()}
     result = Polynomial.from_checked(table.ring, dim, out, kind)
-    return result, max((depths[M] for M in result.terms), default=0)
+    return result, max(map(depths.__getitem__, result.terms), default=0)
 
 
 def reduce_to_standard(f: NcPolynomial, table: RelationTable,
@@ -374,7 +436,7 @@ def reduce_to_standard(f: NcPolynomial, table: RelationTable,
     misses = MemoMisses(table, DEFAULT_STEP_LIMIT)
     result, count = _rewrite(f.terms.items(), table, misses, strategy)
     standard = NcPolynomial.from_checked(
-        table.ring, f.dim, {exponent_to_word(K): c for K, c in result.terms.items()})
+        table.ring, f.dim, {table.word(K): c for K, c in result.terms.items()})
     return standard, count, max(len(f.terms), misses.widest)
 
 
@@ -383,15 +445,27 @@ def star_by_reduction(f: Polynomial, g: Polynomial, table: RelationTable,
                       strategy: str = "rightmost") -> ReductionTrace:
     """Star product of commutative polynomials, with its reduction count."""
     _check_operands(f, g, table)
-    return ReductionTrace(*_rewrite(_product_words(f, g), table,
+    return ReductionTrace(*_rewrite(_product_words(f, g, table), table,
                                     MemoMisses(table, step_limit), strategy))
+
+
+def monomial_star(K: Exponent, L: Exponent, table: RelationTable,
+                  step_limit: int = DEFAULT_STEP_LIMIT,
+                  strategy: str = "rightmost") -> ReductionTrace:
+    """x^K * x^L with its reduction count, as ``star_by_reduction`` of the
+    two unit monomials gives it, without building them."""
+    check_exponent(K, table.dim)
+    check_exponent(L, table.dim)
+    unit = table.ring.one
+    words = ((table.word(tuple(K)) + table.word(tuple(L)), unit * unit),)
+    return ReductionTrace(*_rewrite(words, table, MemoMisses(table, step_limit), strategy))
 
 
 def star(f: Polynomial, g: Polynomial, table: RelationTable,
          step_limit: int = DEFAULT_STEP_LIMIT) -> Polynomial:
     """f * g = sum of a*b*NF(word(K) + word(L)) through the table's memo."""
     _check_operands(f, g, table)
-    return _rewrite(_product_words(f, g), table, MemoMisses(table, step_limit))[0]
+    return _rewrite(_product_words(f, g, table), table, MemoMisses(table, step_limit))[0]
 
 
 def normal_form_sum(f: NcPolynomial, table: RelationTable) -> Polynomial:

@@ -125,14 +125,24 @@ class GaussRational(_FieldOps):
             return GaussRational(other)
         return None
 
+    # __add__ and __mul__ normalise inline, as _make does: they are the
+    # hottest scalar operations of the exact rewriting
     def __add__(self, other):
-        o = other if isinstance(other, GaussRational) else self._coerce(other)
+        o = other if type(other) is GaussRational else self._coerce(other)
         if o is None:
             return NotImplemented
         d, e = self._d, o._d
         if d == e:
-            return GaussRational._make(self._a + o._a, self._b + o._b, d)
-        return GaussRational._make(self._a * e + o._a * d, self._b * e + o._b * d, d * e)
+            a, b = self._a + o._a, self._b + o._b
+        else:
+            a, b, d = self._a * e + o._a * d, self._b * e + o._b * d, d * e
+        g = gcd(a, b, d)
+        out = _new_object(GaussRational)
+        if g == 1:
+            out._a, out._b, out._d = a, b, d
+        else:
+            out._a, out._b, out._d = a // g, b // g, d // g
+        return out
 
     __radd__ = __add__
 
@@ -150,11 +160,30 @@ class GaussRational(_FieldOps):
         return NotImplemented if o is None else o - self
 
     def __mul__(self, other):
-        o = other if isinstance(other, GaussRational) else self._coerce(other)
+        o = other if type(other) is GaussRational else self._coerce(other)
         if o is None:
             return NotImplemented
-        a, b, c, e = self._a, self._b, o._a, o._b
-        return GaussRational._make(a * c - b * e, a * e + b * c, self._d * o._d)
+        a, b, d = self._a, self._b, self._d
+        c, e, f = o._a, o._b, o._d
+        # in normal form a value is 1 exactly when its real numerator equals
+        # its denominator and its imaginary one is 0; a product with 1 is
+        # the other factor, which never changes
+        if e == 0 and c == f:
+            return self
+        if b == 0 and a == d:
+            return o
+        if b == 0 and e == 0:
+            a, d = a * c, d * f
+            g = gcd(a, d)
+        else:
+            a, b, d = a * c - b * e, a * e + b * c, d * f
+            g = gcd(a, b, d)
+        out = _new_object(GaussRational)
+        if g == 1:
+            out._a, out._b, out._d = a, b, d
+        else:
+            out._a, out._b, out._d = a // g, b // g, d // g
+        return out
 
     __rmul__ = __mul__
 
@@ -182,7 +211,7 @@ class GaussRational(_FieldOps):
         return self._a != 0 or self._b != 0
 
     def __eq__(self, other):
-        o = self._coerce(other)
+        o = other if type(other) is GaussRational else self._coerce(other)
         if o is None:
             return NotImplemented
         return self._a == o._a and self._b == o._b and self._d == o._d
@@ -774,6 +803,9 @@ class _ExactRing:
 
 class RationalRing(_ExactRing):
     name = "rational"
+    # a GaussRational never changes, so every caller can share these two
+    zero = GaussRational(0)
+    one = GaussRational(1)
 
     def coerce(self, value):
         if isinstance(value, GaussRational):

@@ -428,19 +428,34 @@ SUITES: Dict[str, Tuple[Callable, bool]] = {
 
 
 def read_json(path) -> Dict:
-    """The JSON object in the file at ``path``; malformed JSON, or JSON that
-    is no object, is a ConfigError that names the file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """The JSON object in the file at ``path``; a directory, malformed JSON,
+    or JSON that is no object, is a ConfigError that names the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: expected a JSON object, got {type(data).__name__}")
-    return data
+    except IsADirectoryError:
+        raise ConfigError(f"{path}: is a directory, not a JSON file") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+    return _json_object(data, path)
+
+
+def _json_list(value, where) -> List:
+    """``value`` when it is a JSON list, else a ConfigError naming ``where``."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: expected a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _json_object(value, where) -> Dict:
+    """``value`` when it is a JSON object, else a ConfigError naming ``where``."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected a JSON object, got {type(value).__name__}")
+    return value
 
 
 def context_from_run(run: Dict) -> RunContext:
+    _json_object(run, "run")
     ring_name = run.get("ring")
     truncation = int(run.get("truncation", 8))
     if "phi" in run or "table" in run:
@@ -511,11 +526,12 @@ def run_suites(spec: Dict, seed: Optional[int] = None,
     deferred case digests unread (their ``digest`` becomes None)."""
     actual_seed = spec.get("seed", 42) if seed is None else seed
     tasks = []
-    for run_idx, run in enumerate(spec.get("runs", [])):
-        ctx = context_from_run(run)
+    for run_idx, run in enumerate(_json_list(spec.get("runs", []), "runs")):
+        ctx = context_from_run(_json_object(run, f"run {run_idx}"))
         hbars = _normalize_hbars(run)
-        for probe_idx, probe in enumerate(run.get("probes", [])):
-            kind = probe.get("kind")
+        for probe_idx, probe in enumerate(_json_list(run.get("probes", []),
+                                                     f"run {run_idx}: probes")):
+            kind = _json_object(probe, f"run {run_idx}, probe {probe_idx}").get("kind")
             if kind not in SUITES:
                 raise ConfigError(f"unknown probe kind {kind!r}")
             fn, needs_hbar = SUITES[kind]

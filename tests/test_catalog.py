@@ -14,7 +14,9 @@ from starprod.catalog import (
     CatalogError,
     _climb_weight,
     _distinct_arrangements,
+    _nonquadratic_route,
     _nonquadratic_terms,
+    _quantum_weyl_route,
     SigmaError,
     build_catalog,
     catalog_poisson,
@@ -760,6 +762,30 @@ def test_word_sums_grown_a_letter_at_a_time_match_the_per_word_sums():
                         assert repr(list(got.items())) == repr(list(expected.items())), (K, L)
                     else:
                         assert got == expected, (ring, N, K, L)
+
+
+def _hex_terms(terms):
+    return [(M, c.real.hex(), c.imag.hex()) for M, c in terms.items()]
+
+
+@pytest.mark.parametrize("route_of, d", [
+    (lambda p, q, r, N, ring: _nonquadratic_route(p, q, r, N, ring), 3),
+    (lambda p, q, r, N, ring: _quantum_weyl_route(p, q, ring), 2),
+], ids=["nonquadratic", "quantum_weyl"])
+def test_a_warm_route_gives_every_pair_the_terms_of_a_fresh_one(route_of, d):
+    # the route keeps powers, climb weights and word levels between pairs;
+    # over the complex ring they must come out bit for bit, in the same order
+    ball = exponent_ball(d, 3)
+    for ring, p, q, r in _word_sum_parameters():
+        for N in (0, 2):
+            warm = route_of(p, q, r, N, ring)
+            for K in ball:
+                for L in ball:
+                    got, fresh = warm(K, L), route_of(p, q, r, N, ring)(K, L)
+                    if ring is C:
+                        assert _hex_terms(got) == _hex_terms(fresh), (N, K, L)
+                    else:
+                        assert list(got.items()) == list(fresh.items()), (ring, N, K, L)
 
 
 def test_arrangements_are_the_sorted_distinct_permutations():

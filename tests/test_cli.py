@@ -575,6 +575,15 @@ FAILURE_POLICY = {
     ("report", "malformed_json"): (["{bad}"], 2, MALFORMED.format(bad="{bad}: ")),
     ("report", "json_not_an_object"): (["{list}"], 2,
                                        "error: {list}: expected a JSON object, got list"),
+    ("report", "directory"): (["{dir}"], 2, "error: {dir}: is a directory, not a JSON file"),
+    ("verify", "directory_spec"): (["--spec", "{dir}"], 2,
+                                   "error: {dir}: is a directory, not a JSON file"),
+    ("verify", "run_not_an_object"): (["--spec", "{run_int}"], 2,
+                                      "error: run 0: expected a JSON object, got int"),
+    ("verify", "runs_not_a_list"): (["--spec", "{runs_str}"], 2,
+                                    "error: runs: expected a JSON list, got str"),
+    ("verify", "probe_not_an_object"): (["--spec", "{probe_int}"], 2,
+                                        "error: run 0, probe 1: expected a JSON object, got int"),
     ("gram", "point_not_antidiagonal"): (["--hbar", "0.5", "--z", "1+1i,1+1i"],
                                          2, NOT_ANTIDIAGONAL),
     ("gns", "point_not_antidiagonal"): (["--hbar", "0.5", "--z", "1+1i,1+1i"],
@@ -585,11 +594,20 @@ FAILURE_POLICY = {
 @pytest.mark.parametrize("command, fault", sorted(FAILURE_POLICY))
 def test_failure_policy(runner, tmp_path, command, fault):
     args, code, first_line = FAILURE_POLICY[command, fault]
-    files = {name: tmp_path / f"{name[1:-1]}.json" for name in ("{bad}", "{list}", "{spec}")}
-    files["{bad}"].write_text("{not json")
-    files["{list}"].write_text("[1]")
-    files["{spec}"].write_text(json.dumps(
-        {"runs": [{"phi": str(files["{bad}"]), "probes": [{"kind": "overlaps"}]}]}))
+    bad = tmp_path / "bad.json"
+    contents = {
+        "{bad}": "{not json",
+        "{list}": "[1]",
+        "{spec}": json.dumps({"runs": [{"phi": str(bad), "probes": [{"kind": "overlaps"}]}]}),
+        "{run_int}": json.dumps({"runs": [1]}),
+        "{runs_str}": json.dumps({"runs": "x"}),
+        "{probe_int}": json.dumps({"runs": [{"catalog": "log_canonical",
+                                             "probes": [{"kind": "overlaps"}, 7]}]}),
+    }
+    files = {"{dir}": tmp_path}
+    for name, text in contents.items():
+        files[name] = tmp_path / f"{name[1:-1]}.json"
+        files[name].write_text(text)
 
     def fill(text):
         for name, path in files.items():

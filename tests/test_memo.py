@@ -21,6 +21,7 @@ from starprod.params import ParameterCatalog, ParameterRule
 from starprod.poly import NcPolynomial, Polynomial, exponent_to_word, word_to_exponent
 from starprod.probes import exponent_ball, random_polynomial
 from starprod.reduction import (
+    MemoMisses,
     RelationTable,
     StepLimitExceeded,
     check_overlaps,
@@ -147,6 +148,40 @@ def test_memo_route_equals_pass_route_on_criterion_1_triples():
             assert gh == _by_passes(g, h, table), (inst.name, n)
             assert memo(fg, h) == _by_passes(fg, h, table), (inst.name, n)
             assert memo(f, gh) == _by_passes(f, gh, table), (inst.name, n)
+
+
+# Memo misses of the sweep below, per catalog, and the margin over them that
+# the gate allows.  A change that removes work lowers these counts; none may
+# raise them to pass.
+CRITERION_1_MISSES = {"log_canonical": 1349, "wick_log_canonical": 1221,
+                      "nonquadratic0": 1720, "nonquadratic1": 1434, "nonquadratic2": 2188,
+                      "quantum_weyl": 683, "translated": 459}
+MISS_MARGIN = 0.10
+
+
+def test_criterion_1_sweep_memo_misses_stay_within_their_bound(monkeypatch):
+    # criterion 1's shape, smaller: the overlaps and 30 seeded triples per catalog
+    misses = dict.fromkeys(CRITERION_1_MISSES, 0)
+    open_word = MemoMisses.open
+    counting = [None]
+
+    def counted(self, word):
+        misses[counting[0]] += 1
+        return open_word(self, word)
+
+    monkeypatch.setattr(MemoMisses, "open", counted)
+    rng = random.Random(101)
+    for inst in _criterion_1_catalogs():
+        counting[0] = inst.name + str(inst.options.get("N", ""))
+        assert check_overlaps(inst.table).ok
+        star = inst.reduction_star
+        for _ in range(30):
+            f, g, h = (random_polynomial(rng, inst.ring, inst.dim, 4, 3, inst.kind)
+                       for _ in range(3))
+            assert star(star(f, g), h) == star(f, star(g, h)), counting[0]
+    over = {name: (count, CRITERION_1_MISSES[name]) for name, count in misses.items()
+            if count > CRITERION_1_MISSES[name] * (1 + MISS_MARGIN)}
+    assert not over, f"memo misses (counted, recorded) above the {MISS_MARGIN:.0%} margin: {over}"
 
 
 @pytest.mark.parametrize("name,ring,d,rules,options", [

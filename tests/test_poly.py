@@ -247,3 +247,26 @@ def test_from_checked_drops_zeros_and_the_constructor_still_validates():
         Polynomial(R, 2, {(-1, 0): GaussRational(1)})
     with pytest.raises(DimensionMismatch):
         Polynomial(R, 2, {(1, 0, 0): GaussRational(1)})
+
+
+@pytest.mark.parametrize("dim, K, kind", [
+    (2, (1, -1), "x"),     # a negative exponent
+    (2, (1, 0, 0), "x"),   # an exponent of the wrong length
+    (2, (1, 0), "z"),      # a generator kind that is neither x nor w
+    (0, (), "x"),          # no generators
+], ids=["negative", "wrong_length", "bad_kind", "no_generators"])
+def test_monomial_raises_what_the_constructor_raises(dim, K, kind):
+    with pytest.raises(ValueError) as built:
+        Polynomial(R, dim, {K: R.one}, kind)
+    with pytest.raises(ValueError) as made:
+        Polynomial.monomial(R, dim, K, kind=kind)
+    assert type(made.value) is type(built.value)
+    assert str(made.value) == str(built.value)
+
+
+def test_monomial_drops_a_zero_coefficient_and_keys_a_tuple():
+    assert Polynomial.monomial(R, 2, (1, 0), GaussRational(0)).is_zero()
+    assert Polynomial.monomial(C, 2, (1, 0), 1e-15 + 0j).is_zero()
+    f = Polynomial.monomial(R, 2, [2, 1], GaussRational(3), kind="w")
+    assert f.terms == {(2, 1): GaussRational(3)} and f.kind == "w"
+    assert Polynomial.monomial(R, 2, (0, 1)) == Polynomial.variable(R, 2, 2)

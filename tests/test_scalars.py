@@ -13,6 +13,7 @@ from starprod.scalars import (
     GaussRational,
     RationalQ,
     RationalQRing,
+    RationalRing,
     RingError,
     SeriesRing,
     TruncSeries,
@@ -438,3 +439,15 @@ def test_row_series_reject_a_mismatch_of_truncation_orders():
     assert a != b and not (a == b)
     with pytest.raises(ValueError):
         TruncSeries([])
+
+
+def test_the_rational_rings_shared_one_and_zero_never_change():
+    ring = RationalRing()
+    one, zero = ring.one, ring.zero
+    x = GaussRational(Fraction(3, 7), Fraction(-2, 5))
+    assert -one == GaussRational(-1) and one * x == x and x * one == x
+    assert one.conjugate() == one and zero + x == x and one * zero == zero
+    for value in (RationalRing().one, ring.one, one):
+        assert value.fields() == (1, 0, 1)
+    for value in (RationalRing().zero, ring.zero, zero):
+        assert value.fields() == (0, 0, 1)

@@ -1,6 +1,7 @@
 """Smoke runs of the scripts the README documents, in-process with small
 arguments: each exits normally and prints the shape it promises."""
 
+import json
 import math
 import runpy
 import sys
@@ -69,3 +70,25 @@ def test_src_size_counts_positional_and_keyword_only_defaults():
             '            return h\n        return inner\n')
     # the lambda's default is no function parameter
     assert module["defaulted_parameters"](text) == 4
+
+
+def test_paired_passes_alternates_two_checkouts_and_sums_up(monkeypatch, capsys):
+    root = str(SCRIPTS.parent)
+    with pytest.raises(SystemExit) as done:
+        _run("paired_passes.py", ["--parent", root, "--change", root, "--size", "tiny",
+                                  "--pairs", "3"], monkeypatch, capsys)
+    assert done.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split("\t") == ["pair", "parent_s", "change_s", "ratio"]
+    rows = [line.split("\t") for line in lines[1:4]]
+    assert [row[0] for row in rows] == ["0", "1", "2"]
+    assert all(float(v) > 0 for row in rows for v in row[1:])
+    assert lines[4].startswith("change faster in ") and lines[4].endswith(" of 3 pairs")
+    assert [line.split("\t")[0] for line in lines[5:8]] == ["parent", "change", "ratio"]
+    summary = json.loads(lines[-1])
+    assert len(lines) == 9
+    assert len(summary["parent_s"]) == len(summary["change_s"]) == 3
+    assert 0 <= summary["change_faster"] <= 3
+    for side in ("parent", "change", "ratio"):
+        s = summary[side]
+        assert s["q1"] <= s["median"] <= s["q3"]
