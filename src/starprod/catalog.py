@@ -193,30 +193,13 @@ def _nonquadratic_route(p, q, r, N: int, ring: Ring) -> Callable[[Exponent, Expo
     ones; the route keeps every word level, power of q and r and climb
     weight it computes, by exponent, for the pairs after.
     """
-    q_powers: Dict[int, object] = {}
-    r_powers: Dict[int, object] = {}
-    climbs: Dict[int, object] = {}
-    levels: Dict[Tuple[int, int], List[Tuple[int, object]]] = {}
+    q_power = functools.cache(lambda e: q ** e)
+    r_power = functools.cache(lambda e: scalar_power(ring, r, e))
+    climb = functools.cache(lambda left: _climb_weight(left, p, q * r_power(N), ring))
 
-    def q_power(e: int):
-        if e not in q_powers:
-            q_powers[e] = q ** e
-        return q_powers[e]
-
-    def r_power(e: int):
-        if e not in r_powers:
-            r_powers[e] = scalar_power(ring, r, e)
-        return r_powers[e]
-
-    def climb(left: int):
-        if left not in climbs:
-            climbs[left] = _climb_weight(left, p, q * r_power(N), ring)
-        return climbs[left]
-
+    @functools.cache
     def words(k: int, m: int) -> List[Tuple[int, object]]:
         """(ones, weight) of every word in {0,1}^k with at most m ones."""
-        if (k, m) in levels:
-            return levels[(k, m)]
         before = range(min(k - 1, m) + 1)  # the ones counts a letter can follow
         twists = [r_power(-N * ones) for ones in before]
         stays = [q_power(m - ones) for ones in before]
@@ -230,7 +213,6 @@ def _nonquadratic_route(p, q, r, N: int, ring: Ring) -> Callable[[Exponent, Expo
                 if ones < m:
                     grown.append((ones + 1, weight * steps[ones]))
             level = grown
-        levels[(k, m)] = level
         return level
 
     def terms(e1: Exponent, e2: Exponent) -> Dict[Exponent, object]:

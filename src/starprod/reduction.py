@@ -111,11 +111,13 @@ class RelationTable:
                             f"tail for ({i}, {j}) has a nonzero constant order in t; "
                             "series tails must start at order t")
         # the memo keeps one object per exact complex rational it stores, and
-        # the unit among them, so that it can skip multiplying by it; a series
-        # word needs all orders of t up to the truncation
-        self._coefficients: Dict[Tuple[int, int, int], GaussRational] = {}
-        self._one = _interned(self._coefficients, self.ring.one)
-        self._interning = isinstance(self.ring, RationalRing)
+        # the unit among them, so that it can skip multiplying by it; the
+        # pool is keyed by the normal-form fields, because hashing a
+        # GaussRational builds two Fractions; a series word needs all orders
+        # of t up to the truncation
+        self._one = self.ring.one
+        self._coefficients: Optional[Dict[Tuple[int, int, int], GaussRational]] = (
+            {self._one.fields(): self._one} if isinstance(self.ring, RationalRing) else None)
         # the standard word of every exponent met, and the exponent of every
         # standard word met
         self._words: Dict[Exponent, Word] = {}
@@ -214,9 +216,9 @@ class RelationTable:
         rewrite of a + s, at depth 1 + the depth within NF(w').
         NF(p + a + s) is the sum of c * NF(p + word(M)) over the terms c x^M
         of NF(a + s), at the depth of x^M + the depth within NF(p + word(M)).
-        Each part is (exponent, word, c, depth), its exponent None when its
-        word is not standard.  A key yielded is in the memo when the
-        generator resumes.
+        Each part is (exponent, word, c, depth): the exponent of a standard
+        word, whose word is not needed, or None and the word to look up.  A
+        key yielded is in the memo when the generator resumes.
         """
         word, budget = key
         memo, one, exponent = self._normal_forms, self._one, self.exponent
@@ -233,22 +235,23 @@ class RelationTable:
             if found is None:
                 yield head
                 found = memo[head]
-            prefix, words = word[:start - 1], self._words
+            prefix = word[:start - 1]
             # p + word(M) is standard when p is and p's last letter is at most
             # word(M)'s first; its exponent is then p's plus M
             P = exponent(prefix)
             if P is not None:
-                last = prefix[-1]
+                last, words = prefix[-1], self._words
                 parts = []
                 for M, c, k in found:
-                    v = words.get(M) or self.word(M)
+                    v = words.get(M)
+                    if v is None:
+                        v = self.word(M)
                     if not v or last <= v[0]:
                         parts.append((tuple([*map(add, P, M)]), None, c, k))
                     else:
                         parts.append((None, prefix + v, c, k))
             else:
-                parts = [(None, prefix + (words.get(M) or self.word(M)), c, k)
-                         for M, c, k in found]
+                parts = [(None, prefix + self.word(M), c, k) for M, c, k in found]
         out: Dict[Exponent, object] = {}
         depths: Dict[Exponent, int] = {}
         for S, w, c, k in parts:
@@ -278,10 +281,8 @@ class RelationTable:
                 else:
                     out[M] = d
                     depths[M] = j
-        if self._interning:
-            # one object per exact complex rational stored, keyed by its
-            # normal-form fields, as _interned does
-            pool = self._coefficients
+        pool = self._coefficients
+        if pool is not None:
             found = tuple([(M, pool.setdefault((d._a, d._b, d._d), d), depths[M])
                            for M, d in out.items() if d._a or d._b])
         else:
@@ -289,17 +290,6 @@ class RelationTable:
         if len(found) > misses.widest:
             misses.widest = len(found)
         memo[key] = found
-
-
-def _interned(pool: Dict, c):
-    """The pool's object equal to a GaussRational ``c``; other values as they are.
-
-    Keyed by the normal-form fields, because hashing a GaussRational
-    builds two Fractions.
-    """
-    if type(c) is GaussRational:
-        return pool.setdefault(c.fields(), c)
-    return c
 
 
 class MemoMisses:
@@ -456,6 +446,8 @@ def monomial_star(K: Exponent, L: Exponent, table: RelationTable,
     two unit monomials gives it, without building them."""
     check_exponent(K, table.dim)
     check_exponent(L, table.dim)
+    # the coefficient is the product a*b of the two units, as star forms it,
+    # so that a floating ring scales the normal form as star scales it
     unit = table.ring.one
     words = ((table.word(tuple(K)) + table.word(tuple(L)), unit * unit),)
     return ReductionTrace(*_rewrite(words, table, MemoMisses(table, step_limit), strategy))
