@@ -55,15 +55,16 @@ def worker(root: Path, workload: str, seed: int, size: str) -> int:
 
 
 class Worker:
+    """One worker process; its first answer is the warm-up's."""
+
     def __init__(self, name: str, root: Path, args):
         self.name = name
         self.proc = subprocess.Popen(
             [sys.executable, str(Path(__file__).resolve()), "--worker", str(root),
              "--workload", args.workload, "--seed", str(args.seed), "--size", args.size],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-        self._read()
 
-    def _read(self) -> dict:
+    def read(self) -> dict:
         line = self.proc.stdout.readline()
         if not line:
             raise RuntimeError(f"{self.name} worker exited with code {self.proc.wait()}")
@@ -75,7 +76,7 @@ class Worker:
     def one_pass(self) -> float:
         self.proc.stdin.write("pass\n")
         self.proc.stdin.flush()
-        return self._read()["seconds"]
+        return self.read()["seconds"]
 
     def close(self):
         if self.proc.stdin:
@@ -94,8 +95,10 @@ def spread(values) -> dict:
 def paired(args) -> dict:
     sides = {}
     try:
-        sides["parent"] = Worker("parent", Path(args.parent), args)
-        sides["change"] = Worker("change", Path(args.change), args)
+        for name in ("parent", "change"):
+            sides[name] = Worker(name, Path(getattr(args, name)), args)
+        for side in sides.values():
+            side.read()
         times = {"parent": [], "change": []}
         print("pair\tparent_s\tchange_s\tratio")
         for n in range(args.pairs):
