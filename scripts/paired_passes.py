@@ -1,33 +1,41 @@
 #!/usr/bin/env python3
-"""Alternating in-process passes of one benchmark workload on two checkouts.
+"""Alternating passes of one benchmark workload on two checkouts.
 
     python scripts/paired_passes.py --parent ../base --change . --workload exact_assoc
     python scripts/paired_passes.py --parent . --change . --size tiny --pairs 3
+    python scripts/paired_passes.py --parent ../base --change . --workload verify_default
 
-Starts one persistent worker per checkout.  Each worker imports ``src/`` and
-``perfbench/workloads.py`` from its own checkout, draws the workload's
-inputs from ``--seed`` and runs one untimed warm-up pass.  The two workers
-then take turns at single timed passes, the side that goes first switching
-every pair, so both meet the same phases of a shared machine.  The script
-reads the benchmark's files and edits none of them.
+For the in-process workloads it starts one persistent worker per checkout.
+Each worker imports ``src/`` and ``perfbench/workloads.py`` from its own
+checkout, draws the workload's inputs from ``--seed`` and runs one untimed
+warm-up pass.  For ``verify_default`` a pass is one fresh
+``python -m starprod.cli verify --seed S --out FILE`` child of the
+checkout's ``src/``, timed from start to exit, and the warm-up is one
+untimed child; ``--size`` does not apply to it.  The two sides then take
+turns at single timed passes, the side that goes first switching every
+pair, so both meet the same phases of a shared machine.  The script reads
+the benchmark's files and edits none of them.
 
 Prints one line per pair (both times and the ratio change / parent), the
 number of pairs in which the change was faster, and each side's median and
 quartiles; the last line is the same summary as one JSON object.  A pass
-that gives a wrong answer stops the run with exit code 1.
+that gives a wrong answer (for ``verify_default``: a nonzero exit or a
+report that does not pass) stops the run with exit code 1.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-WORKLOADS = ("exact_assoc", "float_probes", "q_symmetrized")
+WORKLOADS = ("exact_assoc", "float_probes", "q_symmetrized", "verify_default")
 
 
 def worker(root: Path, workload: str, seed: int, size: str) -> int:
@@ -84,6 +92,47 @@ class Worker:
         self.proc.wait()
 
 
+class VerifyChildren:
+    """One checkout's fresh ``star verify`` children, one per pass; the
+    first call of ``read`` runs the untimed warm-up child."""
+
+    def __init__(self, name: str, root: Path, args):
+        self.name = name
+        self.root = root
+        self.seed = args.seed
+        self.scratch = tempfile.TemporaryDirectory(prefix=f"paired-{name}-")
+        src = str(root.resolve() / "src")
+        self.env = dict(os.environ)
+        self.env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, self.env.get("PYTHONPATH")) if p)
+
+    def _child(self) -> float:
+        report = Path(self.scratch.name) / "report.json"
+        report.unlink(missing_ok=True)
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-m", "starprod.cli", "verify", "--seed", str(self.seed),
+             "--out", str(report)],
+            cwd=self.root, env=self.env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+            text=True)
+        elapsed = time.perf_counter() - start
+        passed = report.exists() and json.loads(report.read_text(encoding="utf-8")).get("pass")
+        if done.returncode != 0 or passed is not True:
+            raise RuntimeError(f"{self.name} verify exited {done.returncode}, report pass "
+                               f"{passed}: {done.stderr.strip()[-300:]}")
+        return elapsed
+
+    def read(self) -> dict:
+        self._child()
+        return {"wrong": []}
+
+    def one_pass(self) -> float:
+        return self._child()
+
+    def close(self):
+        self.scratch.cleanup()
+
+
 def spread(values) -> dict:
     """Median and quartiles (statistics' exclusive method, as three cuts)."""
     if len(values) < 2:
@@ -95,8 +144,9 @@ def spread(values) -> dict:
 def paired(args) -> dict:
     sides = {}
     try:
+        side = VerifyChildren if args.workload == "verify_default" else Worker
         for name in ("parent", "change"):
-            sides[name] = Worker(name, Path(getattr(args, name)), args)
+            sides[name] = side(name, Path(getattr(args, name)), args)
         for side in sides.values():
             side.read()
         times = {"parent": [], "change": []}

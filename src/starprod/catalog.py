@@ -122,32 +122,34 @@ def translated_table(base: RelationTable, offsets: Sequence) -> RelationTable:
 # Each closed form has a private term function, (K, L) -> the terms (M, c) of
 # x^K * x^L, re-iterable (a tuple or a dict's items) as StarProduct keeps them
 # in its memo and sums them into its one dict on every hit; the exported
-# functions wrap those terms in a Polynomial.
+# functions wrap those terms in a Polynomial.  Where every pair gives one
+# monomial, a one-term route returns that term (M, c) itself.
 TermList = Iterable[Tuple[Exponent, object]]
 TermRoute = Callable[[Exponent, Exponent], TermList]
+OneTermRoute = Callable[[Exponent, Exponent], Tuple[Exponent, object]]
 
 
-def _log_canonical_route(q) -> TermRoute:
-    """(K, L) -> ((K + L, q^w),), w = inversion_weight(K, L); within one
+def _log_canonical_route(q) -> OneTermRoute:
+    """(K, L) -> (K + L, q^w), w = inversion_weight(K, L); within one
     route one ``q ** w`` per weight and one exponent tuple per sum serve
     every pair, so a product's memo entries share them."""
     powers: Dict[int, object] = {}
     sums: Dict[Exponent, Exponent] = {}
 
-    def terms(K: Exponent, L: Exponent) -> TermList:
+    def term(K: Exponent, L: Exponent) -> Tuple[Exponent, object]:
         w = inversion_weight(K, L)
         if w not in powers:
             powers[w] = q ** w
         M = tuple([*map(add, K, L)])
-        return ((sums.setdefault(M, M), powers[w]),)
-    return terms
+        return sums.setdefault(M, M), powers[w]
+    return term
 
 
 def log_canonical_star(K: Exponent, L: Exponent, q, ring: Ring, kind: str = "x") -> Polynomial:
     """x^K * x^L = q^(sum_{i<j} K_j L_i) x^(K+L)."""
     if len(K) != len(L):
         raise CatalogError("multi-index dimensions differ")
-    return Polynomial(ring, len(K), dict(_log_canonical_route(q)(K, L)), kind)
+    return Polynomial(ring, len(K), dict([_log_canonical_route(q)(K, L)]), kind)
 
 
 def wick_star(K: Exponent, L: Exponent, q, ring: Ring) -> Polynomial:
@@ -422,9 +424,11 @@ class StarProduct:
 
     ``mono`` is the closed form as a term route: it maps a monomial pair
     ``(K, L)`` to the terms ``(M, c)`` of ``x^K * x^L``, raw ring scalars
-    with no Polynomial built and nothing dropped.  ``__call__`` keeps them in
-    a memo ``K -> {L -> terms}`` for the product's life; ``monomial_product``
-    leaves it alone, as sweeps ask for each pair once.
+    with no Polynomial built and nothing dropped; with ``one_term`` set it
+    is a one-term route and gives the one term ``(M, c)`` itself.
+    ``__call__`` keeps them in a memo ``K -> {L -> terms}`` for the
+    product's life; ``monomial_product`` leaves it alone, as sweeps ask for
+    each pair once.
     """
 
     name: str
@@ -432,8 +436,9 @@ class StarProduct:
     dim: int
     kind: str = "x"
     table: Optional[RelationTable] = None
-    mono: Optional[TermRoute] = None
+    mono: Optional[TermRoute | OneTermRoute] = None
     step_limit: int = DEFAULT_STEP_LIMIT
+    one_term: bool = False
     _pairs: Dict[Exponent, Dict[Exponent, TermList]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
@@ -442,8 +447,9 @@ class StarProduct:
             # terms made from checked exponents need no check of their own
             check_exponent(K, self.dim)
             check_exponent(L, self.dim)
+            terms = self.mono(tuple(K), tuple(L))
             return Polynomial.from_checked(self.ring, self.dim,
-                                           dict(self.mono(tuple(K), tuple(L))), self.kind)
+                                           dict([terms] if self.one_term else terms), self.kind)
         if self.table is None:
             raise CatalogError(f"{self.name} has neither closed form nor table")
         return monomial_star(K, L, self.table, self.step_limit).result
@@ -458,7 +464,8 @@ class StarProduct:
 
         The closed-form route sums the terms of every term pair into one
         dict and builds a single Polynomial, so in float mode coefficients
-        below the ring's ``drop_tol`` are dropped once, on the finished sum.
+        below the ring's ``drop_tol`` are dropped once, on the finished sum,
+        by the ring-level ``ring.prune``.
         """
         if self.mono is None:
             if self.table is None:
@@ -467,15 +474,20 @@ class StarProduct:
         if f.dim != self.dim or g.dim != self.dim:
             raise DimensionMismatch(f"{self.name} lives on d={self.dim}, "
                                     f"operands have d={f.dim}/{g.dim}")
-        mono, pairs = self.mono, self._pairs
+        mono, pairs, one_term = self.mono, self._pairs, self.one_term
         out: Dict[Exponent, object] = {}
+        g_items = g.terms.items()
         for K, a in f.terms.items():
             row = pairs.get(K) or pairs.setdefault(K, {})
-            for L, b in g.terms.items():
+            for L, b in g_items:
                 terms = row.get(L)
                 if terms is None:
                     terms = row[L] = mono(K, L)
                 ab = a * b
+                if one_term:
+                    M, c = terms
+                    out[M] = out[M] + c * ab if M in out else c * ab
+                    continue
                 for M, c in terms:
                     if M in out:
                         out[M] = out[M] + c * ab
@@ -521,33 +533,40 @@ def leftmost_route(table: RelationTable) -> MonomialRoute:
     return leftmost
 
 
+# the parameters of each catalog, in order, and the rule each gets by default
+_DEFAULT_RULES = {
+    "log_canonical": {"q": "exp_i"},
+    "symmetrized_log_canonical": {"q": "exp_i"},
+    "translated": {"q": "exp_i"},
+    "wick_log_canonical": {"q": "exp_neg"},
+    "nonquadratic": {"p": "exp_i", "q": "exp_i", "r": "exp_i"},
+    "quantum_weyl": {"p": "affine", "q": "exp_scaled"},
+}
+
+
 def default_rules(name: str, options: Optional[Dict] = None) -> ParameterCatalog:
-    options = options or {}
-    if name in ("log_canonical", "symmetrized_log_canonical", "translated"):
-        return ParameterCatalog({"q": ParameterRule("exp_i")})
-    if name == "wick_log_canonical":
-        return ParameterCatalog({"q": ParameterRule("exp_neg")})
-    if name == "nonquadratic":
-        return ParameterCatalog({"p": ParameterRule("exp_i"),
-                                 "q": ParameterRule("exp_i"),
-                                 "r": ParameterRule("exp_i")})
-    if name == "quantum_weyl":
-        lam = Fraction(str(options.get("lambda", 1)))
-        return ParameterCatalog({"p": ParameterRule("affine"),
-                                 "q": ParameterRule("exp_scaled", scale=lam)})
-    raise CatalogError(f"unknown catalog {name!r}; expected one of {CATALOG_IDS}")
+    if name not in _DEFAULT_RULES:
+        raise CatalogError(f"unknown catalog {name!r}; expected one of {CATALOG_IDS}")
+    # quantum_weyl's q turns at the rate lambda
+    lam = Fraction(str((options or {}).get("lambda", 1))) if name == "quantum_weyl" else None
+    return ParameterCatalog({
+        param: ParameterRule(rule, scale=lam if rule == "exp_scaled" else None)
+        for param, rule in _DEFAULT_RULES[name].items()})
 
 
 def catalog_rules(name: str, rules: Optional[ParameterCatalog] = None,
                   options: Optional[Dict] = None) -> ParameterCatalog:
     """The given rules, or the catalog's defaults; CatalogError names any
-    parameter the catalog needs that the given rules leave unbound."""
-    defaults = default_rules(name, options)
-    if rules is None:
-        return defaults
-    missing = sorted(set(defaults.rules) - set(rules.rules))
+    parameter the catalog needs that the given rules leave unbound.
+
+    Given rules are checked against the catalog's parameter names alone, so
+    no default rule is built for them."""
+    if rules is None or name not in _DEFAULT_RULES:
+        return default_rules(name, options)  # an unknown catalog raises there
+    needed = _DEFAULT_RULES[name]
+    missing = sorted(set(needed) - set(rules.rules))
     if missing:
-        raise CatalogError(f"catalog {name} needs parameters {', '.join(defaults.rules)}; "
+        raise CatalogError(f"catalog {name} needs parameters {', '.join(needed)}; "
                            f"missing: {', '.join(missing)}")
     return rules
 
@@ -565,12 +584,12 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
         dim = d or 2
         q = scalars["q"]
         table = log_canonical_table(ring, dim, q)
-        star = StarProduct(name, ring, dim, "x", table, _log_canonical_route(q))
+        star = StarProduct(name, ring, dim, "x", table, _log_canonical_route(q), one_term=True)
     elif name == "wick_log_canonical":
         dim = d or 2
         q = scalars["q"]
         table = wick_log_canonical_table(ring, dim, q)
-        star = StarProduct(name, ring, dim, "w", table, _log_canonical_route(q))
+        star = StarProduct(name, ring, dim, "w", table, _log_canonical_route(q), one_term=True)
     elif name == "nonquadratic":
         dim = 3
         if d not in (None, 3):

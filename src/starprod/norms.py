@@ -70,36 +70,43 @@ def adic_order(f: Polynomial) -> float:
 
 
 def seminorm(f: Polynomial, spec: NormSpec) -> float:
-    """Evaluate a seminorm on a finite polynomial (coefficients to complex)."""
-    if spec.kind == "adic":
+    """Evaluate a seminorm on a finite polynomial (coefficients to complex).
+
+    A complex ring's coefficients are their own complex values and are read
+    as they are; an exact ring's go through ``to_complex``.
+    """
+    kind = spec.kind
+    if kind == "adic":
         return adic_order(f)
-    to_complex = f.ring.to_complex
+    terms = f.terms
+    items = (zip(terms, map(f.ring.to_complex, terms.values())) if f.ring.exact
+             else terms.items())
     weights = spec._weights
     total = 0.0
-    if spec.kind == "rho":
+    if kind == "rho":
         if len(spec.rho) != f.dim:
             raise ValueError("rho weight vector length must equal the dimension")
-        for K, c in f.terms.items():
+        for K, c in items:
             w = weights.get(K)
             if w is None:
                 w = 1.0
                 for r, e in zip(spec.rho, K):
                     w *= r ** e
                 weights[K] = w
-            total += abs(to_complex(c)) * w
-    elif spec.kind == "tr":
-        for K, c in f.terms.items():
+            total += abs(c) * w
+    elif kind == "tr":
+        for K, c in items:
             deg = sum(K)
             if deg not in weights:
                 weights[deg] = (spec.C ** deg, float(math.factorial(deg)) ** spec.R)
             C_deg, factorial_R = weights[deg]
-            total += abs(to_complex(c)) * C_deg * factorial_R
+            total += abs(c) * C_deg * factorial_R
     else:  # macgyver
-        for K, c in f.terms.items():
+        for K, c in items:
             deg = sum(K)
             if deg not in weights:
                 weights[deg] = spec.C ** (deg * deg)
-            total += abs(to_complex(c)) * weights[deg]
+            total += abs(c) * weights[deg]
     return total
 
 

@@ -22,7 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 from .scalars import (
     ComplexRing,
@@ -119,7 +119,10 @@ class ParameterRule:
 
     def series(self, ring: SeriesRing):
         """Exact expansion in t up to the ring's truncation order."""
-        n = ring.order
+        return ring.from_coefficients(self.coefficients(ring.order))
+
+    def coefficients(self, n: int) -> List[GaussRational]:
+        """The coefficients of t^0 .. t^n in the exact expansion."""
         i = GaussRational(0, 1)
         if self.rule == "exp_i":
             coeffs = [i ** k / Fraction(math.factorial(k)) for k in range(n + 1)]
@@ -141,7 +144,7 @@ class ParameterRule:
             coeffs = [self.value] + [GaussRational(0)] * n
         else:
             raise ParameterError(f"rule {self.rule!r} has no series expansion")
-        return ring.from_coefficients(coeffs)
+        return coeffs
 
     def resolve(self, ring: Ring, hbar: Optional[complex] = None):
         """The scalar this rule produces in the given ring."""
@@ -176,12 +179,10 @@ class ParameterCatalog:
     rules: Dict[str, ParameterRule] = field(default_factory=dict)
 
     def __post_init__(self):
-        probe = SeriesRing(order=2)
         for name, rule in self.rules.items():
             if rule.rule in ("constant", "formal"):
                 continue
-            expansion = rule.series(probe)
-            if expansion.coefficient(0) != GaussRational(1):
+            if rule.coefficients(0)[0] != GaussRational(1):
                 raise ParameterError(
                     f"parameter {name!r}: expansion of {rule.rule} must start at 1")
 

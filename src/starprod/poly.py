@@ -92,17 +92,22 @@ class Polynomial:
 
     def __init__(self, ring: Ring, dim: int, terms: Mapping[Exponent, object] | None = None,
                  kind: str = "x"):
-        _check_shape(dim, kind)
+        if dim < 1 or kind not in ("x", "w"):
+            _check_shape(dim, kind)
         self.ring = ring
         self.dim = dim
         self.kind = kind
-        clean: Dict[Exponent, object] = {}
         if terms:
-            for K, c in terms.items():
-                check_exponent(K, dim)
-                if not ring.is_zero(c):
-                    clean[tuple(K)] = c
-        self.terms = clean
+            for K in terms:
+                if type(K) is not tuple or len(K) != dim or min(K) < 0:
+                    # the slow path: raise on a bad exponent, else key by tuples
+                    for K in terms:
+                        check_exponent(K, dim)
+                    terms = {tuple(K): c for K, c in terms.items()}
+                    break
+            self.terms = ring.prune(terms.items())
+        else:
+            self.terms = {}
 
     # -- constructors --------------------------------------------------------
 
@@ -111,12 +116,12 @@ class Polynomial:
                      kind: str = "x") -> "Polynomial":
         """Build from exponent tuples known to have length dim and no negative entry.
 
-        Drops zero coefficients as the constructor does but checks no
-        exponent: for terms computed from exponents of polynomials of the
-        same dimension, which were checked when they were made.
+        Drops zero coefficients through ``ring.prune`` as the constructor
+        does but checks no exponent: for terms computed from exponents of
+        polynomials of the same dimension, which were checked when they
+        were made.
         """
-        is_zero = ring.is_zero
-        return cls._of(ring, dim, {K: c for K, c in terms.items() if not is_zero(c)}, kind)
+        return cls._of(ring, dim, ring.prune(terms.items()), kind)
 
     @classmethod
     def _of(cls, ring: Ring, dim: int, terms: Dict[Exponent, object], kind: str) -> "Polynomial":
@@ -171,10 +176,15 @@ class Polynomial:
         return Polynomial.from_checked(self.ring, self.dim, out, self.kind)
 
     def __sub__(self, other):
-        # a - c and a + (-c) are the same scalar in every ring, floats included
+        # a - c and a + (-c) are the same scalar in every ring, floats
+        # included, so this is self + (-other) in one pass
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self + (-other)
+        self._check_compatible(other)
+        out = dict(self.terms)
+        for K, c in other.terms.items():
+            out[K] = out[K] - c if K in out else -c
+        return Polynomial.from_checked(self.ring, self.dim, out, self.kind)
 
     def __neg__(self):
         return Polynomial.from_checked(self.ring, self.dim,

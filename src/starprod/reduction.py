@@ -34,9 +34,9 @@ diamond lemma the normal form of an associative table does not depend on
 the order of the rewrites, which makes rightmost against leftmost a check.
 
 The memo drops a coefficient only when it is exactly zero.  A floating
-ring's ``drop_tol`` prunes once, the finished product: a normal form is
-computed at unit coefficient, and a term below the tolerance there may not
-be below it once the product scales it.
+ring's ``prune`` (``drop_tol``) runs once, on the finished product: a
+normal form is computed at unit coefficient, and a term below the
+tolerance there may not be below it once the product scales it.
 
 Each table also keeps the standard word of every exponent and the exponent
 of every standard word it meets, so neither is rebuilt letter by letter

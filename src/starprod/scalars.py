@@ -779,6 +779,11 @@ class _ExactRing:
     def is_zero(self, a) -> bool:
         return a.is_zero()
 
+    def prune(self, items) -> dict:
+        """The (key, coefficient) pairs of ``items`` whose coefficient is
+        not exactly zero, as a new dict."""
+        return {K: c for K, c in items if not c.is_zero()}
+
     def conjugate(self, a):
         return a.conjugate()
 
@@ -846,6 +851,15 @@ class ComplexRing:
 
     def is_zero(self, a) -> bool:
         return abs(a) < self.drop_tol
+
+    def prune(self, items) -> dict:
+        """The (key, coefficient) pairs of ``items`` that ``is_zero`` keeps, as
+        a new dict: the one place a finished polynomial drops roundoff.
+
+        ``not abs(c) < tol`` keeps NaN and inf, as ``is_zero`` does.
+        """
+        tol = self.drop_tol
+        return {K: c for K, c in items if not abs(c) < tol}
 
     def conjugate(self, a):
         return a.conjugate()

@@ -23,7 +23,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import Exponent, Polynomial
 from .probes import exponent_ball
@@ -175,6 +175,67 @@ def _state_basis(dim: int, degree: int) -> Tuple[Exponent, ...]:
                         key=lambda K: (sum(K), tuple(-k for k in K))))
 
 
+class GramSkeleton(NamedTuple):
+    """The integer structure of every Gram matrix and GNS build of one shape.
+
+    Over the basis K, L of ``state_basis(dim, degree)`` (n monomials), with
+    J running over the distinct rows rev(K) + L.  Every array is read-only.
+    """
+
+    inv: np.ndarray                  # (n, n): inversion count of (rev(K), L)
+    index: np.ndarray                # (n, n): position of rev(K) + L among the J
+    columns: Tuple[np.ndarray, ...]  # the J, one array per coordinate
+    tops: Tuple[int, ...]            # the largest entry of each column
+    pair: np.ndarray                 # sum_{i<j} J_i J_j of each J
+    m_quadratic: np.ndarray          # sum_ij m_ij J_i J_j of each J
+    scale_count: int                 # 1 + the largest inversion count
+    sub_index: Tuple[int, ...]       # positions of the K with |K| <= degree - 1
+    # per generator w_i: the position of w_i w^K and sum_{p<i} K_p, for
+    # each K of sub_index in turn
+    shifts: Tuple[Tuple[np.ndarray, Tuple[int, ...]], ...]
+
+
+@functools.cache
+def gram_skeleton(dim: int, degree: int) -> GramSkeleton:
+    """The integer work of ``gram_matrix`` and ``gns_build`` for one shape.
+
+    It depends on (dim, degree) alone, so each process builds it once per
+    shape: inversion counts, the distinct rows rev(K) + L with each pair's
+    index into them, their pair sums and m-quadratic forms, and where
+    left multiplication by each generator sends the low-degree basis.
+    """
+    import numpy as np
+
+    basis = _state_basis(dim, degree)
+    n = len(basis)
+    B = np.array(basis, dtype=np.int64).reshape(n, dim)
+    B_rev = B[:, ::-1]
+    # inversion count of (rev(K), L): sum_j rev(K)_j * (L_0 + ... + L_(j-1))
+    inv = B_rev @ (np.cumsum(B, axis=1) - B).T
+    J = (B_rev[:, None, :] + B[None, :, :]).reshape(n * n, dim)
+    rows, index = _unique_rows(J)
+    total = rows.sum(axis=1)
+    pair = (total * total - (rows * rows).sum(axis=1)) // 2
+    m_quadratic = ((rows @ np.array(m_matrix(dim), dtype=np.int64)) * rows).sum(axis=1)
+    columns = tuple(np.ascontiguousarray(column) for column in rows.T)
+
+    position = {K: a for a, K in enumerate(basis)}
+    sub_index = tuple(a for a, K in enumerate(basis) if sum(K) <= degree - 1)
+    low = [basis[a] for a in sub_index]
+    shifts = []
+    for p in range(dim):
+        targets = np.array([position[K[:p] + (K[p] + 1,) + K[p + 1:]] for K in low],
+                           dtype=np.intp)
+        shifts.append((targets, tuple(sum(K[:p]) for K in low)))
+
+    arrays = [inv, index, pair, m_quadratic, *columns, *(t for t, _ in shifts)]
+    for array in arrays:
+        array.flags.writeable = False
+    return GramSkeleton(inv, index.reshape(n, n), columns,
+                        tuple(int(c.max()) for c in columns), pair, m_quadratic,
+                        int(inv.max()) + 1, sub_index, tuple(shifts))
+
+
 def gram_matrix(state: StateFunctional, degree: int,
                 deformed: bool = True) -> Tuple[List[Exponent], np.ndarray]:
     """M[K, L] = delta(conj(w^K) *_h w^L) over the monomial basis |K| <= degree.
@@ -184,10 +245,11 @@ def gram_matrix(state: StateFunctional, degree: int,
     evaluates with the plain point evaluation instead (the functional that
     loses positivity for hbar > 0).
 
-    The integer work runs as array operations over the whole basis: the
-    inversion counts of all pairs, the exponents rev(K) + L and their
-    distinct rows, and the pair sums and m-quadratic forms of those rows.
-    What rounds takes the scalar code's steps, so that every entry is
+    The integer work depends on the shape alone and comes from its
+    ``gram_skeleton``, built once per (dim, degree): the inversion counts
+    of all pairs, the distinct rows of rev(K) + L and the pair sums and
+    m-quadratic forms of those rows.  Only the state's float work runs per
+    call, and it takes the scalar code's steps, so that every entry is
     bit-identical to ``exp(-hbar * inv) * eval_monomial(rev(K) + L)``:
     ``math.exp`` once per distinct exponent and once per inversion count
     (NumPy's exp may differ from libm by an ulp), the powers z_k ** e in
@@ -200,19 +262,14 @@ def gram_matrix(state: StateFunctional, degree: int,
     if degree < 0:
         raise StateError("degree must be non-negative")
     basis = state_basis(state.dim, degree)
-    n = len(basis)
-    B = np.array(basis, dtype=np.int64).reshape(n, state.dim)
-    B_rev = B[:, ::-1]
-    # inversion count of (rev(K), L): sum_j rev(K)_j * (L_0 + ... + L_(j-1))
-    inv = B_rev @ (np.cumsum(B, axis=1) - B).T
-    J = (B_rev[:, None, :] + B[None, :, :]).reshape(n * n, state.dim)
-    distinct, J_idx = _unique_rows(J)
-    value_re, value_im = _evaluate_rows(state, distinct, deformed)
-    J_idx = J_idx.reshape(n, n)
+    skeleton = gram_skeleton(state.dim, degree)
+    value_re, value_im = _evaluate_rows(state, skeleton, deformed)
     h = state.hbar
-    scales = np.array([math.exp(-h * k) for k in range(int(inv.max()) + 1)])
-    M = np.empty((n, n), dtype=complex)
-    M.real, M.imag = _complex_product(scales[inv], 0.0, value_re[J_idx], value_im[J_idx])
+    scales = np.array([math.exp(-h * k) for k in range(skeleton.scale_count)])
+    index = skeleton.index
+    M = np.empty(index.shape, dtype=complex)
+    M.real, M.imag = _complex_product(scales[skeleton.inv], 0.0,
+                                      value_re[index], value_im[index])
     return basis, M
 
 
@@ -238,24 +295,23 @@ def _complex_product(a_re, a_im, b_re, b_im):
     return a_re * b_re - a_im * b_im, a_re * b_im + a_im * b_re
 
 
-def _evaluate_rows(state: StateFunctional, rows: np.ndarray,
+def _evaluate_rows(state: StateFunctional, skeleton: GramSkeleton,
                    deformed: bool) -> Tuple[np.ndarray, np.ndarray]:
     """Real and imaginary parts of eval_monomial (or eval_plain) of every row."""
     import numpy as np
 
-    value_re, value_im = np.ones(len(rows)), np.zeros(len(rows))
-    for zk, e in zip(state.point.z, rows.T):
-        powers = np.array([zk ** p for p in range(int(e.max()) + 1)])
+    count = len(skeleton.pair)
+    value_re, value_im = np.ones(count), np.zeros(count)
+    for zk, e, top in zip(state.point.z, skeleton.columns, skeleton.tops):
+        powers = np.array([zk ** p for p in range(top + 1)])
         value_re, value_im = _complex_product(value_re, value_im,
                                               powers.real[e], powers.imag[e])
     if not deformed:
         return value_re, value_im
     h = state.hbar
-    mq = ((rows @ np.array(state.m, dtype=np.int64)) * rows).sum(axis=1)
+    mq = skeleton.m_quadratic
     if h > 0:
-        total = rows.sum(axis=1)
-        pair = (total * total - (rows * rows).sum(axis=1)) // 2
-        exponent = h * pair + (0.5 * h) * mq
+        exponent = h * skeleton.pair + (0.5 * h) * mq
     else:
         exponent = (-0.5 * h) * mq
     factor = np.array([math.exp(x) for x in exponent.tolist()])
@@ -368,8 +424,8 @@ def gns_build(state: StateFunctional, degree: int,
     rank_gap_warning = any(cut < lam <= 10 * cut for lam in vals)
     N = vecs[:, retained] / np.sqrt(vals[retained])
 
-    sub_index = [a for a, K in enumerate(basis) if sum(K) <= degree - 1]
-    index_of = {K: a for a, K in enumerate(basis)}
+    skeleton = gram_skeleton(state.dim, degree)
+    sub_index = list(skeleton.sub_index)
     h = state.hbar
 
     # classes of the low-degree monomials, in quotient coordinates
@@ -383,13 +439,10 @@ def gns_build(state: StateFunctional, degree: int,
 
     operators: Dict[int, np.ndarray] = {}
     residual = 0.0
-    for i in range(1, state.dim + 1):
+    columns = np.arange(len(sub_index))
+    for i, (targets, below) in enumerate(skeleton.shifts, start=1):
         A = np.zeros((len(basis), len(sub_index)), dtype=complex)
-        for col, a in enumerate(sub_index):
-            K = basis[a]
-            below = sum(K[:i - 1])
-            target = tuple(K[p] + (1 if p == i - 1 else 0) for p in range(state.dim))
-            A[index_of[target], col] = math.exp(-h * below)
+        A[targets, columns] = [math.exp(-h * b) for b in below]
         operators[i] = N.conj().T @ M @ (A @ R_small)
     for i in range(1, state.dim + 1):
         conj_i = state.dim + 1 - i

@@ -428,14 +428,15 @@ SUITES: Dict[str, Tuple[Callable, bool]] = {
 
 
 def read_json(path) -> Dict:
-    """The JSON object in the file at ``path``; a directory, malformed JSON,
-    or JSON that is no object, is a ConfigError that names the path."""
+    """The JSON object in the file at ``path``; a directory, a file that is
+    not UTF-8, malformed JSON, or JSON that is no object, is a ConfigError
+    that names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
     except IsADirectoryError:
         raise ConfigError(f"{path}: is a directory, not a JSON file") from None
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return _json_object(data, path)
 

@@ -793,3 +793,18 @@ def test_arrangements_are_the_sorted_distinct_permutations():
         for K in exponent_ball(d, 6):
             word = tuple(letter for i, k in enumerate(K, start=1) for letter in [i] * k)
             assert _distinct_arrangements(K) == sorted(set(itertools.permutations(word)))
+
+
+def test_given_rules_are_checked_by_name_without_building_the_defaults(monkeypatch):
+    from starprod import catalog
+
+    def no_defaults(name, options=None):
+        raise AssertionError(f"default rules built for {name}")
+
+    monkeypatch.setattr(catalog, "default_rules", no_defaults)
+    rules = ParameterCatalog({name: ParameterRule.parse("exp_i") for name in "pqr"})
+    inst = build_catalog("nonquadratic", C, 3, rules, 0.2, {"N": 1})
+    assert inst.params.keys() == {"p", "q", "r"}
+    with pytest.raises(CatalogError, match="needs parameters p, q, r; missing: r"):
+        build_catalog("nonquadratic", C, 3,
+                      ParameterCatalog({name: ParameterRule.parse("exp_i") for name in "pq"}), 0.2)

@@ -557,6 +557,8 @@ def test_missing_catalog_parameters_exit_2(runner, tmp_path):
 MALFORMED = ("error: {bad}Expecting property name enclosed in double quotes: "
              "line 1 column 2 (char 1)")
 NOT_ANTIDIAGONAL = "error: point must satisfy z_i = conj(z_(d+1-i))"
+NOT_UTF8 = ("error: {utf16}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte")
 FAILURE_POLICY = {
     ("eval", "hbar_not_a_number"): (
         ["--catalog", "log_canonical", "--hbar", "abc", "--lhs", "x1", "--rhs", "x2"],
@@ -576,6 +578,9 @@ FAILURE_POLICY = {
     ("report", "json_not_an_object"): (["{list}"], 2,
                                        "error: {list}: expected a JSON object, got list"),
     ("report", "directory"): (["{dir}"], 2, "error: {dir}: is a directory, not a JSON file"),
+    ("report", "not_utf8"): (["{utf16}"], 2, NOT_UTF8),
+    ("eval", "not_utf8_table"): (["--phi", "{utf16}", "--lhs", "x1", "--rhs", "x1"], 2, NOT_UTF8),
+    ("verify", "not_utf8_spec"): (["--spec", "{utf16}"], 2, NOT_UTF8),
     ("verify", "directory_spec"): (["--spec", "{dir}"], 2,
                                    "error: {dir}: is a directory, not a JSON file"),
     ("verify", "run_not_an_object"): (["--spec", "{run_int}"], 2,
@@ -608,6 +613,9 @@ def test_failure_policy(runner, tmp_path, command, fault):
     for name, text in contents.items():
         files[name] = tmp_path / f"{name[1:-1]}.json"
         files[name].write_text(text)
+    # a UTF-16 byte order mark, as some editors save JSON
+    files["{utf16}"] = tmp_path / "utf16.json"
+    files["{utf16}"].write_bytes(b"\xff\xfe{\x00}\x00")
 
     def fill(text):
         for name, path in files.items():

@@ -12,7 +12,7 @@ from conftest import bounded_complex
 from starprod.norms import NormSpec, adic_distance, adic_order, seminorm
 from starprod.poly import Polynomial
 from starprod.probes import random_polynomial
-from starprod.scalars import make_ring
+from starprod.scalars import RingError, make_ring
 
 C = make_ring("complex")
 
@@ -156,3 +156,45 @@ def test_a_warm_spec_equals_a_fresh_one():
         assert warm._weights and not fresh._weights
         assert warm == fresh and hash(warm) == hash(fresh) and repr(warm) == repr(fresh)
         assert "_weights" not in {f.name for f in dataclasses.fields(warm)}
+
+
+def _reference_seminorm(f, spec):
+    """The defining sum, term by term in the polynomial's order."""
+    total = 0.0
+    for K, c in f.terms.items():
+        deg = sum(K)
+        if spec.kind == "rho":
+            weight = 1.0
+            for r, e in zip(spec.rho, K):
+                weight *= r ** e
+            total += abs(f.ring.to_complex(c)) * weight
+        elif spec.kind == "tr":
+            factorial_R = float(math.factorial(deg)) ** spec.R
+            total += abs(f.ring.to_complex(c)) * spec.C ** deg * factorial_R
+        else:
+            total += abs(f.ring.to_complex(c)) * spec.C ** (deg * deg)
+    return total
+
+
+SPECS = (NormSpec.rho_norm((0.7, 1.3, 2.1)), NormSpec.tr_norm(1.7, 0.5),
+         NormSpec.macgyver_norm(1.1))
+
+
+@pytest.mark.parametrize("ring_name", ("complex", "rational", "series"))
+def test_seminorm_is_the_reference_sum_bit_for_bit(ring_name):
+    ring = make_ring(ring_name)
+    rng = random.Random(f"seminorm:{ring_name}")
+    for spec in SPECS:
+        spec = NormSpec(spec.kind, spec.rho, spec.C, spec.R)  # a fresh weight memo
+        assert seminorm(Polynomial.zero(ring, 3), spec) == 0.0
+        for _ in range(20):
+            f = random_polynomial(rng, ring, 3, 4, 6)
+            if ring_name == "series":
+                # series scalars have no complex value, in the sum or outside it
+                with pytest.raises(RingError):
+                    _reference_seminorm(f, spec)
+                with pytest.raises(RingError):
+                    seminorm(f, spec)
+                continue
+            for _ in range(2):  # the weights computed, then the weights read
+                assert seminorm(f, spec).hex() == _reference_seminorm(f, spec).hex()

@@ -270,3 +270,50 @@ def test_monomial_drops_a_zero_coefficient_and_keys_a_tuple():
     f = Polynomial.monomial(R, 2, [2, 1], GaussRational(3), kind="w")
     assert f.terms == {(2, 1): GaussRational(3)} and f.kind == "w"
     assert Polynomial.monomial(R, 2, (0, 1)) == Polynomial.variable(R, 2, 2)
+
+
+# The zero rule of the complex ring: |c| < drop_tol = 1e-14 is roundoff and
+# dropped; 1e-14 itself, NaN and inf stay.  Each coefficient below reaches the
+# finished polynomial through the constructor, from_checked, a star product
+# (with q = 1, c = 0.5 * (2c)) and scale (by 0.5).
+ZERO_RULE = [(9.9e-15, False), (1e-14, True), (math.nan, True), (math.inf, True)]
+
+
+@pytest.mark.parametrize("c, kept", ZERO_RULE, ids=["below", "at", "nan", "inf"])
+def test_complex_ring_zero_rule_on_every_route(c, kept):
+    from starprod.catalog import build_catalog
+    from starprod.params import ParameterCatalog, ParameterRule
+
+    value = complex(c, 0.0)
+    K = (1, 1)
+    assert (K in Polynomial(C, 2, {K: value}).terms) is kept
+    assert (K in Polynomial.from_checked(C, 2, {K: value}).terms) is kept
+    star = build_catalog("log_canonical", C, 2,
+                         ParameterCatalog({"q": ParameterRule.parse("const:1")})).star
+    half = Polynomial.monomial(C, 2, (1, 0), 0.5 + 0j)
+    assert (K in star(half, Polynomial.monomial(C, 2, (0, 1), 2 * value)).terms) is kept
+    assert (K in Polynomial.monomial(C, 2, K, 2 * value).scale(0.5).terms) is kept
+
+
+@pytest.mark.parametrize("ring", [R, SeriesRing(order=3), make_ring("rational_q")],
+                         ids=["rational", "series", "rational_q"])
+def test_exact_rings_drop_only_exact_zeros(ring):
+    tiny = ring.coerce(Fraction(1, 10 ** 40))
+    terms = {(1, 0): ring.zero, (0, 1): tiny, (1, 1): tiny - tiny}
+    for f in (Polynomial(ring, 2, terms), Polynomial.from_checked(ring, 2, terms)):
+        assert f.terms == {(0, 1): tiny}
+    scaled = Polynomial.monomial(ring, 2, (0, 1), tiny).scale(tiny)
+    assert scaled.terms == {(0, 1): tiny * tiny}
+
+
+def test_the_constructor_keys_by_tuples_and_checks_every_key():
+    class Key(tuple):
+        pass
+
+    f = Polynomial(R, 2, {Key((1, 0)): GaussRational(2), (0, 1): GaussRational(0)})
+    assert f.terms == {(1, 0): GaussRational(2)}
+    assert all(type(K) is tuple for K in f.terms)
+    with pytest.raises(ValueError):
+        Polynomial(R, 2, {(1, 0): GaussRational(1), (0, -1): GaussRational(0)})
+    with pytest.raises(DimensionMismatch):
+        Polynomial(C, 2, {(1, 0): 1 + 0j, (1,): 0j})

@@ -72,23 +72,38 @@ def test_src_size_counts_positional_and_keyword_only_defaults():
     assert module["defaulted_parameters"](text) == 4
 
 
-def test_paired_passes_alternates_two_checkouts_and_sums_up(monkeypatch, capsys):
+def _paired(args, pairs, monkeypatch, capsys) -> dict:
+    """Run the script on this checkout against itself; check the printed
+    shape and return the summary."""
     root = str(SCRIPTS.parent)
     with pytest.raises(SystemExit) as done:
-        _run("paired_passes.py", ["--parent", root, "--change", root, "--size", "tiny",
-                                  "--pairs", "3"], monkeypatch, capsys)
+        _run("paired_passes.py", ["--parent", root, "--change", root, "--pairs", str(pairs),
+                                  *args], monkeypatch, capsys)
     assert done.value.code == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].split("\t") == ["pair", "parent_s", "change_s", "ratio"]
-    rows = [line.split("\t") for line in lines[1:4]]
-    assert [row[0] for row in rows] == ["0", "1", "2"]
+    rows = [line.split("\t") for line in lines[1:1 + pairs]]
+    assert [row[0] for row in rows] == [str(n) for n in range(pairs)]
     assert all(float(v) > 0 for row in rows for v in row[1:])
-    assert lines[4].startswith("change faster in ") and lines[4].endswith(" of 3 pairs")
-    assert [line.split("\t")[0] for line in lines[5:8]] == ["parent", "change", "ratio"]
+    assert lines[1 + pairs].startswith("change faster in ")
+    assert lines[1 + pairs].endswith(f" of {pairs} pairs")
+    assert [line.split("\t")[0] for line in lines[2 + pairs:5 + pairs]] == \
+        ["parent", "change", "ratio"]
     summary = json.loads(lines[-1])
-    assert len(lines) == 9
-    assert len(summary["parent_s"]) == len(summary["change_s"]) == 3
-    assert 0 <= summary["change_faster"] <= 3
+    assert len(lines) == 6 + pairs
+    assert len(summary["parent_s"]) == len(summary["change_s"]) == pairs
+    assert 0 <= summary["change_faster"] <= pairs
     for side in ("parent", "change", "ratio"):
         s = summary[side]
         assert s["q1"] <= s["median"] <= s["q3"]
+    return summary
+
+
+def test_paired_passes_alternates_two_checkouts_and_sums_up(monkeypatch, capsys):
+    summary = _paired(["--size", "tiny"], 3, monkeypatch, capsys)
+    assert summary["workload"] == "exact_assoc"
+
+
+def test_paired_passes_times_fresh_verify_children(monkeypatch, capsys):
+    summary = _paired(["--workload", "verify_default"], 2, monkeypatch, capsys)
+    assert summary["workload"] == "verify_default"

@@ -6,11 +6,14 @@ import random
 import numpy as np
 import pytest
 
+from starprod import states
 from starprod.catalog import wick_log_canonical_table
+from starprod.norms import NormSpec
 from starprod.poly import Polynomial
 from starprod.probes import exponent_ball, random_polynomial
 from starprod.reduction import star_by_reduction
 from starprod.scalars import make_ring
+from starprod.verify import DEFAULT_RUNSPEC, run_suites
 from starprod.states import (
     GRID_VALUES,
     StateError,
@@ -18,6 +21,7 @@ from starprod.states import (
     WickPoint,
     gns_build,
     gram_matrix,
+    gram_skeleton,
     m_matrix,
     nonpositivity_witness,
     point_separation_probe,
@@ -319,7 +323,15 @@ def test_undeformed_gram_positive_on_middle_axis_for_odd_d():
 
 def test_gram_entries_are_bit_identical_to_the_entry_formula():
     # every bit of every entry, signed zeros included, equals the scalar
-    # formula exp(-hbar * inv) * evaluate(rev(K) + L)
+    # formula exp(-hbar * inv) * evaluate(rev(K) + L), from skeletons built
+    # afresh and then from the same skeletons again
+    gram_skeleton.cache_clear()
+    for _ in range(2):
+        _check_gram_entries_bit_for_bit()
+    assert gram_skeleton.cache_info().hits > 0
+
+
+def _check_gram_entries_bit_for_bit():
     from starprod.poly import inversion_weight
     rng = random.Random(8)
     points = [random_wick_point(rng, d) for d in (1, 2, 3, 4, 5)]
@@ -337,3 +349,85 @@ def test_gram_entries_are_bit_identical_to_the_entry_formula():
                           for L in basis] for K in basis], dtype=complex)
                     same = M.view(np.uint64) == expected.view(np.uint64)
                     assert same.all(), (point.z, hbar, deformed, degree)
+
+
+def test_skeleton_arrays_are_read_only():
+    skeleton = gram_skeleton(3, 2)
+    arrays = [skeleton.inv, skeleton.index, skeleton.pair, skeleton.m_quadratic,
+              *skeleton.columns, *(targets for targets, _ in skeleton.shifts)]
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1
+    # what gram_matrix hands out is the caller's own
+    basis, M = gram_matrix(StateFunctional(random_wick_point(random.Random(4), 3), 0.2), 2)
+    M[0, 0] = 0
+    basis.append((9, 9, 9))
+    assert state_basis(3, 2) == basis[:-1]
+
+
+def test_skeleton_matches_the_basis_it_describes():
+    d, degree = 3, 2
+    skeleton = gram_skeleton(d, degree)
+    basis = state_basis(d, degree)
+    rows = list(zip(*(column.tolist() for column in skeleton.columns)))
+    m = m_matrix(d)
+    for a, K in enumerate(basis):
+        for b, L in enumerate(basis):
+            J = rows[skeleton.index[a, b]]
+            assert J == tuple(x + y for x, y in zip(K[::-1], L))
+    for J, pair, mq in zip(rows, skeleton.pair.tolist(), skeleton.m_quadratic.tolist()):
+        assert pair == sum(J[i] * J[j] for i in range(d) for j in range(i + 1, d))
+        assert mq == sum(m[i][j] * J[i] * J[j] for i in range(d) for j in range(d))
+    assert list(skeleton.sub_index) == [a for a, K in enumerate(basis) if sum(K) < degree]
+    for p, (targets, below) in enumerate(skeleton.shifts):
+        for a, target, count in zip(skeleton.sub_index, targets.tolist(), below):
+            K = basis[a]
+            assert basis[target] == K[:p] + (K[p] + 1,) + K[p + 1:]
+            assert count == sum(K[:p])
+
+
+# Seminorm weights computed by the float sweep below, and the margin over
+# them that the gate allows.  A change that removes work lowers the count;
+# none may raise it to pass.
+FLOAT_SWEEP_WEIGHTS = 486
+WEIGHT_MARGIN = 0.10
+
+
+def test_float_sweep_builds_one_skeleton_per_shape_and_bounded_weights(monkeypatch):
+    # float_probes' Gram and GNS shapes, then the default verify run
+    computed = [0]
+
+    class CountingWeights(dict):
+        def __setitem__(self, key, value):
+            computed[0] += 1
+            super().__setitem__(key, value)
+
+    post_init = NormSpec.__post_init__
+
+    def counting_post_init(self):
+        post_init(self)
+        object.__setattr__(self, "_weights", CountingWeights())
+
+    monkeypatch.setattr(NormSpec, "__post_init__", counting_post_init)
+    shapes = set()
+    built = states.gram_skeleton
+
+    def recorded(dim, degree):
+        shapes.add((dim, degree))
+        return built(dim, degree)
+
+    monkeypatch.setattr(states, "gram_skeleton", recorded)
+    built.cache_clear()
+    rng = random.Random(23)
+    for d in (2, 3, 4):
+        for hbar in (-1.0, -0.1, 0.0, 0.1, 1.0):
+            _, M = gram_matrix(StateFunctional(random_wick_point(rng, d), hbar), 3)
+            assert psd_check(M).passed
+        data = gns_build(StateFunctional(random_wick_point(rng, d), 0.6), 2)
+        assert data.adjoint_residual <= 1e-8
+    assert all(result.report.passed for result in run_suites(DEFAULT_RUNSPEC, seed=42))
+    info = built.cache_info()
+    assert info.misses == len(shapes) and info.hits > 0, (info, sorted(shapes))
+    assert 0 < computed[0] <= FLOAT_SWEEP_WEIGHTS * (1 + WEIGHT_MARGIN), (
+        f"seminorm weights computed {computed[0]}, recorded {FLOAT_SWEEP_WEIGHTS}, "
+        f"margin {WEIGHT_MARGIN:.0%}")
