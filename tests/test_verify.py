@@ -180,3 +180,25 @@ def test_phi_run_without_ring_uses_the_declared_ring(tmp_path):
     # an explicit ring still wins
     inst = context_from_run({"phi": str(path), "ring": "complex"}).instance(hbar=0.5)
     assert inst.ring.name == "complex"
+
+
+def test_a_table_file_instance_keeps_its_label_table_and_oracle():
+    from starprod.reduction import monomial_star
+    from starprod.tableio import table_from_dict
+    spec = {"dimension": 3, "ring": "rational", "parameters": {"q": "const:3/2"},
+            "relations": [{"i": 1, "j": 2, "tail": "(q-1)*x1*x2"},
+                          {"i": 2, "j": 3, "tail": "(q-1)*x2*x3 + x1"}]}
+    inst = context_from_run({"table": spec, "label": "mine"}).instance()
+    assert (inst.name, inst.star.name, inst.dim, inst.kind) == ("mine", "mine", 3, "x")
+    assert inst.star.mono is None and inst.star.table is inst.table
+    assert inst.reduction_star is inst.star
+    assert inst.table.tails == table_from_dict(spec).tails
+    assert inst.params == {} and inst.options == {}
+    route, reference = inst.oracle
+    pairs = (((0, 1, 2), (2, 1, 0)), ((0, 0, 3), (1, 2, 0)))
+    for K, L in pairs:
+        assert route(K, L) == monomial_star(K, L, inst.table).result
+        assert reference(K, L) == monomial_star(K, L, inst.table, strategy="leftmost").result
+    # the x1 in tail (2, 3) breaks associativity, so the two orders can differ
+    assert any(route(K, L) != reference(K, L) for K, L in pairs)
+    assert context_from_run({"table": spec}).instance().name == "phi:inline"
