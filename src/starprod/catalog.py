@@ -182,9 +182,9 @@ def _climb_weight(left: int, p, base, ring: Ring):
     return (p - 1) * acc
 
 
-def _nonquadratic_route(p, q, r, N: int, ring: Ring) -> Callable[[Exponent, Exponent], Dict]:
-    """(e1, e2) -> the word sum of ``nonquadratic_star``, as an exponent ->
-    coefficient dict.
+def _nonquadratic_route(p, q, r, N: int, ring: Ring) -> TermRoute:
+    """(e1, e2) -> the word sum of ``nonquadratic_star``, as the items of an
+    exponent -> coefficient dict.
 
     The words in {0,1}^k with at most m ones grow a letter at a time: a
     level lists (ones, weight) for every prefix, in lexicographic order, so
@@ -217,7 +217,7 @@ def _nonquadratic_route(p, q, r, N: int, ring: Ring) -> Callable[[Exponent, Expo
             level = grown
         return level
 
-    def terms(e1: Exponent, e2: Exponent) -> Dict[Exponent, object]:
+    def terms(e1: Exponent, e2: Exponent) -> TermList:
         i, j, k = e1
         l, m, n = e2
         level = words(k, m)
@@ -227,14 +227,8 @@ def _nonquadratic_route(p, q, r, N: int, ring: Ring) -> Callable[[Exponent, Expo
             coeff = scales[ones] * weight
             M = (i + l + N * ones, j + m - ones, k + n - ones)
             out[M] = out[M] + coeff if M in out else coeff
-        return out
+        return out.items()
     return terms
-
-
-def _nonquadratic_terms(e1: Exponent, e2: Exponent, p, q, r, N: int,
-                        ring: Ring) -> Dict[Exponent, object]:
-    """The word sum of one pair, on a fresh route."""
-    return _nonquadratic_route(p, q, r, N, ring)(e1, e2)
 
 
 def nonquadratic_star(e1: Tuple[int, int, int], e2: Tuple[int, int, int],
@@ -247,16 +241,16 @@ def nonquadratic_star(e1: Tuple[int, int, int], e2: Tuple[int, int, int],
     """
     if min(*e1, *e2) < 0:
         raise CatalogError("exponents must be non-negative")
-    return Polynomial.from_checked(ring, 3, _nonquadratic_terms(e1, e2, p, q, r, N, ring))
+    return Polynomial.from_checked(ring, 3, dict(_nonquadratic_route(p, q, r, N, ring)(e1, e2)))
 
 
-def _quantum_weyl_route(p, q, ring: Ring) -> Callable[[Exponent, Exponent], Dict]:
+def _quantum_weyl_route(p, q, ring: Ring) -> TermRoute:
     """The N=0 word sum with r = 1 on (y, z) pairs; its x-exponent is always 0."""
     full = _nonquadratic_route(p, q, ring.one, 0, ring)
 
-    def terms(e1: Exponent, e2: Exponent) -> Dict[Exponent, object]:
+    def terms(e1: Exponent, e2: Exponent) -> TermList:
         (j, k), (m, n) = e1, e2
-        return {(b, c): coeff for (_, b, c), coeff in full((0, j, k), (0, m, n)).items()}
+        return {(b, c): coeff for (_, b, c), coeff in full((0, j, k), (0, m, n))}.items()
     return terms
 
 
@@ -277,7 +271,7 @@ def quantum_weyl_star(e1: Sequence[int], e2: Sequence[int], p, q, ring: Ring) ->
     e1, e2 = as_pair(e1), as_pair(e2)
     if min(*e1, *e2) < 0:
         raise CatalogError("exponents must be non-negative")
-    return Polynomial.from_checked(ring, 2, _quantum_weyl_route(p, q, ring)(e1, e2))
+    return Polynomial.from_checked(ring, 2, dict(_quantum_weyl_route(p, q, ring)(e1, e2)))
 
 
 def _symmetrized_terms(K: Exponent, L: Exponent, q, ring: Ring) -> TermList:
@@ -521,6 +515,30 @@ class CatalogInstance:
     options: Dict[str, object] = field(default_factory=dict)
 
 
+def catalog_instance(star: StarProduct, oracle: Optional[Tuple[MonomialRoute, MonomialRoute]],
+                     params: Dict[str, object], options: Dict[str, object]) -> CatalogInstance:
+    """The instance around ``star``, for a catalog or a table file.
+
+    A product with no closed form is its own ``reduction_star``; a closed
+    form gets a rewriting product over the same table, if it has one.  The
+    oracle, unless given, is the closed form against that rewriting, or
+    the product's (rightmost) rewriting against ``leftmost_route``.
+    """
+    table = star.table
+    if star.mono is None:
+        reduction_star = star
+    elif table is not None:
+        reduction_star = StarProduct(star.name + "(reduction)", star.ring, star.dim, star.kind,
+                                     table)
+    else:
+        reduction_star = None
+    if oracle is None:
+        oracle = (star.monomial_product, leftmost_route(table) if reduction_star is star
+                  else reduction_star.monomial_product)
+    return CatalogInstance(star.name, star.ring, star.dim, star.kind, star, table,
+                           reduction_star, oracle, params, options)
+
+
 def leftmost_route(table: RelationTable) -> MonomialRoute:
     """x^K * x^L by leftmost rewriting, through the mirrored table's memo.
 
@@ -580,16 +598,13 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
     scalars = catalog_rules(name, rules, options).resolve(ring, hbar)
     oracle = None
 
-    if name == "log_canonical":
+    if name in ("log_canonical", "wick_log_canonical"):
         dim = d or 2
         q = scalars["q"]
-        table = log_canonical_table(ring, dim, q)
-        star = StarProduct(name, ring, dim, "x", table, _log_canonical_route(q), one_term=True)
-    elif name == "wick_log_canonical":
-        dim = d or 2
-        q = scalars["q"]
-        table = wick_log_canonical_table(ring, dim, q)
-        star = StarProduct(name, ring, dim, "w", table, _log_canonical_route(q), one_term=True)
+        make_table = log_canonical_table if name == "log_canonical" else wick_log_canonical_table
+        table = make_table(ring, dim, q)
+        star = StarProduct(name, ring, dim, table.kind, table, _log_canonical_route(q),
+                           one_term=True)
     elif name == "nonquadratic":
         dim = 3
         if d not in (None, 3):
@@ -599,10 +614,8 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
         p, q, r = scalars["p"], scalars["q"], scalars["r"]
         s = scalars.get("s")
         table = nonquadratic_table(ring, N, p, q, r, s)
-        mono = None
-        if s is None:
-            route = _nonquadratic_route(p, q, r, N, ring)
-            mono = lambda K, L: route(K, L).items()
+        # the closed form takes s = 1/r; with s bound the product rewrites
+        mono = _nonquadratic_route(p, q, r, N, ring) if s is None else None
         star = StarProduct(name, ring, dim, "x", table, mono)
     elif name == "quantum_weyl":
         dim = 2
@@ -610,13 +623,10 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
             raise CatalogError("quantum_weyl lives on d = 2")
         p, q = scalars["p"], scalars["q"]
         table = quantum_weyl_table(ring, p, q)
-        route = _quantum_weyl_route(p, q, ring)
-        mono = lambda K, L: route(K, L).items()
-        star = StarProduct(name, ring, dim, "x", table, mono)
+        star = StarProduct(name, ring, dim, "x", table, _quantum_weyl_route(p, q, ring))
     elif name == "symmetrized_log_canonical":
         dim = d or 2
         q = scalars["q"]
-        table = None
         mono = lambda K, L: _symmetrized_terms(K, L, q, ring)
         star = StarProduct(name, ring, dim, "x", None, mono)
         # built on first use: a series ring with a constant q has no such table
@@ -632,22 +642,13 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
             raise CatalogError("offset vector length must equal the dimension")
         q = scalars["q"]
         base = log_canonical_table(ring, dim, q)
-        table = translated_table(base, offsets)
-        star = StarProduct(name, ring, dim, "x", table, None)
+        star = StarProduct(name, ring, dim, "x", translated_table(base, offsets))
         options["base_table"] = base
         oracle = (lambda K, L: translated_star(Polynomial.monomial(ring, dim, K),
                                                Polynomial.monomial(ring, dim, L),
                                                base, offsets),
                   star.monomial_product)
-
-    reduction_star = None
-    if table is not None:
-        reduction_star = StarProduct(name + "(reduction)", ring, dim, star.kind, table, None)
-    if oracle is None:
-        oracle = (star.monomial_product, reduction_star.monomial_product
-                  if star.mono is not None else leftmost_route(table))
-    return CatalogInstance(name, ring, dim, star.kind, star, table, reduction_star,
-                           oracle, scalars, options)
+    return catalog_instance(star, oracle, scalars, options)
 
 
 def catalog_poisson(name: str, d: Optional[int] = None,
@@ -655,11 +656,9 @@ def catalog_poisson(name: str, d: Optional[int] = None,
                     options: Optional[Dict] = None,
                     order: int = 4) -> PoissonStructure:
     """First-order bracket of a catalog, from its exact series table."""
-    ring = SeriesRing(order=order)
+    # the symmetrized product is equivalent to the log-canonical one
+    # (equivalence_transform), so the two have one bracket
     if name == "symmetrized_log_canonical":
-        inst = build_catalog("log_canonical", ring, d, rules, None, options)
-    else:
-        inst = build_catalog(name, ring, d, rules, None, options)
-    if inst.table is None:
-        raise CatalogError(f"{name} has no table to extract a bracket from")
-    return poisson_from_table(inst.table)
+        name = "log_canonical"
+    return poisson_from_table(build_catalog(name, SeriesRing(order=order), d, rules, None,
+                                            options).table)

@@ -38,7 +38,7 @@ from .params import ParameterError
 from .parsing import ParseError, format_poly, parse_poly
 from .qcomb import PoleAtRootOfUnity
 from .reduction import StepLimitExceeded, TableError, star_by_reduction
-from .scalars import RingError
+from .scalars import RING_NAMES, RingError
 from .states import StateFunctional, WickPoint, gns_build, gram_matrix, psd_check
 from .tableio import TableFileError
 from .verify import (
@@ -191,7 +191,7 @@ def main():
 @click.option("--hbar", "hbar_text", default=None,
               help="a float or a comma-separated list of floats")
 @click.option("--ring", "ring_name", default=None,
-              type=click.Choice(["rational", "complex", "series", "rational_q"]),
+              type=click.Choice(RING_NAMES),
               help="defaults to complex, or to the table file's declared ring")
 @click.option("--truncation", type=int, default=8)
 @click.option("--lhs", required=True, help="left factor, polynomial text")

@@ -12,8 +12,11 @@ concrete hbar and its exact expansion in the formal variable t:
     constant        a fixed scalar
     formal          the indeterminate q itself (rational_q ring only)
 
-Every non-constant rule expands with constant term 1; this is checked when
-a catalog is assembled.  Rules with poles reject evaluation there.
+exp_i, exp_neg, exp_scaled and mixed are built on e^(a*hbar), with the rate
+a = i, -1, i*lambda and i(N+1); each takes its exact series a^k / k! from
+that one rate, and mixed then applies its affine map.  Every non-constant
+rule expands with constant term 1.  Rules with poles reject evaluation
+there.
 """
 
 from __future__ import annotations
@@ -40,6 +43,15 @@ RULE_NAMES = ("exp_i", "exp_neg", "affine", "inverse_affine", "exp_scaled",
 
 class ParameterError(ValueError):
     pass
+
+
+# the rate a of each rule built on e^(a*hbar)
+_RATES = {
+    "exp_i": lambda rule: GaussRational(0, 1),
+    "exp_neg": lambda rule: GaussRational(-1),
+    "exp_scaled": lambda rule: GaussRational(0, rule.scale),
+    "mixed": lambda rule: GaussRational(0, rule.order + 1),
+}
 
 
 def _parse_constant(text: str) -> GaussRational:
@@ -123,28 +135,21 @@ class ParameterRule:
 
     def coefficients(self, n: int) -> List[GaussRational]:
         """The coefficients of t^0 .. t^n in the exact expansion."""
+        if self.rule in _RATES:  # e^(a t)
+            a = _RATES[self.rule](self)
+            coeffs = [a ** k / Fraction(math.factorial(k)) for k in range(n + 1)]
+            if self.rule == "mixed":  # (N + e^(i(N+1)t)) / (N+1)
+                coeffs[0] = coeffs[0] + self.order
+                coeffs = [c / Fraction(self.order + 1) for c in coeffs]
+            return coeffs
         i = GaussRational(0, 1)
-        if self.rule == "exp_i":
-            coeffs = [i ** k / Fraction(math.factorial(k)) for k in range(n + 1)]
-        elif self.rule == "exp_neg":
-            coeffs = [GaussRational(Fraction((-1) ** k, math.factorial(k))) for k in range(n + 1)]
-        elif self.rule == "affine":
-            coeffs = [GaussRational(1), i] + [GaussRational(0)] * (n - 1)
-        elif self.rule == "inverse_affine":
-            coeffs = [i ** k for k in range(n + 1)]
-        elif self.rule == "exp_scaled":
-            lam = GaussRational(self.scale)
-            coeffs = [(i * lam) ** k / Fraction(math.factorial(k)) for k in range(n + 1)]
-        elif self.rule == "mixed":
-            m = self.order
-            inner = [(i * (m + 1)) ** k / Fraction(math.factorial(k)) for k in range(n + 1)]
-            inner[0] = inner[0] + m
-            coeffs = [c / Fraction(m + 1) for c in inner]
-        elif self.rule == "constant":
-            coeffs = [self.value] + [GaussRational(0)] * n
-        else:
-            raise ParameterError(f"rule {self.rule!r} has no series expansion")
-        return coeffs
+        if self.rule == "affine":
+            return [GaussRational(1), i] + [GaussRational(0)] * (n - 1)
+        if self.rule == "inverse_affine":
+            return [i ** k for k in range(n + 1)]
+        if self.rule == "constant":
+            return [self.value] + [GaussRational(0)] * n
+        raise ParameterError(f"rule {self.rule!r} has no series expansion")
 
     def resolve(self, ring: Ring, hbar: Optional[complex] = None):
         """The scalar this rule produces in the given ring."""
@@ -177,14 +182,6 @@ class ParameterCatalog:
     """Named parameter bindings for one star-product instance."""
 
     rules: Dict[str, ParameterRule] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for name, rule in self.rules.items():
-            if rule.rule in ("constant", "formal"):
-                continue
-            if rule.coefficients(0)[0] != GaussRational(1):
-                raise ParameterError(
-                    f"parameter {name!r}: expansion of {rule.rule} must start at 1")
 
     @staticmethod
     def from_spec(spec: Dict) -> "ParameterCatalog":

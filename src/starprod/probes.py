@@ -404,17 +404,9 @@ def star_series_coefficients(f: Polynomial, g: Polynomial, table: RelationTable,
         raise ValueError("series coefficients need a series-mode table")
     if n > ring.order:
         raise ValueError(f"order {n} exceeds the truncation {ring.order}")
-    product = table_star(f, g, table)
-    base = ring.base
-    out = []
-    for k in range(n + 1):
-        terms = {}
-        for K, c in product.terms.items():
-            entry = c.coefficient(k)
-            if not base.is_zero(entry):
-                terms[K] = entry
-        out.append(Polynomial(base, table.dim, terms, table.kind))
-    return out
+    terms = table_star(f, g, table).terms
+    return [Polynomial(ring.base, table.dim, {K: c.coefficient(k) for K, c in terms.items()},
+                       table.kind) for k in range(n + 1)]
 
 
 def first_order_commutator(f: Polynomial, g: Polynomial, table: RelationTable) -> Polynomial:

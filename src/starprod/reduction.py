@@ -163,12 +163,11 @@ class RelationTable:
             K = self._exponents[word] = word_to_exponent(word, self.dim)
         return K
 
-    def normal_form(self, word: Word, misses: Optional["MemoMisses"] = None) -> NormalForm:
+    def normal_form(self, word: Word, misses: "MemoMisses") -> NormalForm:
         """Rightmost normal form of a word, with depths, memoized on the table.
 
         A standard word is its own normal form, at depth 0, and is not
-        stored.  Misses are charged to ``misses`` (by default a fresh count
-        under DEFAULT_STEP_LIMIT).
+        stored.  Misses are charged to ``misses``.
         """
         key = (word, self._budget)
         found = self._normal_forms.get(key)
@@ -176,7 +175,7 @@ class RelationTable:
             K = self.exponent(word)
             if K is not None:
                 return ((K, self._one, 0),)
-            found = self._resolve(key, misses or MemoMisses(self, DEFAULT_STEP_LIMIT))
+            found = self._resolve(key, misses)
         return found
 
     def _resolve(self, root, misses: "MemoMisses") -> NormalForm:
@@ -535,13 +534,11 @@ def poisson_from_table(table: RelationTable) -> PoissonStructure:
     minus_i = -base.imaginary_unit
     brackets = {}
     for (i, j), tail in table.tails.items():
-        terms = {}
-        for K, c in tail.terms.items():
-            first = c.coefficient(1)
-            if not base.is_zero(first):
-                terms[K] = first * minus_i
-        if terms:
-            brackets[(i, j)] = Polynomial(base, table.dim, terms, table.kind)
+        bracket = Polynomial(base, table.dim,
+                             {K: c.coefficient(1) * minus_i for K, c in tail.terms.items()},
+                             table.kind)
+        if bracket.terms:
+            brackets[(i, j)] = bracket
     return PoissonStructure(base, table.dim, brackets, table.kind)
 
 

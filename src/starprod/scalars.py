@@ -790,7 +790,7 @@ class _ExactRing:
     def inverse(self, a):
         return a.inverse()
 
-    def close(self, a, b, tol: float = 0.0, scale: float = 1.0) -> bool:
+    def close(self, a, b, tol: float, scale: float) -> bool:
         return a == b
 
     @property
@@ -870,7 +870,7 @@ class ComplexRing:
     def to_complex(self, a) -> complex:
         return a
 
-    def close(self, a, b, tol: float = 1e-10, scale: float = 1.0) -> bool:
+    def close(self, a, b, tol: float, scale: float) -> bool:
         return abs(a - b) <= tol * max(1.0, scale)
 
     def __repr__(self):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .poly import Exponent, Polynomial
@@ -42,6 +42,12 @@ class StateError(ValueError):
 def m_matrix(dim: int) -> List[List[int]]:
     return [[min(i - 1, j - 1, dim - i, dim - j) for j in range(1, dim + 1)]
             for i in range(1, dim + 1)]
+
+
+@functools.cache
+def _m_rows(dim: int) -> Tuple[Tuple[int, ...], ...]:
+    """m_matrix(dim), read-only, built once per dimension."""
+    return tuple(map(tuple, m_matrix(dim)))
 
 
 def is_antidiagonal(z: Sequence[complex]) -> bool:
@@ -91,7 +97,7 @@ def _pair_sum(K: Exponent) -> int:
     return (total * total - sum(k * k for k in K)) // 2
 
 
-def _m_quadratic(K: Exponent, m: List[List[int]]) -> int:
+def _m_quadratic(K: Exponent, m: Sequence[Sequence[int]]) -> int:
     return sum(m[i][j] * K[i] * K[j] for i in range(len(K)) for j in range(len(K)))
 
 
@@ -101,10 +107,6 @@ class StateFunctional:
 
     point: WickPoint
     hbar: float
-    m: List[List[int]] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.m = m_matrix(self.point.dim)
 
     @property
     def dim(self) -> int:
@@ -113,10 +115,11 @@ class StateFunctional:
     def eval_monomial(self, K: Exponent) -> complex:
         # hbar = 0 takes the nonpositive branch; both formulas degenerate to
         # plain evaluation there
+        m = _m_rows(self.point.dim)
         if self.hbar > 0:
-            exponent = self.hbar * _pair_sum(K) + 0.5 * self.hbar * _m_quadratic(K, self.m)
+            exponent = self.hbar * _pair_sum(K) + 0.5 * self.hbar * _m_quadratic(K, m)
         else:
-            exponent = -0.5 * self.hbar * _m_quadratic(K, self.m)
+            exponent = -0.5 * self.hbar * _m_quadratic(K, m)
         return self.eval_plain(K) * math.exp(exponent)
 
     def eval_plain(self, K: Exponent) -> complex:
@@ -401,11 +404,15 @@ class GnsData:
     adjoint_residual: float
 
 
-def gns_build(state: StateFunctional, degree: int,
-              rank_tol: float = 1e-10, psd_tol: float = 1e-9) -> GnsData:
+RANK_TOL = 1e-10  # relative to the largest Gram eigenvalue
+PSD_TOL = 1e-9
+
+
+def gns_build(state: StateFunctional, degree: int) -> GnsData:
     """Quotient representation data from the Gram matrix.
 
-    The quotient basis collects eigenvectors above the rank tolerance;
+    The Gram matrix must pass ``psd_check`` at ``PSD_TOL``.  The quotient
+    basis collects eigenvectors above ``RANK_TOL`` times the largest;
     left multiplication by each generator is computed on the degree-(D-1)
     part of the quotient so that products stay inside the degree-D basis and
     the adjoint relation <pi(w_i) f, g> = <f, pi(w_(d+1-i)) g> is exact up
@@ -414,12 +421,12 @@ def gns_build(state: StateFunctional, degree: int,
     import numpy as np
 
     basis, M = gram_matrix(state, degree)
-    check = psd_check(M, tol=psd_tol)
+    check = psd_check(M, tol=PSD_TOL)
     if not check.passed:
         raise StateError(f"Gram matrix is not PSD (min eigenvalue {check.min_eigenvalue:.3e})")
     vals, vecs = np.linalg.eigh(M)
     top = float(vals[-1]) if vals.size else 0.0
-    cut = rank_tol * max(top, 1e-300)
+    cut = RANK_TOL * max(top, 1e-300)
     retained = [k for k, lam in enumerate(vals) if lam > cut]
     rank_gap_warning = any(cut < lam <= 10 * cut for lam in vals)
     N = vecs[:, retained] / np.sqrt(vals[retained])

@@ -33,9 +33,9 @@ from .catalog import (
     CatalogInstance,
     StarProduct,
     build_catalog,
+    catalog_instance,
     catalog_poisson,
     catalog_rules,
-    leftmost_route,
     log_canonical_table,
     symmetrized_star,
     symmetrized_star_by_averaging,
@@ -103,10 +103,8 @@ class RunContext:
         if self.table_spec is not None:
             ring = make_ring(name, truncation_order=self.truncation) if name else None
             table = table_from_dict(self.table_spec, hbar=hbar, ring=ring)
-            star = StarProduct(self.label, table.ring, table.dim, table.kind, table, None)
-            return CatalogInstance(self.label, table.ring, table.dim, table.kind,
-                                   star, table, star,
-                                   (star.monomial_product, leftmost_route(table)))
+            return catalog_instance(StarProduct(self.label, table.ring, table.dim, table.kind,
+                                                table), None, {}, {})
         ring = make_ring(name or "complex", truncation_order=self.truncation)
         return build_catalog(self.catalog_name, ring, self.d, self.rules,
                              hbar, dict(self.options))
@@ -232,7 +230,7 @@ def _random_pairs(cfg: Dict, count: int, rng, ring, dim: int, kind: str) -> List
 def suite_classical_limit(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     eta = ctx.poisson()
     ring = make_ring("complex")
-    dim = ctx.instance(ring_name="complex", hbar=0.0).dim
+    dim = eta.dim
     pairs = _random_pairs(cfg, 20, rng, ring, dim, "x")
     hbars = cfg.get("hbars")
 

@@ -15,7 +15,6 @@ from starprod.catalog import (
     _climb_weight,
     _distinct_arrangements,
     _nonquadratic_route,
-    _nonquadratic_terms,
     _quantum_weyl_route,
     SigmaError,
     build_catalog,
@@ -428,6 +427,31 @@ def test_build_catalog_unknown():
         build_catalog("moyal", C)
 
 
+def test_a_product_with_no_closed_form_is_its_own_reduction_star():
+    consts = ParameterCatalog.from_spec({"p": "const:7/5", "q": "const:5/4", "r": "const:4/3",
+                                         "s": "const:3/4"})
+    for inst in (build_catalog("translated", R, 2, consts, options={"c": ["1", "-1"]}),
+                 build_catalog("nonquadratic", R, 3, consts, options={"N": 1})):
+        assert inst.star.mono is None and inst.star.table is inst.table
+        assert inst.reduction_star is inst.star, inst.name
+        f, g = Polynomial.variable(R, inst.dim, 2), Polynomial.variable(R, inst.dim, 1)
+        assert inst.reduction_star(f, g) == star_by_reduction(f, g, inst.table).result
+
+
+def test_closed_form_catalogs_keep_a_rewriting_product_over_their_table():
+    for name, d, options in (("log_canonical", 3, {}), ("wick_log_canonical", 3, {}),
+                             ("nonquadratic", 3, {"N": 2}), ("quantum_weyl", 2, {})):
+        inst = build_catalog(name, C, d, hbar=0.4, options=options)
+        assert inst.star.mono is not None and inst.star.table is inst.table, name
+        rewriting = inst.reduction_star
+        assert rewriting is not inst.star and rewriting.mono is None, name
+        assert rewriting.table is inst.table and rewriting.kind == inst.kind, name
+        assert inst.oracle[1](*[(1,) * d] * 2) == rewriting.monomial_product((1,) * d, (1,) * d)
+    sym = build_catalog("symmetrized_log_canonical", R, 2,
+                        ParameterCatalog.from_spec({"q": "const:3/5"}))
+    assert sym.table is None and sym.reduction_star is None
+
+
 def test_first_order_antisymmetrization_is_bracket():
     # order-t part of the commutator reproduces the bracket on every catalog
     from starprod.probes import first_order_commutator
@@ -755,7 +779,7 @@ def test_word_sums_grown_a_letter_at_a_time_match_the_per_word_sums():
         for N in (0, 1, 2):
             for K in ball:
                 for L in ball:
-                    got = _nonquadratic_terms(K, L, p, q, r, N, ring)
+                    got = dict(_nonquadratic_route(p, q, r, N, ring)(K, L))
                     expected = _word_sum_by_words(K, L, p, q, r, N, ring)
                     if ring is C:
                         # bit for bit, in the same order
@@ -781,7 +805,7 @@ def test_a_warm_route_gives_every_pair_the_terms_of_a_fresh_one(route_of, d):
             warm = route_of(p, q, r, N, ring)
             for K in ball:
                 for L in ball:
-                    got, fresh = warm(K, L), route_of(p, q, r, N, ring)(K, L)
+                    got, fresh = dict(warm(K, L)), dict(route_of(p, q, r, N, ring)(K, L))
                     if ring is C:
                         assert _hex_terms(got) == _hex_terms(fresh), (N, K, L)
                     else:
