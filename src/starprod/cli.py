@@ -50,6 +50,7 @@ from .verify import (
     context_from_run,
     finite_hbar,
     read_json,
+    read_seed,
     report_to_json,
     run_suites,
 )
@@ -141,16 +142,6 @@ def _hbar_list(text: str) -> List[float]:
 def _overflowed(f) -> bool:
     """Whether a float result holds an infinite or NaN coefficient."""
     return not f.ring.exact and not all(cmath.isfinite(c) for c in f.terms.values())
-
-
-def _resolve_seed(seed: Optional[int], spec: Dict) -> int:
-    """--seed beats STARPROD_SEED beats the spec's own seed beats 42."""
-    if seed is not None:
-        return seed
-    env = os.environ.get("STARPROD_SEED")
-    if env:
-        return int(env)
-    return int(spec.get("seed", 42))
 
 
 def _run_from_flags(catalog, phi, d, params, ring_name, truncation) -> Dict:
@@ -250,7 +241,8 @@ def cmd_verify(spec_path, seed, out_path, csv_path, as_json,
                include_cases, include_timings):
     """Run verification suites; exit 0 only if every probe passes."""
     spec = read_json(spec_path) if spec_path else DEFAULT_RUNSPEC
-    actual_seed = _resolve_seed(seed, spec)
+    # --seed beats STARPROD_SEED beats the spec's own seed beats 42
+    actual_seed = seed if seed is not None else read_seed(spec, os.environ.get("STARPROD_SEED"))
     # digests are computed only for the outputs that show them
     results = run_suites(spec, seed=actual_seed, digests=include_cases or bool(csv_path))
     report = assemble_report(results, actual_seed, include_cases, include_timings)

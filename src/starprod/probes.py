@@ -93,12 +93,12 @@ def _forgiving_case(cases: List[ProbeCase], digest, lhs: float, rhs: float,
                     tol: float) -> bool:
     """Append the case of lhs <= rhs; whether it holds up to -tol * max(1, rhs).
 
-    The norm inequalities forgive that much rounding.  A NaN margin
-    passes, as no comparison with it is true.
+    The norm inequalities forgive that much rounding.  A NaN margin fails,
+    as it does in ``finish_report``.
     """
     margin = rhs - lhs
     cases.append(ProbeCase(digest, lhs, rhs, margin))
-    return not margin < -tol * max(1.0, rhs)
+    return margin >= -tol * max(1.0, rhs)
 
 
 # -- random sample generators -----------------------------------------------------

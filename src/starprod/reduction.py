@@ -28,10 +28,12 @@ merged terms keep the larger depth.  The ``reduction_count`` of a product
 is the largest depth among the terms that survive: the number of passes
 that rewrite the rightmost descent of every word at once would take.
 
-Leftmost rewriting on a table is rightmost rewriting on its mirror
-(``RelationTable.mirror``), so it needs no route of its own.  By Bergman's
-diamond lemma the normal form of an associative table does not depend on
-the order of the rewrites, which makes rightmost against leftmost a check.
+Rightmost is the engine's only order of rewrites.  Leftmost rewriting on
+a table is rightmost rewriting on its mirror (``RelationTable.mirror``);
+``catalog.leftmost_route`` is the one place that mirrors its operands and
+results.  By Bergman's diamond lemma the normal form of an associative
+table does not depend on the order of the rewrites, which makes rightmost
+against leftmost a check.
 
 The memo drops a coefficient only when it is exactly zero.  A floating
 ring's ``prune`` (``drop_tol``) runs once, on the finished product: a
@@ -71,6 +73,29 @@ DEFAULT_STEP_LIMIT = 10 ** 6
 
 # A normal form: (exponent, coefficient, depth) triples with nonzero coefficients.
 NormalForm = Tuple[Tuple[Exponent, object, int], ...]
+
+
+def _add_normal_form(out: Dict[Exponent, object], depths: Dict[Exponent, int],
+                     found: NormalForm, c, k: int, one) -> None:
+    """Add c * found into ``out``, each term at its depth + k; merged terms
+    keep the larger depth.
+
+    A factor that is the unit ``one`` is not multiplied by: times 1+0j, a
+    complex value can change the sign of a zero part.
+    """
+    for M, d, j in found:
+        if d is one:
+            d = c
+        elif c is not one:
+            d = d * c
+        j += k
+        if M in out:
+            out[M] = out[M] + d
+            if j > depths[M]:
+                depths[M] = j
+        else:
+            out[M] = d
+            depths[M] = j
 
 
 class StepLimitExceeded(RuntimeError):
@@ -267,19 +292,7 @@ class RelationTable:
                 if found is None:
                     yield child
                     found = memo[child]
-            for M, d, j in found:
-                if d is one:
-                    d = c
-                elif c is not one:
-                    d = d * c
-                j += k
-                if M in out:
-                    out[M] = out[M] + d
-                    if j > depths[M]:
-                        depths[M] = j
-                else:
-                    out[M] = d
-                    depths[M] = j
+            _add_normal_form(out, depths, found, c, k, one)
         pool = self._coefficients
         if pool is not None:
             found = tuple([(M, pool.setdefault((d._a, d._b, d._d), d), depths[M])
@@ -379,68 +392,41 @@ def _product_words(f: Polynomial, g: Polynomial,
     return ((word(K) + v, a * b) for K, a in f.terms.items() for v, b in right)
 
 
-def _rewrite(terms: Iterable[Tuple[Word, object]], table: RelationTable, misses: MemoMisses,
-             strategy: str = "rightmost") -> Tuple[Polynomial, int]:
+def _rewrite(terms: Iterable[Tuple[Word, object]], table: RelationTable,
+             misses: MemoMisses) -> Tuple[Polynomial, int]:
     """sum of c * NF(w) over (w, c), into one dict and one Polynomial, and
-    the largest depth among its terms.
-
-    The leftmost strategy takes the rightmost normal forms of the mirrored
-    words on the mirrored table and reverses their exponents.
-    """
-    if strategy not in ("rightmost", "leftmost"):
-        raise ValueError(f"unknown rewriting strategy {strategy!r}")
-    dim, kind = table.dim, table.kind
-    if strategy == "leftmost":
-        terms = ((tuple([dim + 1 - letter for letter in reversed(w)]), c) for w, c in terms)
-        table = table.mirror()
+    the largest depth among its terms."""
     normal_form, one = table.normal_form, table._one
     out: Dict[Exponent, object] = {}
     depths: Dict[Exponent, int] = {}
     for word, c in terms:
-        for M, d, k in normal_form(word, misses):
-            if d is one:
-                d = c
-            elif c is not one:
-                d = d * c
-            if M in out:
-                out[M] = out[M] + d
-                if k > depths[M]:
-                    depths[M] = k
-            else:
-                out[M] = d
-                depths[M] = k
-    if strategy == "leftmost":
-        out = {M[::-1]: c for M, c in out.items()}
-        depths = {M[::-1]: k for M, k in depths.items()}
-    result = Polynomial.from_checked(table.ring, dim, out, kind)
+        _add_normal_form(out, depths, normal_form(word, misses), c, 0, one)
+    result = Polynomial.from_checked(table.ring, table.dim, out, table.kind)
     return result, max(map(depths.__getitem__, result.terms), default=0)
 
 
-def reduce_to_standard(f: NcPolynomial, table: RelationTable,
-                       strategy: str = "rightmost") -> Tuple[NcPolynomial, int, int]:
+def reduce_to_standard(f: NcPolynomial, table: RelationTable) -> Tuple[NcPolynomial, int, int]:
     """The standard form of a word combination, its reduction count and the
     widest intermediate (in terms), through the table's memo."""
     if f.dim != table.dim:
         raise TableError("polynomial dimension does not match the table")
     misses = MemoMisses(table, DEFAULT_STEP_LIMIT)
-    result, count = _rewrite(f.terms.items(), table, misses, strategy)
+    result, count = _rewrite(f.terms.items(), table, misses)
     standard = NcPolynomial.from_checked(
         table.ring, f.dim, {table.word(K): c for K, c in result.terms.items()})
     return standard, count, max(len(f.terms), misses.widest)
 
 
 def star_by_reduction(f: Polynomial, g: Polynomial, table: RelationTable,
-                      step_limit: int = DEFAULT_STEP_LIMIT,
-                      strategy: str = "rightmost") -> ReductionTrace:
+                      step_limit: int = DEFAULT_STEP_LIMIT) -> ReductionTrace:
     """Star product of commutative polynomials, with its reduction count."""
     _check_operands(f, g, table)
     return ReductionTrace(*_rewrite(_product_words(f, g, table), table,
-                                    MemoMisses(table, step_limit), strategy))
+                                    MemoMisses(table, step_limit)))
 
 
 def monomial_star(K: Exponent, L: Exponent, table: RelationTable,
-                  step_limit: int = DEFAULT_STEP_LIMIT,
-                  strategy: str = "rightmost") -> ReductionTrace:
+                  step_limit: int = DEFAULT_STEP_LIMIT) -> ReductionTrace:
     """x^K * x^L with its reduction count, as ``star_by_reduction`` of the
     two unit monomials gives it, without building them."""
     check_exponent(K, table.dim)
@@ -449,7 +435,7 @@ def monomial_star(K: Exponent, L: Exponent, table: RelationTable,
     # so that a floating ring scales the normal form as star scales it
     unit = table.ring.one
     words = ((table.word(tuple(K)) + table.word(tuple(L)), unit * unit),)
-    return ReductionTrace(*_rewrite(words, table, MemoMisses(table, step_limit), strategy))
+    return ReductionTrace(*_rewrite(words, table, MemoMisses(table, step_limit)))
 
 
 def star(f: Polynomial, g: Polynomial, table: RelationTable,

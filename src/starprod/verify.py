@@ -131,7 +131,7 @@ def _bool_report(kind: str, rows: List[Tuple[Union[str, Callable[[], str]], bool
 
 def suite_overlaps(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     inst = ctx.instance(hbar=hbar)
-    report = check_overlaps(inst.table, tol=float(cfg.get("tol", 1e-10)))
+    report = check_overlaps(inst.table, **_settings(cfg, tol=float))
     failed = {(i, j, k) for (i, j, k, _) in report.failures}
     rows = ([(digest_of("overlap", str(triple)), triple not in failed)
              for triple in generator_triples(inst.dim)]
@@ -140,8 +140,8 @@ def suite_overlaps(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
 
 
 def suite_jacobi(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
-    eta = ctx.poisson(order=int(cfg.get("order", 4)))
-    ok = jacobi_check(eta, tol=float(cfg.get("tol", 1e-10)))
+    eta = ctx.poisson(**_settings(cfg, order=int))
+    ok = jacobi_check(eta, **_settings(cfg, tol=float))
     return _bool_report("jacobi", [(digest_of("jacobi", ctx.label), ok)])
 
 
@@ -302,7 +302,7 @@ def suite_sigma_oracle(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
 
 def suite_wick_involution(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     inst = ctx.instance(hbar=hbar)
-    ok = wick_involution_condition(inst.table, tol=float(cfg.get("tol", 1e-10)))
+    ok = wick_involution_condition(inst.table, **_settings(cfg, tol=float))
     return _bool_report("wick_involution", [(digest_of("wick-involution", ctx.label), ok)])
 
 
@@ -486,6 +486,23 @@ def finite_hbar(value) -> float:
     return h
 
 
+def read_seed(spec: Dict, env: Optional[str]) -> int:
+    """The seed of a run: ``env``, the value of STARPROD_SEED, when it is
+    set, else the spec's ``seed``, else 42.  A value that is neither an
+    integer nor the text of one, or is a bool, is a ConfigError that names
+    where it came from."""
+    source, value = (("STARPROD_SEED", env) if env
+                     else ("the spec's 'seed'", spec.get("seed", 42)))
+    if isinstance(value, str):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    elif isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ConfigError(f"{source} must be an integer, got {value!r}")
+
+
 def _normalize_hbars(run: Dict) -> List[Optional[float]]:
     h = run.get("hbar")
     if h is None:
@@ -523,7 +540,7 @@ def run_suites(spec: Dict, seed: Optional[int] = None,
                digests: bool = True) -> List[SuiteResult]:
     """Run every (probe, hbar) task of ``spec``; ``digests=False`` drops the
     deferred case digests unread (their ``digest`` becomes None)."""
-    actual_seed = spec.get("seed", 42) if seed is None else seed
+    actual_seed = read_seed(spec, None) if seed is None else seed
     tasks = []
     for run_idx, run in enumerate(_json_list(spec.get("runs", []), "runs")):
         ctx = context_from_run(_json_object(run, f"run {run_idx}"))

@@ -324,6 +324,25 @@ def test_verify_seed_env_fallback(runner, tmp_path, monkeypatch):
     assert json.loads(out.read_text())["seed"] == 123
 
 
+@pytest.mark.parametrize("env,seed,message", [
+    ("abc", 7, "error: STARPROD_SEED must be an integer, got 'abc'\n"),
+    (None, "x", "error: the spec's 'seed' must be an integer, got 'x'\n"),
+    (None, 1.5, "error: the spec's 'seed' must be an integer, got 1.5\n"),
+    (None, True, "error: the spec's 'seed' must be an integer, got True\n"),
+])
+def test_verify_seed_that_is_no_integer_exits_2_naming_its_source(runner, tmp_path, monkeypatch,
+                                                                  env, seed, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({**SMALL_SPEC, "seed": seed}))
+    if env is None:
+        monkeypatch.delenv("STARPROD_SEED", raising=False)
+    else:
+        monkeypatch.setenv("STARPROD_SEED", env)
+    result = runner.invoke(main, ["verify", "--spec", str(spec_path)])
+    assert result.exit_code == 2
+    assert result.stderr == message
+
+
 def test_verify_unknown_catalog_exits_2(runner, tmp_path):
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps({"runs": [

@@ -1,6 +1,7 @@
 """Probe behavior: positive runs pass, documented counterexamples fail."""
 
 import cmath
+import math
 import random
 from fractions import Fraction
 
@@ -10,6 +11,7 @@ from starprod.catalog import build_catalog
 from starprod.params import ParameterCatalog, ParameterRule
 from starprod.poly import Polynomial
 from starprod.probes import (
+    _forgiving_case,
     _poly_digest,
     classical_limit_probe,
     default_hbar_sequence,
@@ -79,6 +81,23 @@ def test_submultiplicativity_fails_for_affine_q(rng):
     report = submultiplicativity_probe(inst.star, (1.0, 1.0), rng, 2, inst.ring,
                                        samples=50, max_degree=8)
     assert not report.passed
+
+
+def test_a_nan_left_hand_side_fails_a_forgiving_case():
+    cases = []
+    assert not _forgiving_case(cases, "nan", math.nan, 1.0, 1e-10)
+    assert _forgiving_case(cases, "rounding", 1.0 + 1e-12, 1.0, 1e-10)
+    assert [case.digest for case in cases] == ["nan", "rounding"]
+
+
+def test_submultiplicativity_fails_on_a_product_with_a_nan_coefficient(rng):
+    def nan_star(f, g):
+        return Polynomial(C, 2, {(1, 1): complex(math.nan, 0.0)})
+
+    report = submultiplicativity_probe(nan_star, (1.0, 1.0), rng, 2, C, samples=3,
+                                       max_degree=2)
+    assert not report.passed
+    assert all(math.isnan(case.lhs) for case in report.cases)
 
 
 def test_submultiplicativity_wick(rng):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import bounded_complex, gauss_rationals, rational_qs, trunc_series
-from starprod.params import ParameterCatalog, ParameterError, ParameterRule
+from starprod.params import ParameterError, ParameterRule
 from starprod.scalars import (
     GaussRational,
     RationalQ,
@@ -313,11 +313,9 @@ def test_evaluations_match_expansions_numerically():
         assert abs(approx - rule.evaluate(hbar)) < 1e-12
 
 
-def test_catalog_checks_constant_term():
+def test_an_unknown_rule_name_raises_parameter_error():
     with pytest.raises(ParameterError):
-        # a constant rule bound where an expansion is implied never errors,
-        # but a bad custom rule name does
-        ParameterCatalog({"q": ParameterRule("nope")})
+        ParameterRule("nope")
 
 
 def test_constant_rule_parsing():
