@@ -544,9 +544,8 @@ def leftmost_route(table: RelationTable) -> MonomialRoute:
 
     The reference for a product that rewrites rightmost: the normal form
     of an associative table does not depend on the order of the rewrites.
-    The mirror of word(K) + word(L) is word(L') + word(K'), where ' reverses
-    an exponent, so this is x^L' * x^K' on the mirror with its exponents
-    reversed back.
+    The mirror of word(K) + word(L) is word(L') + word(K') (' reverses an
+    exponent): x^L' * x^K' on the mirror, its exponents reversed back.
     """
     def leftmost(K: Exponent, L: Exponent) -> Polynomial:
         mirrored = monomial_star(L[::-1], K[::-1], table.mirror()).result

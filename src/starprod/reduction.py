@@ -77,12 +77,9 @@ NormalForm = Tuple[Tuple[Exponent, object, int], ...]
 
 def _add_normal_form(out: Dict[Exponent, object], depths: Dict[Exponent, int],
                      found: NormalForm, c, k: int, one) -> None:
-    """Add c * found into ``out``, each term at its depth + k; merged terms
-    keep the larger depth.
-
-    A factor that is the unit ``one`` is not multiplied by: times 1+0j, a
-    complex value can change the sign of a zero part.
-    """
+    """Add c * found into ``out``, each term at its depth + k, merged terms
+    keeping the larger depth.  A factor that is the unit ``one`` is not
+    multiplied by: times 1+0j, a complex zero part can change sign."""
     for M, d, j in found:
         if d is one:
             d = c

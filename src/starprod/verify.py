@@ -487,19 +487,16 @@ def finite_hbar(value) -> float:
 
 
 def read_seed(spec: Dict, env: Optional[str]) -> int:
-    """The seed of a run: ``env``, the value of STARPROD_SEED, when it is
-    set, else the spec's ``seed``, else 42.  A value that is neither an
-    integer nor the text of one, or is a bool, is a ConfigError that names
-    where it came from."""
+    """The seed of a run: ``env`` (the value of STARPROD_SEED) if set, else
+    the spec's ``seed``, else 42.  A bool, or a value that is neither an
+    integer nor the text of one, is a ConfigError naming its source."""
     source, value = (("STARPROD_SEED", env) if env
                      else ("the spec's 'seed'", spec.get("seed", 42)))
-    if isinstance(value, str):
+    if not isinstance(value, (bool, float)):
         try:
             return int(value)
-        except ValueError:
+        except (TypeError, ValueError):
             pass
-    elif isinstance(value, int) and not isinstance(value, bool):
-        return value
     raise ConfigError(f"{source} must be an integer, got {value!r}")
 
 

@@ -242,6 +242,7 @@ def test_check_overlaps_complex_scales_the_tolerance():
 
 
 def test_confluence_rightmost_vs_leftmost():
+    from test_memo import _memo_star
     rng = random.Random(7)
     ring = make_ring("rational")
     tables = [
@@ -249,18 +250,13 @@ def test_confluence_rightmost_vs_leftmost():
         nonquadratic_table(ring, 1, GaussRational(2), GaussRational(Fraction(5, 4)),
                            GaussRational(3)),
     ]
-    def reverse(p):
-        return Polynomial(p.ring, p.dim, {K[::-1]: c for K, c in p.terms.items()})
-
     for tab in tables:
         for _ in range(20):
             f = random_polynomial(rng, ring, tab.dim, 5, 2)
             g = random_polynomial(rng, ring, tab.dim, 5, 2)
             right = star_by_reduction(f, g, tab).result
-            # leftmost rewriting of the words of f g is rightmost rewriting of
-            # their mirrors, the words of g' f' (' reverses an exponent), on
-            # the mirrored table
-            left = reverse(star_by_reduction(reverse(g), reverse(f), tab.mirror()).result)
+            # leftmost rewriting, worked out on the mirrored table
+            left = _memo_star(f, g, tab, "leftmost")[0]
             assert right == left
 
 
