@@ -39,6 +39,7 @@ from .qcomb import (
     root_of_unity_order,
 )
 from .reduction import (
+    BRACKET_ORDER,
     DEFAULT_STEP_LIMIT,
     PoissonStructure,
     ReductionTrace,
@@ -567,18 +568,18 @@ _DEFAULT_RULES = {
 }
 
 
-def default_rules(name: str, options: Optional[Dict] = None) -> ParameterCatalog:
+def default_rules(name: str, options: Dict) -> ParameterCatalog:
     if name not in _DEFAULT_RULES:
         raise CatalogError(f"unknown catalog {name!r}; expected one of {CATALOG_IDS}")
     # quantum_weyl's q turns at the rate lambda
-    lam = Fraction(str((options or {}).get("lambda", 1))) if name == "quantum_weyl" else None
+    lam = Fraction(str(options.get("lambda", 1))) if name == "quantum_weyl" else None
     return ParameterCatalog({
         param: ParameterRule(rule, scale=lam if rule == "exp_scaled" else None)
         for param, rule in _DEFAULT_RULES[name].items()})
 
 
-def catalog_rules(name: str, rules: Optional[ParameterCatalog] = None,
-                  options: Optional[Dict] = None) -> ParameterCatalog:
+def catalog_rules(name: str, rules: Optional[ParameterCatalog],
+                  options: Dict) -> ParameterCatalog:
     """The given rules, or the catalog's defaults; CatalogError names any
     parameter the catalog needs that the given rules leave unbound.
 
@@ -658,12 +659,11 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
 
 def catalog_poisson(name: str, d: Optional[int] = None,
                     rules: Optional[ParameterCatalog] = None,
-                    options: Optional[Dict] = None,
-                    order: int = 4) -> PoissonStructure:
+                    options: Optional[Dict] = None) -> PoissonStructure:
     """First-order bracket of a catalog, from its exact series table."""
     # the symmetrized product is equivalent to the log-canonical one
     # (equivalence_transform), so the two have one bracket
     if name == "symmetrized_log_canonical":
         name = "log_canonical"
-    return poisson_from_table(build_catalog(name, SeriesRing(order=order), d, rules, None,
+    return poisson_from_table(build_catalog(name, SeriesRing(BRACKET_ORDER), d, rules, None,
                                             options).table)

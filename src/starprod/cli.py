@@ -9,12 +9,13 @@
 Exit codes: 0 success, 1 a failed verdict (a probe of ``verify``, the PSD
 check of ``gram``).  For an error, ``_guarded``, the one wrapper around every
 command, gives 1 when rewriting hit the step limit, a coefficient has a
-genuine pole or a float computation overflowed, and 2 for ``CONFIG_ERRORS``:
-usage, parse, config or table-file errors (a non-finite hbar among them) and
-any other ``ValueError``, from whichever step of the command it comes (numpy's
-``LinAlgError`` in the PSD check of ``gram`` is one).  The message goes to
-stderr as ``error: ...``; an input file of malformed JSON, or of JSON that is
-no object, exits 2 and names the file (``read_json``).
+genuine pole or a float computation overflowed, and 2 for a ``ValueError``,
+from whichever step of the command it comes.  Every config error of the
+package is one: a parse, parameter, catalog, run-spec, table-file, table or
+ring error (a non-finite hbar among them), and so is numpy's ``LinAlgError``
+in the PSD check of ``gram``.  The message goes to stderr as ``error: ...``;
+an input file of malformed JSON, or of JSON that is no object, exits 2 and
+names the file (``read_json``).
 
 ``star eval`` turns its flags into one run-spec entry and builds its
 instance through ``context_from_run``, as ``star verify`` does.
@@ -33,14 +34,13 @@ from typing import Dict, List, Optional, Tuple
 
 import click
 
-from .catalog import CATALOG_IDS, CatalogError
+from .catalog import CATALOG_IDS
 from .params import ParameterError
-from .parsing import ParseError, format_poly, parse_poly
+from .parsing import format_poly, parse_poly
 from .qcomb import PoleAtRootOfUnity
-from .reduction import StepLimitExceeded, TableError, star_by_reduction
-from .scalars import RING_NAMES, RingError
+from .reduction import StepLimitExceeded, star_by_reduction
+from .scalars import DEFAULT_TRUNCATION, RING_NAMES
 from .states import StateFunctional, WickPoint, gns_build, gram_matrix, psd_check
-from .tableio import TableFileError
 from .verify import (
     DEFAULT_RUNSPEC,
     SCHEMA,
@@ -55,9 +55,6 @@ from .verify import (
     run_suites,
 )
 
-CONFIG_ERRORS = (ParseError, ParameterError, CatalogError, ConfigError,
-                 TableFileError, TableError, RingError, ValueError)
-
 
 class FloatOverflow(ArithmeticError):
     """A float computation overflowed in the named catalog at hbar."""
@@ -67,8 +64,8 @@ class FloatOverflow(ArithmeticError):
 
 
 def _guarded(command):
-    """The command, with a failure (exit 1) or a ``CONFIG_ERRORS`` error (exit 2)
-    printed and exited on."""
+    """The command, with a failure (exit 1) or a ``ValueError``, every
+    config error among them (exit 2), printed and exited on."""
     @functools.wraps(command)
     def run(*args, **kwargs):
         try:
@@ -76,7 +73,7 @@ def _guarded(command):
         except (StepLimitExceeded, PoleAtRootOfUnity, FloatOverflow) as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(1)
-        except CONFIG_ERRORS as exc:
+        except ValueError as exc:
             click.echo(f"error: {exc}", err=True)
             sys.exit(2)
     return run
@@ -184,7 +181,7 @@ def main():
 @click.option("--ring", "ring_name", default=None,
               type=click.Choice(RING_NAMES),
               help="defaults to complex, or to the table file's declared ring")
-@click.option("--truncation", type=int, default=8)
+@click.option("--truncation", type=int, default=DEFAULT_TRUNCATION)
 @click.option("--lhs", required=True, help="left factor, polynomial text")
 @click.option("--rhs", required=True, help="right factor, polynomial text")
 @click.option("--json", "as_json", is_flag=True, default=False)

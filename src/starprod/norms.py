@@ -57,10 +57,6 @@ class NormSpec:
         return NormSpec("rho", rho=tuple(rho))
 
     @staticmethod
-    def tr_norm(C: float, R: float = 0.0) -> "NormSpec":
-        return NormSpec("tr", C=C, R=R)
-
-    @staticmethod
     def macgyver_norm(C: float) -> "NormSpec":
         return NormSpec("macgyver", C=C)
 

@@ -90,8 +90,7 @@ class Polynomial:
 
     __slots__ = ("ring", "dim", "kind", "terms")
 
-    def __init__(self, ring: Ring, dim: int, terms: Mapping[Exponent, object] | None = None,
-                 kind: str = "x"):
+    def __init__(self, ring: Ring, dim: int, terms: Mapping[Exponent, object], kind: str = "x"):
         if dim < 1 or kind not in ("x", "w"):
             _check_shape(dim, kind)
         self.ring = ring
@@ -296,9 +295,8 @@ class Polynomial:
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]))
 
-    def map_coefficients(self, fn, ring: Ring | None = None) -> "Polynomial":
-        target = ring if ring is not None else self.ring
-        return Polynomial(target, self.dim, {K: fn(c) for K, c in self.terms.items()}, self.kind)
+    def map_coefficients(self, fn, ring: Ring) -> "Polynomial":
+        return Polynomial(ring, self.dim, {K: fn(c) for K, c in self.terms.items()}, self.kind)
 
     def close_to(self, other: "Polynomial", tol: float = 1e-10, scale: float = 1.0) -> bool:
         self._check_compatible(other)
@@ -328,16 +326,15 @@ class NcPolynomial:
 
     __slots__ = ("ring", "dim", "terms")
 
-    def __init__(self, ring: Ring, dim: int, terms: Mapping[Word, object] | None = None):
+    def __init__(self, ring: Ring, dim: int, terms: Mapping[Word, object]):
         self.ring = ring
         self.dim = dim
         clean: Dict[Word, object] = {}
-        if terms:
-            for word, c in terms.items():
-                if any(not 1 <= letter <= dim for letter in word):
-                    raise ValueError(f"letter out of range in word {word}")
-                if not ring.is_zero(c):
-                    clean[tuple(word)] = c
+        for word, c in terms.items():
+            if any(not 1 <= letter <= dim for letter in word):
+                raise ValueError(f"letter out of range in word {word}")
+            if not ring.is_zero(c):
+                clean[tuple(word)] = c
         self.terms = clean
 
     @classmethod

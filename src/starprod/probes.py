@@ -168,7 +168,7 @@ def random_polynomial(rng, ring: Ring, dim: int, max_degree: int,
 
 
 def random_homogeneous(rng, ring: Ring, dim: int, degree: int,
-                       terms: int = 3, kind: str = "x") -> Polynomial:
+                       terms: int, kind: str) -> Polynomial:
     return _random_sum(rng, ring, dim, degree, terms, kind, homogeneous=True)
 
 
@@ -248,24 +248,20 @@ def generator_product_bound(star: StarProduct) -> Tuple[int, float]:
     return count, sup
 
 
-def macgyver_continuity_probe(star: StarProduct, rng, C: float = 2.0,
+def macgyver_continuity_probe(star: StarProduct, rng, Q: float, C: float = 2.0,
                               alpha: float = 1.0, beta: float = 1.0,
-                              Q: Optional[float] = None,
                               samples: int = 150, max_degree: int = 4, terms: int = 3,
                               sweep_degree: int = 3) -> ProbeReport:
     """Continuity estimate in the squared-exponent norms.
 
     Checks |f * g|_C <= |f|_C' |g|_C' with C' = (Q^alpha C^(beta^2))^2,
-    plus the two hypotheses behind it on a monomial sweep: the traced
-    reduction count stays below alpha (|K|+|L|)^2 and the output order
-    below beta (|K|+|L|).
+    Q taken as at least 1, plus the two hypotheses behind it on a monomial
+    sweep: the traced reduction count stays below alpha (|K|+|L|)^2 and the
+    output order below beta (|K|+|L|).
     """
     ring = star.ring
     if C < 1.0:
         raise ValueError("the estimate is stated for C >= 1")
-    if Q is None:
-        n_nonzero, sup = generator_product_bound(star)
-        Q = max(1.0, n_nonzero * sup)
     Q = max(1.0, Q)
     c_prime = (Q ** alpha * C ** (beta * beta)) ** 2
 
@@ -451,7 +447,7 @@ def symmetrized_coefficient_bound(q: complex, dim: int) -> float:
 
 
 def symmetrized_growth_probe(q: complex, dim: int, rho: Sequence[float],
-                             max_degree: int = 5) -> ProbeReport:
+                             max_degree: int) -> ProbeReport:
     """|x^K sym-star x^L|_rho <= C * d^(|K|+|L|) |x^K|_rho |x^L|_rho.
 
     The constant comes from symmetrized_coefficient_bound; only valid away

@@ -70,6 +70,7 @@ from .poly import (
 from .scalars import ComplexRing, GaussRational, RationalRing, Ring, SeriesRing
 
 DEFAULT_STEP_LIMIT = 10 ** 6
+BRACKET_ORDER = 1  # the series order a table needs for its Poisson bracket
 
 # A normal form: (exponent, coefficient, depth) triples with nonzero coefficients.
 NormalForm = Tuple[Tuple[Exponent, object, int], ...]
@@ -510,7 +511,11 @@ class PoissonStructure:
 
 
 def poisson_from_table(table: RelationTable) -> PoissonStructure:
-    """First-order bracket {x_j, x_i} = (1/i) * [t^1 coefficient of tail(i, j)]."""
+    """First-order bracket {x_j, x_i} = (1/i) * [t^1 coefficient of tail(i, j)].
+
+    It reads no higher coefficient, so a table truncated at ``BRACKET_ORDER``
+    gives the bracket of every longer truncation.
+    """
     if not isinstance(table.ring, SeriesRing):
         raise TableError("extracting the bracket needs a series-mode table")
     base = table.ring.base

@@ -36,6 +36,8 @@ from typing import Iterable, Tuple, Union
 
 Rationalish = Union[int, Fraction]
 
+DEFAULT_TRUNCATION = 8  # the series order of a ring that names none
+
 _new_object = object.__new__
 
 
@@ -84,7 +86,7 @@ class GaussRational(_FieldOps):
 
     __slots__ = ("_a", "_b", "_d")
 
-    def __init__(self, re: Rationalish = 0, im: Rationalish = 0):
+    def __init__(self, re: Rationalish, im: Rationalish = 0):
         if type(re) is int and type(im) is int:
             self._a, self._b, self._d = re, im, 1
             return
@@ -882,7 +884,7 @@ class SeriesRing(_ExactRing):
 
     name = "series"
 
-    def __init__(self, order: int = 8, exact: bool = True):
+    def __init__(self, order: int, exact: bool = True):
         if order < 1:
             raise RingError("series truncation order must be at least 1")
         if not exact:
@@ -939,7 +941,7 @@ Ring = Union[RationalRing, ComplexRing, SeriesRing, RationalQRing]
 RING_NAMES = ("rational", "complex", "series", "rational_q")
 
 
-def make_ring(name: str, truncation_order: int = 8) -> Ring:
+def make_ring(name: str, truncation_order: int = DEFAULT_TRUNCATION) -> Ring:
     if name == "rational":
         return RationalRing()
     if name == "complex":

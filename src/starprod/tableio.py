@@ -29,7 +29,7 @@ from typing import Dict, Optional
 from .params import ParameterCatalog
 from .parsing import parse_poly
 from .reduction import RelationTable
-from .scalars import ComplexRing, Ring, make_ring
+from .scalars import DEFAULT_TRUNCATION, ComplexRing, Ring, make_ring
 
 
 class TableFileError(ValueError):
@@ -61,7 +61,7 @@ def table_from_dict(spec: Dict, hbar: Optional[complex] = None,
                     ring: Optional[Ring] = None) -> RelationTable:
     if ring is None:
         ring = make_ring(spec.get("ring", "rational"),
-                         truncation_order=int(spec.get("truncation_order", 8)))
+                         truncation_order=int(spec.get("truncation_order", DEFAULT_TRUNCATION)))
     rules = ParameterCatalog.from_spec(spec.get("parameters", {}))
     dim, kind, tails = _parse_tails(spec, ring, rules.resolve(ring, hbar))
     return RelationTable(ring, dim, kind, tails, name=spec.get("name", "file"))

@@ -60,10 +60,10 @@ from .probes import (
     submultiplicativity_probe,
 )
 from .qcomb import q_multinomial
-from .reduction import (check_overlaps, generator_triples, jacobi_check, poisson_bracket,
-                        poisson_from_table)
+from .reduction import (BRACKET_ORDER, check_overlaps, generator_triples, jacobi_check,
+                        poisson_bracket, poisson_from_table)
 from .reduction import star as table_star
-from .scalars import GaussRational, RationalQRing, RationalRing, make_ring
+from .scalars import DEFAULT_TRUNCATION, GaussRational, RationalQRing, RationalRing, make_ring
 from .states import (
     StateFunctional,
     WickPoint,
@@ -109,12 +109,11 @@ class RunContext:
         return build_catalog(self.catalog_name, ring, self.d, self.rules,
                              hbar, dict(self.options))
 
-    def poisson(self, order: int = 4):
+    def poisson(self):
         if self.table_spec is not None:
-            ring = make_ring("series", truncation_order=order)
+            ring = make_ring("series", truncation_order=BRACKET_ORDER)
             return poisson_from_table(table_from_dict(self.table_spec, ring=ring))
-        return catalog_poisson(self.catalog_name, self.d, self.rules,
-                               dict(self.options), order)
+        return catalog_poisson(self.catalog_name, self.d, self.rules, dict(self.options))
 
 
 # -- suite runners ----------------------------------------------------------------
@@ -140,7 +139,7 @@ def suite_overlaps(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
 
 
 def suite_jacobi(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
-    eta = ctx.poisson(**_settings(cfg, order=int))
+    eta = ctx.poisson()
     ok = jacobi_check(eta, **_settings(cfg, tol=float))
     return _bool_report("jacobi", [(digest_of("jacobi", ctx.label), ok)])
 
@@ -436,50 +435,58 @@ def read_json(path) -> Dict:
         raise ConfigError(f"{path}: is a directory, not a JSON file") from None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
-    return _json_object(data, path)
+    return _json_typed(data, path, dict)
 
 
-def _json_list(value, where) -> List:
-    """``value`` when it is a JSON list, else a ConfigError naming ``where``."""
-    if not isinstance(value, list):
-        raise ConfigError(f"{where}: expected a JSON list, got {type(value).__name__}")
-    return value
+_JSON_NAMES = {dict: "object", list: "list", int: "integer", str: "string"}
 
 
-def _json_object(value, where) -> Dict:
-    """``value`` when it is a JSON object, else a ConfigError naming ``where``."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{where}: expected a JSON object, got {type(value).__name__}")
+def _json_typed(value, where, kind: type):
+    """``value`` when it is a JSON ``kind`` (a bool is no integer), else a
+    ConfigError naming ``where``."""
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ConfigError(f"{where}: expected a JSON {_JSON_NAMES[kind]}, "
+                          f"got {type(value).__name__}")
     return value
 
 
 def context_from_run(run: Dict) -> RunContext:
-    _json_object(run, "run")
+    """The context of one run-spec entry; a value of the wrong JSON type,
+    or a ``d`` below 1, is a ConfigError naming its key."""
+    _json_typed(run, "run", dict)
     ring_name = run.get("ring")
-    truncation = int(run.get("truncation", 8))
+    truncation = _json_typed(run.get("truncation", DEFAULT_TRUNCATION), "truncation", int)
     if "phi" in run or "table" in run:
         spec = run.get("table")
         if spec is None:
+            path = _json_typed(run["phi"], "phi", str)
             try:
-                spec = read_json(run["phi"])
+                spec = read_json(path)
             except OSError as exc:
-                raise TableFileError(f"cannot read table file {run['phi']!r}: "
+                raise TableFileError(f"cannot read table file {path!r}: "
                                      f"{exc.strerror}") from None
-        check_table(spec)
-        label = run.get("label", f"phi:{run.get('phi', 'inline')}")
+        check_table(_json_typed(spec, "table", dict))
+        label = _json_typed(run.get("label", f"phi:{run.get('phi', 'inline')}"), "label", str)
         return RunContext(label, None, None, None, {}, ring_name, truncation, spec)
     catalog = run.get("catalog")
     if catalog is None:
         raise ConfigError("run needs a 'catalog' id or a 'phi' table file")
-    rules = ParameterCatalog.from_spec(run["params"]) if run.get("params") else None
-    options = dict(run.get("options", {}))
+    d = run.get("d")
+    if d is not None and _json_typed(d, "d", int) < 1:
+        raise ConfigError(f"d: expected a positive integer, got {d}")
+    params = _json_typed(run.get("params") or {}, "params", dict)
+    rules = ParameterCatalog.from_spec(params) if params else None
+    options = dict(_json_typed(run.get("options", {}), "options", dict))
     catalog_rules(catalog, rules, options)  # an unknown catalog or an unbound parameter
-    label = run.get("label", catalog)
-    return RunContext(label, catalog, run.get("d"), rules, options, ring_name, truncation)
+    label = _json_typed(run.get("label", catalog), "label", str)
+    return RunContext(label, catalog, d, rules, options, ring_name, truncation)
 
 
 def finite_hbar(value) -> float:
-    """``value`` as a float hbar; NaN and the infinities are config errors."""
+    """``value`` as a float hbar: a number, or the text of one.  A bool, a
+    value of any other type, NaN and the infinities are config errors."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ConfigError(f"hbar: expected a number, got {value!r}")
     h = float(value)
     if not math.isfinite(h):
         raise ConfigError(f"hbar must be finite, got {value!r}")
@@ -504,9 +511,7 @@ def _normalize_hbars(run: Dict) -> List[Optional[float]]:
     h = run.get("hbar")
     if h is None:
         return [None]
-    if isinstance(h, (int, float, str)):
-        return [finite_hbar(h)]
-    return [finite_hbar(v) for v in h]
+    return [finite_hbar(v) for v in h] if isinstance(h, list) else [finite_hbar(h)]
 
 
 @dataclass
@@ -517,7 +522,7 @@ class SuiteResult:
     report: ProbeReport
     elapsed: float
 
-    def row(self, include_cases: bool = False) -> Dict:
+    def row(self, include_cases: bool) -> Dict:
         out = {
             "catalog": self.catalog,
             "probe": self.probe,
@@ -533,18 +538,16 @@ class SuiteResult:
         return out
 
 
-def run_suites(spec: Dict, seed: Optional[int] = None,
-               digests: bool = True) -> List[SuiteResult]:
+def run_suites(spec: Dict, seed: int, digests: bool = True) -> List[SuiteResult]:
     """Run every (probe, hbar) task of ``spec``; ``digests=False`` drops the
     deferred case digests unread (their ``digest`` becomes None)."""
-    actual_seed = read_seed(spec, None) if seed is None else seed
     tasks = []
-    for run_idx, run in enumerate(_json_list(spec.get("runs", []), "runs")):
-        ctx = context_from_run(_json_object(run, f"run {run_idx}"))
+    for run_idx, run in enumerate(_json_typed(spec.get("runs", []), "runs", list)):
+        ctx = context_from_run(_json_typed(run, f"run {run_idx}", dict))
         hbars = _normalize_hbars(run)
-        for probe_idx, probe in enumerate(_json_list(run.get("probes", []),
-                                                     f"run {run_idx}: probes")):
-            kind = _json_object(probe, f"run {run_idx}, probe {probe_idx}").get("kind")
+        for probe_idx, probe in enumerate(_json_typed(run.get("probes", []),
+                                                      f"run {run_idx}: probes", list)):
+            kind = _json_typed(probe, f"run {run_idx}, probe {probe_idx}", dict).get("kind")
             if kind not in SUITES:
                 raise ConfigError(f"unknown probe kind {kind!r}")
             fn, needs_hbar = SUITES[kind]
@@ -553,7 +556,7 @@ def run_suites(spec: Dict, seed: Optional[int] = None,
 
     def execute(task):
         ctx, cfg, kind, h, run_idx, probe_idx, fn = task
-        rng = random.Random(f"{actual_seed}:{run_idx}:{probe_idx}:{kind}:{h}")
+        rng = random.Random(f"{seed}:{run_idx}:{probe_idx}:{kind}:{h}")
         start = time.monotonic()
         try:
             report = fn(ctx, cfg, rng, h)
@@ -572,7 +575,7 @@ def run_suites(spec: Dict, seed: Optional[int] = None,
 
 
 def assemble_report(results: List[SuiteResult], seed: int,
-                    include_cases: bool = False, include_timings: bool = False) -> Dict:
+                    include_cases: bool, include_timings: bool) -> Dict:
     report = {
         "schema": SCHEMA,
         "seed": seed,

@@ -7,7 +7,14 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from starprod.catalog import CatalogError
 from starprod.cli import main
+from starprod.params import ParameterError
+from starprod.parsing import ParseError
+from starprod.reduction import TableError
+from starprod.scalars import RingError
+from starprod.tableio import TableFileError
+from starprod.verify import ConfigError
 
 SMALL_SPEC = {
     "schema": "starprod/1",
@@ -612,7 +619,39 @@ FAILURE_POLICY = {
                                          2, NOT_ANTIDIAGONAL),
     ("gns", "point_not_antidiagonal"): (["--hbar", "0.5", "--z", "1+1i,1+1i"],
                                         2, NOT_ANTIDIAGONAL),
+    ("eval", "d_zero"): (["--catalog", "log_canonical", "--d", "0", "--lhs", "x1", "--rhs", "x2"],
+                         2, "error: d: expected a positive integer, got 0"),
 }
+
+
+def test_every_config_error_is_a_value_error():
+    # the command line exits 2 on any ValueError, and so on each of these
+    for error in (ParseError, ParameterError, CatalogError, ConfigError, TableFileError,
+                  TableError, RingError):
+        assert issubclass(error, ValueError), error
+
+
+# a run-spec value of the wrong JSON type, in a log_canonical run of its own:
+# fault -> (the run's bad fields, the error that names the key); "{fault}"
+# stands for the spec file
+BAD_RUN_VALUES = {
+    "truncation_null": ({"truncation": None},
+                        "truncation: expected a JSON integer, got NoneType"),
+    "params_list": ({"params": [1]}, "params: expected a JSON object, got list"),
+    "options_int": ({"options": 5}, "options: expected a JSON object, got int"),
+    "hbar_null_entry": ({"hbar": [None]}, "hbar: expected a number, got None"),
+    "hbar_nested_list": ({"hbar": [[0.3]]}, "hbar: expected a number, got [0.3]"),
+    "hbar_bool": ({"hbar": True}, "hbar: expected a number, got True"),
+    "hbar_object": ({"hbar": {"a": 1}}, "hbar: expected a number, got {'a': 1}"),
+    "label_int": ({"label": 7}, "label: expected a JSON string, got int"),
+    "d_text": ({"d": "x"}, "d: expected a JSON integer, got str"),
+    "d_bool": ({"d": True}, "d: expected a JSON integer, got bool"),
+    "d_zero": ({"d": 0}, "d: expected a positive integer, got 0"),
+    "phi_int": ({"phi": 5}, "phi: expected a JSON string, got int"),
+    "table_int": ({"table": 5}, "table: expected a JSON object, got int"),
+}
+FAILURE_POLICY.update({("verify", fault): (["--spec", f"{{{fault}}}"], 2, f"error: {message}")
+                       for fault, (_, message) in BAD_RUN_VALUES.items()})
 
 
 @pytest.mark.parametrize("command, fault", sorted(FAILURE_POLICY))
@@ -627,6 +666,9 @@ def test_failure_policy(runner, tmp_path, command, fault):
         "{runs_str}": json.dumps({"runs": "x"}),
         "{probe_int}": json.dumps({"runs": [{"catalog": "log_canonical",
                                              "probes": [{"kind": "overlaps"}, 7]}]}),
+        **{f"{{{fault}}}": json.dumps({"runs": [{"catalog": "log_canonical", **fields,
+                                                 "probes": [{"kind": "overlaps"}]}]})
+           for fault, (fields, _) in BAD_RUN_VALUES.items()},
     }
     files = {"{dir}": tmp_path}
     for name, text in contents.items():

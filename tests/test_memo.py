@@ -227,14 +227,18 @@ def test_default_run_memo_misses_stay_within_their_bound(monkeypatch):
         f"{misses[0]} memo misses, {DEFAULT_RUN_MISSES} recorded"
 
 
-@pytest.mark.parametrize("name,ring,d,rules,options", [
+# criterion 2's sweeps: every monomial pair of exponent_ball(d, 5)
+CRITERION_2_SWEEPS = [
     ("log_canonical", R, 2, _const("5/4"), {}),
     ("log_canonical", R, 3, _const("5/4"), {}),
     ("wick_log_canonical", R, 2, _const("3/4"), {}),
     ("wick_log_canonical", R, 3, _const("3/4"), {}),
     ("nonquadratic", R, 3, NQ_RULES, {"N": 2}),
     ("quantum_weyl", SERIES, 2, None, {"lambda": 1}),
-])
+]
+
+
+@pytest.mark.parametrize("name,ring,d,rules,options", CRITERION_2_SWEEPS)
 def test_memo_route_equals_pass_route_on_criterion_2_sweeps(name, ring, d, rules, options):
     inst = build_catalog(name, ring, d, rules, options=options)
     for K in exponent_ball(d, 5):
@@ -243,6 +247,34 @@ def test_memo_route_equals_pass_route_on_criterion_2_sweeps(name, ring, d, rules
             g = Polynomial.monomial(ring, d, L, kind=inst.kind)
             assert inst.reduction_star.monomial_product(K, L) == \
                 _by_passes(f, g, inst.table), (K, L)
+
+
+# Memo misses of the memo route over each sweep above, under the criterion-1
+# margin and rule: lower a count when work goes, never raise it to pass.
+CRITERION_2_MISSES = {"log_canonical d=2": 325, "log_canonical d=3": 3450,
+                      "wick_log_canonical d=2": 325, "wick_log_canonical d=3": 3450,
+                      "nonquadratic d=3": 3758, "quantum_weyl d=2": 525}
+
+
+def test_criterion_2_sweep_memo_misses_stay_within_their_bound(monkeypatch):
+    misses = dict.fromkeys(CRITERION_2_MISSES, 0)
+    open_word = MemoMisses.open
+    counting = [None]
+
+    def counted(self, word):
+        misses[counting[0]] += 1
+        return open_word(self, word)
+
+    monkeypatch.setattr(MemoMisses, "open", counted)
+    for name, ring, d, rules, options in CRITERION_2_SWEEPS:
+        counting[0] = f"{name} d={d}"
+        product = build_catalog(name, ring, d, rules, options=options).reduction_star
+        for K in exponent_ball(d, 5):
+            for L in exponent_ball(d, 5):
+                product.monomial_product(K, L)
+    over = {name: (count, CRITERION_2_MISSES[name]) for name, count in misses.items()
+            if count > CRITERION_2_MISSES[name] * (1 + MISS_MARGIN)}
+    assert not over, f"memo misses (counted, recorded) above the {MISS_MARGIN:.0%} margin: {over}"
 
 
 def test_memo_keeps_the_rightmost_strategy_where_the_order_of_rewrites_matters():

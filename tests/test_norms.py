@@ -24,7 +24,7 @@ def test_rho_norm_value():
 
 def test_tr_norm_value():
     f = Polynomial.monomial(C, 2, (1, 1), 1 + 0j)
-    assert seminorm(f, NormSpec.tr_norm(2.0, 1.0)) == pytest.approx(8.0)
+    assert seminorm(f, NormSpec("tr", C=2.0, R=1.0)) == pytest.approx(8.0)
 
 
 def test_macgyver_norm_value():
@@ -42,7 +42,7 @@ def test_invalid_specs():
     with pytest.raises(ValueError):
         NormSpec.rho_norm((1.0, -2.0))
     with pytest.raises(ValueError):
-        NormSpec.tr_norm(0.0)
+        NormSpec("tr", C=0.0, R=0.0)
     with pytest.raises(ValueError):
         NormSpec("nonsense")
 
@@ -55,7 +55,7 @@ def test_invalid_specs():
 def test_norm_axioms(entries_f, entries_g):
     f = Polynomial(C, 2, dict(entries_f))
     g = Polynomial(C, 2, dict(entries_g))
-    for spec in (NormSpec.rho_norm((1.5, 0.5)), NormSpec.tr_norm(2.0, 0.5),
+    for spec in (NormSpec.rho_norm((1.5, 0.5)), NormSpec("tr", C=2.0, R=0.5),
                  NormSpec.macgyver_norm(1.5)):
         nf, ng = seminorm(f, spec), seminorm(g, spec)
         scale = max(1.0, nf + ng)
@@ -77,7 +77,7 @@ def test_rho_monotonicity():
 
 def test_tr_zero_equals_constant_rho():
     rng = random.Random(8)
-    spec_tr = NormSpec.tr_norm(2.5, 0.0)
+    spec_tr = NormSpec("tr", C=2.5, R=0.0)
     spec_rho = NormSpec.rho_norm((2.5, 2.5, 2.5))
     for _ in range(30):
         f = random_polynomial(rng, C, 3, 4, 4)
@@ -126,8 +126,8 @@ def test_remembered_weights_give_the_reference_sums_bit_for_bit():
     rng = random.Random(17)
     R = make_ring("rational")
     polys = [random_polynomial(rng, ring, 3, 5, 6) for ring in (C, R) for _ in range(12)]
-    for spec in (NormSpec.rho_norm((1.5, 0.5, 2.25)), NormSpec.tr_norm(2.0, 0.5),
-                 NormSpec.tr_norm(0.75, 1.5), NormSpec.macgyver_norm(1.25)):
+    for spec in (NormSpec.rho_norm((1.5, 0.5, 2.25)), NormSpec("tr", C=2.0, R=0.5),
+                 NormSpec("tr", C=0.75, R=1.5), NormSpec.macgyver_norm(1.25)):
         for _ in range(3):
             for f in polys:
                 assert seminorm(f, spec).hex() == _reference_seminorm(f, spec).hex(), (spec, f)
@@ -148,7 +148,7 @@ def test_a_wrong_rho_length_still_raises_once_the_memo_is_warm():
 
 def test_a_warm_spec_equals_a_fresh_one():
     rng = random.Random(19)
-    for make in (lambda: NormSpec.rho_norm((1.5, 0.5)), lambda: NormSpec.tr_norm(2.0, 0.5),
+    for make in (lambda: NormSpec.rho_norm((1.5, 0.5)), lambda: NormSpec("tr", C=2.0, R=0.5),
                  lambda: NormSpec.macgyver_norm(1.5)):
         warm, fresh = make(), make()
         for _ in range(5):
@@ -176,7 +176,7 @@ def _reference_seminorm(f, spec):
     return total
 
 
-SPECS = (NormSpec.rho_norm((0.7, 1.3, 2.1)), NormSpec.tr_norm(1.7, 0.5),
+SPECS = (NormSpec.rho_norm((0.7, 1.3, 2.1)), NormSpec("tr", C=1.7, R=0.5),
          NormSpec.macgyver_norm(1.1))
 
 

@@ -17,6 +17,7 @@ from starprod.probes import (
     default_hbar_sequence,
     degree_filtration_check,
     first_order_commutator,
+    generator_product_bound,
     macgyver_continuity_probe,
     random_coefficient,
     random_exponent,
@@ -118,8 +119,10 @@ def test_macgyver_probe_log_canonical(rng):
 def test_macgyver_probe_nonquadratic_beta(rng):
     N = 2
     inst = _star("nonquadratic", 0.3, d=3, options={"N": N})
+    count, sup = generator_product_bound(inst.star)
     report = macgyver_continuity_probe(inst.star, C=1.5, alpha=1.0, beta=float(max(1, N)),
-                                       rng=rng, samples=40, max_degree=3, sweep_degree=3)
+                                       rng=rng, Q=max(1, count * sup), samples=40,
+                                       max_degree=3, sweep_degree=3)
     assert report.passed
     assert not report.meta["hypothesis_violations"]
 

@@ -1,5 +1,6 @@
 """suite_oracle on every kind of (route, reference) pair a catalog names,
-exact, and the run-spec defaults of the suite runners."""
+exact, the run-spec defaults of the suite runners, and the one truncation
+the bracket needs."""
 
 import math
 import random
@@ -8,7 +9,7 @@ import pytest
 
 from starprod.params import ParameterError
 from starprod.probes import generator_product_bound
-from starprod.reduction import StepLimitExceeded
+from starprod.reduction import StepLimitExceeded, poisson_from_table
 from starprod.verify import (RunContext, _auto_q_bound, context_from_run, run_suites,
                              suite_macgyver, suite_oracle)
 
@@ -206,3 +207,36 @@ def test_a_table_file_instance_keeps_its_label_table_and_oracle():
     # the x1 in tail (2, 3) breaks associativity, so the two orders can differ
     assert any(route(K, L) != reference(K, L) for K, L in pairs)
     assert context_from_run({"table": spec}).instance().name == "phi:inline"
+
+
+# one run per catalog id and variant, and a table file whose tails have
+# parameter products and a t^2 term, for the bracket test below
+BRACKET_RUNS = [
+    {"catalog": "log_canonical", "d": 2}, {"catalog": "log_canonical", "d": 4},
+    {"catalog": "wick_log_canonical", "d": 3},
+    {"catalog": "symmetrized_log_canonical", "d": 3},
+    {"catalog": "translated", "d": 2, "options": {"c": ["1", "-1/2"]}},
+    {"catalog": "quantum_weyl", "options": {"lambda": 1}},
+    {"catalog": "quantum_weyl", "options": {"lambda": "1/2"}},
+    *({"catalog": "nonquadratic", "options": {"N": N}} for N in range(4)),
+    {"catalog": "nonquadratic", "options": {"N": 1},
+     "params": {"p": "exp_i", "q": "exp_neg", "r": "exp_i", "s": "exp_neg"}},
+    {"table": {"dimension": 3, "ring": "series",
+               "parameters": {"q": "exp_i", "r": "exp_neg"},
+               "relations": [{"i": 1, "j": 2, "tail": "(q*r-1)*x1*x2"},
+                             {"i": 1, "j": 3, "tail": "(q^2-1)*x1*x3 + (r-1)^2*x2"},
+                             {"i": 2, "j": 3, "tail": "(r-1)*x2*x3 + (q-1)*x1^2"}]}},
+]
+
+
+@pytest.mark.parametrize("run", BRACKET_RUNS, ids=lambda run: run.get("catalog", "table"))
+def test_the_bracket_at_order_1_is_the_bracket_of_every_longer_truncation(run):
+    eta = context_from_run(run).poisson()
+    # the symmetrized product has the log-canonical bracket and no table of its own
+    if run.get("catalog") == "symmetrized_log_canonical":
+        run = {**run, "catalog": "log_canonical"}
+    assert eta.brackets
+    for order in (2, 4, 8):
+        table = context_from_run({**run, "truncation": order}).instance(ring_name="series").table
+        longer = poisson_from_table(table)
+        assert (longer.dim, longer.kind, longer.brackets) == (eta.dim, eta.kind, eta.brackets)
