@@ -578,13 +578,28 @@ def default_rules(name: str, options: Dict) -> ParameterCatalog:
         for param, rule in _DEFAULT_RULES[name].items()})
 
 
+def catalog_dim(name: str, d: Optional[int], options: Dict) -> int:
+    """The dimension of a catalog instance: ``d``, or without one the
+    catalog's own; a ``d`` that contradicts the catalog's shape (nonquadratic
+    d = 3, quantum_weyl d = 2, translated one offset per generator) is a
+    CatalogError."""
+    own = (len(options.get("c", (1, -1))) if name == "translated"
+           else {"nonquadratic": 3, "quantum_weyl": 2}.get(name))
+    if None not in (d, own) and d != own:
+        shape = f"translated with {own} offsets" if name == "translated" else name
+        raise CatalogError(f"d: expected {own} for {shape}, got {d}")
+    return d or own or 2
+
+
 def catalog_rules(name: str, rules: Optional[ParameterCatalog],
-                  options: Dict) -> ParameterCatalog:
+                  options: Dict, d: Optional[int]) -> ParameterCatalog:
     """The given rules, or the catalog's defaults; CatalogError names any
-    parameter the catalog needs that the given rules leave unbound.
+    parameter the catalog needs that the given rules leave unbound, and a
+    ``d`` the catalog cannot have (``catalog_dim``).
 
     Given rules are checked against the catalog's parameter names alone, so
     no default rule is built for them."""
+    catalog_dim(name, d, options)
     if rules is None or name not in _DEFAULT_RULES:
         return default_rules(name, options)  # an unknown catalog raises there
     needed = _DEFAULT_RULES[name]
@@ -601,20 +616,17 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
                   options: Optional[Dict] = None) -> CatalogInstance:
     """Assemble a catalog instance: resolved parameters, table, product handle."""
     options = dict(options or {})
-    scalars = catalog_rules(name, rules, options).resolve(ring, hbar)
+    scalars = catalog_rules(name, rules, options, d).resolve(ring, hbar)
+    dim = catalog_dim(name, d, options)
     oracle = None
 
     if name in ("log_canonical", "wick_log_canonical"):
-        dim = d or 2
         q = scalars["q"]
         make_table = log_canonical_table if name == "log_canonical" else wick_log_canonical_table
         table = make_table(ring, dim, q)
         star = StarProduct(name, ring, dim, table.kind, table, _log_canonical_route(q),
                            one_term=True)
     elif name == "nonquadratic":
-        dim = 3
-        if d not in (None, 3):
-            raise CatalogError("nonquadratic lives on d = 3")
         N = int(options.get("N", 2))
         options["N"] = N
         p, q, r = scalars["p"], scalars["q"], scalars["r"]
@@ -624,14 +636,10 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
         mono = _nonquadratic_route(p, q, r, N, ring) if s is None else None
         star = StarProduct(name, ring, dim, "x", table, mono)
     elif name == "quantum_weyl":
-        dim = 2
-        if d not in (None, 2):
-            raise CatalogError("quantum_weyl lives on d = 2")
         p, q = scalars["p"], scalars["q"]
         table = quantum_weyl_table(ring, p, q)
         star = StarProduct(name, ring, dim, "x", table, _quantum_weyl_route(p, q, ring))
     elif name == "symmetrized_log_canonical":
-        dim = d or 2
         q = scalars["q"]
         mono = lambda K, L: _symmetrized_terms(K, L, q, ring)
         star = StarProduct(name, ring, dim, "x", None, mono)
@@ -640,12 +648,8 @@ def build_catalog(name: str, ring: Ring, d: Optional[int] = None,
         oracle = (star.monomial_product,
                   lambda K, L: symmetrized_star_by_averaging(K, L, averaging_table()))
     else:  # translated
-        offsets = options.get("c", (1, -1))
-        offsets = [Fraction(str(c)) for c in offsets]
+        offsets = [Fraction(str(c)) for c in options.get("c", (1, -1))]
         options["c"] = offsets
-        dim = d or len(offsets)
-        if dim != len(offsets):
-            raise CatalogError("offset vector length must equal the dimension")
         q = scalars["q"]
         base = log_canonical_table(ring, dim, q)
         star = StarProduct(name, ring, dim, "x", translated_table(base, offsets))

@@ -30,7 +30,7 @@ import functools
 import json
 import os
 import sys
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import click
 
@@ -48,7 +48,7 @@ from .verify import (
     assemble_report,
     cases_to_csv_rows,
     context_from_run,
-    finite_hbar,
+    read_hbars,
     read_json,
     read_seed,
     report_to_json,
@@ -121,19 +121,9 @@ def _parse_complex(text: str) -> complex:
 
 def _finite_hbar_flag(ctx, param, value) -> float:
     try:
-        return finite_hbar(value)
+        return read_hbars(value, "--hbar")[0]
     except ConfigError as exc:
         raise click.BadParameter(str(exc)) from None
-
-
-def _hbar_list(text: str) -> List[float]:
-    """The hbars of a comma-separated --hbar value."""
-    try:
-        return [finite_hbar(h) for h in text.split(",")]
-    except ConfigError:
-        raise
-    except ValueError:
-        raise ConfigError(f"bad --hbar value {text!r}") from None
 
 
 def _overflowed(f) -> bool:
@@ -190,7 +180,7 @@ def main():
 def cmd_eval(catalog, phi, d, params, hbar_text, ring_name, truncation, lhs, rhs,
              as_json, exact):
     """Evaluate LHS * RHS and print the canonical result."""
-    hbars = _hbar_list(hbar_text) if hbar_text is not None else [None]
+    hbars = read_hbars(hbar_text.split(","), "--hbar") if hbar_text is not None else [None]
     digits = None if exact else 5
     ctx = context_from_run(_run_from_flags(catalog, phi, d, params, ring_name, truncation))
     payloads = []

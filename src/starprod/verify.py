@@ -14,8 +14,14 @@ probes that state a rule of their own pass their own verdict.  A table file
 is read once, by ``context_from_run``, which also parses its tails before
 any suite runs; a run without a ``ring`` uses the file's declared ring, or
 ``complex`` for a catalog.  Table-file faults (unreadable file, malformed
-JSON, a relation lacking a field, a pair given twice, a tail that does not
-parse) stop the run like a config error.
+JSON, a field of the wrong JSON type, a relation lacking a field, a pair
+given twice, a tail that does not parse) stop the run like a config error.
+
+Every spec value is read by one rule: run keys and probe settings by the
+JSON-type check ``json_typed``, hbar values by ``read_hbars``.  A probe
+setting is checked when its suite runs; its fault, and a suite that would
+pass having checked no case, stop the run with a ConfigError that names
+the run, the probe and the key.
 """
 
 from __future__ import annotations
@@ -49,6 +55,7 @@ from .probes import (
     ProbeCase,
     ProbeReport,
     classical_limit_probe,
+    default_hbar_sequence,
     degree_filtration_check,
     digest_of,
     exponent_ball,
@@ -75,7 +82,7 @@ from .states import (
     random_wick_point,
     reversal_isomorphism,
 )
-from .tableio import TableFileError, check_table, table_from_dict
+from .tableio import NUMBER, TableFileError, check_table, json_typed, table_from_dict
 
 SCHEMA = "starprod/1"
 Q_DISC_POINTS = 16  # points on the boundary circle of the auto-Q disc
@@ -84,6 +91,9 @@ _SAMPLING = {"samples": int, "max_degree": int, "terms": int}  # the random-inpu
 
 class ConfigError(ValueError):
     pass
+
+
+_json_typed = partial(json_typed, error=ConfigError)
 
 
 @dataclass
@@ -130,7 +140,7 @@ def _bool_report(kind: str, rows: List[Tuple[Union[str, Callable[[], str]], bool
 
 def suite_overlaps(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     inst = ctx.instance(hbar=hbar)
-    report = check_overlaps(inst.table, **_settings(cfg, tol=float))
+    report = check_overlaps(inst.table, **_settings(cfg, tol=NUMBER))
     failed = {(i, j, k) for (i, j, k, _) in report.failures}
     rows = ([(digest_of("overlap", str(triple)), triple not in failed)
              for triple in generator_triples(inst.dim)]
@@ -140,17 +150,17 @@ def suite_overlaps(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
 
 def suite_jacobi(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     eta = ctx.poisson()
-    ok = jacobi_check(eta, **_settings(cfg, tol=float))
+    ok = jacobi_check(eta, **_settings(cfg, tol=NUMBER))
     return _bool_report("jacobi", [(digest_of("jacobi", ctx.label), ok)])
 
 
 def suite_oracle(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     """The instance's route against its reference on a full monomial sweep."""
     inst = ctx.instance(hbar=hbar)
-    tol = float(cfg.get("tol", 1e-10))
+    s = {"tol": 1e-10, "max_degree": 3, **_settings(cfg, tol=NUMBER, max_degree=int)}
     ring = inst.ring
     route, reference = inst.oracle
-    ball = exponent_ball(inst.dim, int(cfg.get("max_degree", 3)))
+    ball = exponent_ball(inst.dim, s["max_degree"])
     cases = []
     for K in ball:
         for L in ball:
@@ -164,15 +174,16 @@ def suite_oracle(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
                            for M in set(got.terms) | set(expected.terms)), default=0.0)
                 scale = max((abs(ring.to_complex(c)) for c in expected.terms.values()),
                             default=1.0)
-                margin = tol * max(1.0, scale) - lhs
-            cases.append(ProbeCase(digest_of("oracle", str(K), str(L)), lhs, tol, margin))
+                margin = s["tol"] * max(1.0, scale) - lhs
+            cases.append(ProbeCase(digest_of("oracle", str(K), str(L)), lhs, s["tol"], margin))
     return finish_report("oracle", cases)
 
 
-def _settings(cfg: Dict, **convert: Callable) -> Dict:
-    """The settings named in ``convert`` that ``cfg`` gives, each converted;
-    a probe's own defaults stand for the rest."""
-    return {name: to(cfg[name]) for name, to in convert.items() if name in cfg}
+def _settings(cfg: Dict, **kinds) -> Dict:
+    """The settings named in ``kinds`` that ``cfg`` gives, each checked to
+    be a JSON value of its kind (``json_typed``); a probe's own defaults, or
+    its runner's, stand for the rest."""
+    return {key: _json_typed(cfg[key], key, kind) for key, kind in kinds.items() if key in cfg}
 
 
 def suite_degree_filtration(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -183,11 +194,11 @@ def suite_degree_filtration(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeRepor
 
 def suite_submultiplicativity(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     inst = ctx.instance(hbar=hbar)
-    rho = cfg.get("rho")
-    if not rho:
-        raise ConfigError("submultiplicativity probe needs 'rho'")
-    return submultiplicativity_probe(inst.star, rho, rng, inst.dim, inst.ring, kind=inst.kind,
-                                     **_settings(cfg, tol=float, **_SAMPLING))
+    settings = _settings(cfg, rho=[NUMBER], tol=NUMBER, **_SAMPLING)
+    if "rho" not in settings:
+        raise ConfigError("needs 'rho'")
+    return submultiplicativity_probe(inst.star, settings.pop("rho"), rng, inst.dim, inst.ring,
+                                     kind=inst.kind, **settings)
 
 
 def _auto_q_bound(ctx: RunContext, hbar: float) -> float:
@@ -214,16 +225,17 @@ def suite_macgyver(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     Q = cfg.get("Q", "auto")
     if Q == "auto":
         Q = _auto_q_bound(ctx, float(hbar if hbar is not None else 0.0))
-    return macgyver_continuity_probe(inst.star, rng, Q=float(Q),
-                                     **_settings(cfg, C=float, alpha=float, beta=float,
+    return macgyver_continuity_probe(inst.star, rng, Q=_json_typed(Q, "Q", NUMBER),
+                                     **_settings(cfg, C=NUMBER, alpha=NUMBER, beta=NUMBER,
                                                  sweep_degree=int, **_SAMPLING))
 
 
 def _random_pairs(cfg: Dict, count: int, rng, ring, dim: int, kind: str) -> List[Tuple]:
     """``cfg["pairs"]`` (default ``count``) random pairs (f, g), f drawn before g."""
-    args = (rng, ring, dim, int(cfg.get("max_degree", 3)), int(cfg.get("terms", 3)), kind)
-    return [(random_polynomial(*args), random_polynomial(*args))
-            for _ in range(int(cfg.get("pairs", count)))]
+    s = {"max_degree": 3, "terms": 3, "pairs": count,
+         **_settings(cfg, max_degree=int, terms=int, pairs=int)}
+    args = (rng, ring, dim, s["max_degree"], s["terms"], kind)
+    return [(random_polynomial(*args), random_polynomial(*args)) for _ in range(s["pairs"])]
 
 
 def suite_classical_limit(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
@@ -231,19 +243,21 @@ def suite_classical_limit(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     ring = make_ring("complex")
     dim = eta.dim
     pairs = _random_pairs(cfg, 20, rng, ring, dim, "x")
-    hbars = cfg.get("hbars")
+    s = {"rho": [1.0] * dim, "tol": None, **_settings(cfg, rho=[NUMBER], tol=NUMBER)}
+    hbars = read_hbars(cfg.get("hbars", default_hbar_sequence()), "hbars")
+    if min(hbars) <= 0:  # the order fit takes log hbar
+        raise ConfigError(f"hbars: expected positive numbers, got {min(hbars)!r}")
 
     def star_at(h):
         return ctx.instance(ring_name="complex", hbar=h).star
 
-    return classical_limit_probe(star_at, eta, pairs, cfg.get("rho", [1.0] * dim),
-                                 hbars=hbars, tol=cfg.get("tol"))
+    return classical_limit_probe(star_at, eta, pairs, s["rho"], hbars=hbars, tol=s["tol"])
 
 
 def suite_first_order(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     inst = ctx.instance(ring_name="series")
     if inst.table is None:
-        raise ConfigError("first_order suite needs a relation table")
+        raise ConfigError("needs a relation table")
     eta = poisson_from_table(inst.table)
     base = inst.ring.base
     i_unit = base.imaginary_unit
@@ -265,9 +279,10 @@ def suite_q_identities(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     """q-multinomial positivity, constant term 1, and the q <-> 1/q identity."""
     ring = RationalQRing()
     q = ring.q
+    s = {"dims": [2, 3], "max_total": 4, **_settings(cfg, dims=[int], max_total=int)}
     rows = []
-    for dim in cfg.get("dims", [2, 3]):
-        for K in exponent_ball(int(dim), int(cfg.get("max_total", 4))):
+    for dim in s["dims"]:
+        for K in exponent_ball(dim, s["max_total"]):
             value = q_multinomial(K, q, ring)
             ok = value.is_polynomial()
             coeffs = value.num if ok else ()
@@ -284,14 +299,18 @@ def suite_q_identities(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
 
 def suite_sigma_oracle(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     ring = RationalRing()
-    dim = int(cfg.get("d", ctx.d or 2))
-    max_degree = int(cfg.get("max_degree", 2))
+    s = {"d": ctx.d or 2, "max_degree": 2, "q_values": ["3/2", "5/7"],
+         **_settings(cfg, d=int, max_degree=int, q_values=[str])}
+    dim, ball = s["d"], exponent_ball(s["d"], s["max_degree"])
     rows = []
-    for q_text in cfg.get("q_values", ["3/2", "5/7"]):
-        q = GaussRational(Fraction(q_text))
+    for q_text in s["q_values"]:
+        try:
+            q = GaussRational(Fraction(q_text))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"q_values: expected fractions, got {q_text!r}") from None
         table = log_canonical_table(ring, dim, q)
-        for K in exponent_ball(dim, max_degree):
-            for L in exponent_ball(dim, max_degree):
+        for K in ball:
+            for L in ball:
                 closed = symmetrized_star(K, L, q, ring)
                 oracle = symmetrized_star_by_averaging(K, L, table)
                 rows.append((digest_of("sigma", q_text, str(K), str(L)),
@@ -301,39 +320,37 @@ def suite_sigma_oracle(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
 
 def suite_wick_involution(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     inst = ctx.instance(hbar=hbar)
-    ok = wick_involution_condition(inst.table, **_settings(cfg, tol=float))
+    ok = wick_involution_condition(inst.table, **_settings(cfg, tol=NUMBER))
     return _bool_report("wick_involution", [(digest_of("wick-involution", ctx.label), ok)])
 
 
 def suite_states_psd(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
-    tol = float(cfg.get("tol", 1e-9))
+    s = {"tol": 1e-9, "dims": [2, 3, 4], "points": 5, "degree": 3,
+         **_settings(cfg, tol=NUMBER, dims=[int], points=int, degree=int)}
     cases = []
-    for dim in cfg.get("dims", [2, 3, 4]):
-        for h in cfg.get("hbars", [-1.0, -0.1, 0.0, 0.1, 1.0]):
-            for _ in range(int(cfg.get("points", 5))):
-                z = random_wick_point(rng, int(dim))
-                state = StateFunctional(z, float(h))
-                _, M = gram_matrix(state, int(cfg.get("degree", 3)))
-                res = psd_check(M, tol=tol)
-                margin = res.min_eigenvalue + tol * max(1.0, res.scale)
+    for dim in s["dims"]:
+        for h in read_hbars(cfg.get("hbars", [-1.0, -0.1, 0.0, 0.1, 1.0]), "hbars"):
+            for _ in range(s["points"]):
+                z = random_wick_point(rng, dim)
+                _, M = gram_matrix(StateFunctional(z, h), s["degree"])
+                res = psd_check(M, tol=s["tol"])
+                margin = res.min_eigenvalue + s["tol"] * max(1.0, res.scale)
                 cases.append(ProbeCase(digest_of("psd", str(dim), repr(h), repr(z.z)),
                                        res.min_eigenvalue, 0.0, margin))
     return finish_report("states_psd", cases)
 
 
 def suite_witness(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
-    tol = float(cfg.get("tol", 1e-12))
+    s = {"tol": 1e-12, "dims": [2, 3], **_settings(cfg, tol=NUMBER, dims=[int])}
     cases = []
-    for dim in cfg.get("dims", [2, 3]):
-        for h in cfg.get("hbars", [math.log(2), 1.0]):
-            z = random_wick_point(rng, int(dim))
+    for dim in s["dims"]:
+        for h in read_hbars(cfg.get("hbars", [math.log(2), 1.0]), "hbars"):
+            z = random_wick_point(rng, dim)
             while abs(z.z[0]) < 0.1:
-                z = random_wick_point(rng, int(dim))
-            value = nonpositivity_witness(z, float(h), 1)
-            expected = math.exp(-float(h)) - 1
-            err = abs(value - expected)
+                z = random_wick_point(rng, dim)
+            err = abs(nonpositivity_witness(z, h, 1) - (math.exp(-h) - 1))
             cases.append(ProbeCase(digest_of("witness", str(dim), repr(h)),
-                                   err, tol, tol - err))
+                                   err, s["tol"], s["tol"] - err))
     return finish_report("witness", cases)
 
 
@@ -341,15 +358,14 @@ def suite_psi(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     """The reversal isomorphism intertwines the opposite-sign products and
     pulls deformed evaluations back: delta_z^h = delta_conj(z)^(-h) after it."""
     ring = make_ring("complex")
-    tol = float(cfg.get("tol", 1e-9))
+    s = {"tol": 1e-9, "dims": [2, 3], "max_degree": 3,
+         **_settings(cfg, tol=NUMBER, dims=[int], max_degree=int)}
     cases = []
-    for dim in cfg.get("dims", [2, 3]):
-        dim = int(dim)
-        for h in cfg.get("hbars", [0.6]):
-            h = float(h)
+    for dim in s["dims"]:
+        for h in read_hbars(cfg.get("hbars", [0.6]), "hbars"):
             plus = wick_log_canonical_table(ring, dim, complex(math.exp(-h)))
             minus = wick_log_canonical_table(ring, dim, complex(math.exp(h)))
-            ball = exponent_ball(dim, int(cfg.get("max_degree", 3)))
+            ball = exponent_ball(dim, s["max_degree"])
             worst = 0.0
             for K in ball:
                 fK = Polynomial.monomial(ring, dim, K, kind="w")
@@ -371,32 +387,34 @@ def suite_psi(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
                 rhs_val = mirror(reversal_isomorphism(
                     Polynomial.monomial(ring, dim, K, kind="w"), h))
                 worst = max(worst, abs(lhs_val - rhs_val) / max(1.0, abs(lhs_val)))
-            cases.append(ProbeCase(digest_of("psi", str(dim), repr(h)), worst, tol, tol - worst))
+            cases.append(ProbeCase(digest_of("psi", str(dim), repr(h)), worst, s["tol"],
+                                   s["tol"] - worst))
     return finish_report("psi", cases)
 
 
 def suite_gns(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
-    tol = float(cfg.get("tol", 1e-8))
-    dim = int(cfg.get("d", 2))
-    degree = int(cfg.get("degree", 3))
+    s = {"tol": 1e-8, "d": 2, "degree": 3, "states": 5,
+         **_settings(cfg, tol=NUMBER, d=int, degree=int, states=int)}
     cases = []
-    for h in cfg.get("hbars", [0.4]):
-        for _ in range(int(cfg.get("states", 5))):
-            z = random_wick_point(rng, dim)
-            data = gns_build(StateFunctional(z, float(h)), degree)
-            cases.append(ProbeCase(digest_of("gns", repr(h), repr(z.z)),
-                                   data.adjoint_residual, tol, tol - data.adjoint_residual))
+    for h in read_hbars(cfg.get("hbars", [0.4]), "hbars"):
+        for _ in range(s["states"]):
+            z = random_wick_point(rng, s["d"])
+            residual = gns_build(StateFunctional(z, h), s["degree"]).adjoint_residual
+            cases.append(ProbeCase(digest_of("gns", repr(h), repr(z.z)), residual, s["tol"],
+                                   s["tol"] - residual))
     return finish_report("gns", cases)
 
 
 def suite_separation(ctx: RunContext, cfg: Dict, rng, hbar) -> ProbeReport:
     ring = make_ring("complex")
-    dim = int(cfg.get("d", 2))
+    s = {"d": 2, "samples": 5, "max_degree": 2,
+         **_settings(cfg, d=int, samples=int, max_degree=int)}
     rows = []
-    for _ in range(int(cfg.get("samples", 5))):
-        f = random_polynomial(rng, ring, dim, int(cfg.get("max_degree", 2)), 2, "w")
-        result = point_separation_probe(f, float(cfg.get("hbar", 0.5)), rng)
-        rows.append((digest_of("separation", repr(sorted(f.terms))), result.separated))
+    for h in read_hbars(cfg.get("hbar", 0.5), "hbar"):
+        for _ in range(s["samples"]):
+            f = random_polynomial(rng, ring, s["d"], s["max_degree"], 2, "w")
+            result = point_separation_probe(f, h, rng)
+            rows.append((digest_of("separation", repr(sorted(f.terms))), result.separated))
     return _bool_report("separation", rows)
 
 
@@ -438,18 +456,6 @@ def read_json(path) -> Dict:
     return _json_typed(data, path, dict)
 
 
-_JSON_NAMES = {dict: "object", list: "list", int: "integer", str: "string"}
-
-
-def _json_typed(value, where, kind: type):
-    """``value`` when it is a JSON ``kind`` (a bool is no integer), else a
-    ConfigError naming ``where``."""
-    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
-        raise ConfigError(f"{where}: expected a JSON {_JSON_NAMES[kind]}, "
-                          f"got {type(value).__name__}")
-    return value
-
-
 def context_from_run(run: Dict) -> RunContext:
     """The context of one run-spec entry; a value of the wrong JSON type,
     or a ``d`` below 1, is a ConfigError naming its key."""
@@ -477,20 +483,25 @@ def context_from_run(run: Dict) -> RunContext:
     params = _json_typed(run.get("params") or {}, "params", dict)
     rules = ParameterCatalog.from_spec(params) if params else None
     options = dict(_json_typed(run.get("options", {}), "options", dict))
-    catalog_rules(catalog, rules, options)  # an unknown catalog or an unbound parameter
+    catalog_rules(catalog, rules, options, d)  # an unknown catalog, an unbound parameter, a bad d
     label = _json_typed(run.get("label", catalog), "label", str)
     return RunContext(label, catalog, d, rules, options, ring_name, truncation)
 
 
-def finite_hbar(value) -> float:
-    """``value`` as a float hbar: a number, or the text of one.  A bool, a
-    value of any other type, NaN and the infinities are config errors."""
-    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError(f"hbar: expected a number, got {value!r}")
-    h = float(value)
-    if not math.isfinite(h):
-        raise ConfigError(f"hbar must be finite, got {value!r}")
-    return h
+def read_hbars(value, where: str) -> List[float]:
+    """``value`` as a list of float hbars: a number, the text of one, or a
+    non-empty list of these.  Anything else (a bool, an empty list, text
+    that is no number), NaN and the infinities are ConfigErrors naming
+    ``where``."""
+    hbars = []
+    for v in value if isinstance(value, list) and value else [value]:
+        try:  # float() takes a bool, which is no number here
+            hbars.append(float(None if isinstance(v, bool) else v))
+        except (TypeError, ValueError):
+            raise ConfigError(f"{where}: expected a number, got {v!r}") from None
+        if not math.isfinite(hbars[-1]):
+            raise ConfigError(f"{where} must be finite, got {v!r}")
+    return hbars
 
 
 def read_seed(spec: Dict, env: Optional[str]) -> int:
@@ -505,13 +516,6 @@ def read_seed(spec: Dict, env: Optional[str]) -> int:
         except (TypeError, ValueError):
             pass
     raise ConfigError(f"{source} must be an integer, got {value!r}")
-
-
-def _normalize_hbars(run: Dict) -> List[Optional[float]]:
-    h = run.get("hbar")
-    if h is None:
-        return [None]
-    return [finite_hbar(v) for v in h] if isinstance(h, list) else [finite_hbar(h)]
 
 
 @dataclass
@@ -544,7 +548,7 @@ def run_suites(spec: Dict, seed: int, digests: bool = True) -> List[SuiteResult]
     tasks = []
     for run_idx, run in enumerate(_json_typed(spec.get("runs", []), "runs", list)):
         ctx = context_from_run(_json_typed(run, f"run {run_idx}", dict))
-        hbars = _normalize_hbars(run)
+        hbars = [None] if run.get("hbar") is None else read_hbars(run["hbar"], "hbar")
         for probe_idx, probe in enumerate(_json_typed(run.get("probes", []),
                                                       f"run {run_idx}: probes", list)):
             kind = _json_typed(probe, f"run {run_idx}, probe {probe_idx}", dict).get("kind")
@@ -560,8 +564,10 @@ def run_suites(spec: Dict, seed: int, digests: bool = True) -> List[SuiteResult]
         start = time.monotonic()
         try:
             report = fn(ctx, cfg, rng, h)
-        except (ConfigError, TableFileError):
-            raise
+            if report.passed and not report.cases:
+                raise ConfigError("passed with no case checked")
+        except (ConfigError, TableFileError) as exc:
+            raise type(exc)(f"run {run_idx}, probe {probe_idx} ({kind}): {exc}") from None
         except Exception as exc:  # a crashed suite is a failed suite
             report = ProbeReport(kind, False, -BIG_MARGIN, [],
                                  {"error": f"{type(exc).__name__}: {exc}"})

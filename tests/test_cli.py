@@ -588,7 +588,7 @@ NOT_UTF8 = ("error: {utf16}: 'utf-8' codec can't decode byte 0xff in position 0:
 FAILURE_POLICY = {
     ("eval", "hbar_not_a_number"): (
         ["--catalog", "log_canonical", "--hbar", "abc", "--lhs", "x1", "--rhs", "x2"],
-        2, "error: bad --hbar value 'abc'"),
+        2, "error: --hbar: expected a number, got 'abc'"),
     ("eval", "genuine_pole"): (
         ["--catalog", "symmetrized_log_canonical", "--d", "2", "--ring", "rational",
          "--param", "q=const:-1", "--lhs", "x1", "--rhs", "x2"],
@@ -649,9 +649,41 @@ BAD_RUN_VALUES = {
     "d_zero": ({"d": 0}, "d: expected a positive integer, got 0"),
     "phi_int": ({"phi": 5}, "phi: expected a JSON string, got int"),
     "table_int": ({"table": 5}, "table: expected a JSON object, got int"),
+    # an empty hbar list would leave every probe that takes hbar no task
+    "hbar_empty": ({"hbar": []}, "hbar: expected a number, got []"),
+    "hbar_text": ({"hbar": "abc"}, "hbar: expected a number, got 'abc'"),
+    # a catalog shape the run contradicts fails before the first suite
+    "nonquadratic_d": ({"catalog": "nonquadratic", "d": 4},
+                       "d: expected 3 for nonquadratic, got 4"),
+    "quantum_weyl_d": ({"catalog": "quantum_weyl", "d": 3},
+                       "d: expected 2 for quantum_weyl, got 3"),
+    "translated_offsets": ({"catalog": "translated", "d": 3, "options": {"c": ["1", "-1"]}},
+                           "d: expected 2 for translated with 2 offsets, got 3"),
 }
 FAILURE_POLICY.update({("verify", fault): (["--spec", f"{{{fault}}}"], 2, f"error: {message}")
                        for fault, (_, message) in BAD_RUN_VALUES.items()})
+
+# a table-file field of the wrong JSON type, or a dimension below 1: fault ->
+# (the fields that replace those of a good table, the error that names the
+# field); "{table_<fault>}" stands for the table file and "{phi_<fault>}" for
+# a run spec whose one run reads it
+GOOD_TABLE = {"dimension": 2, "ring": "rational", "relations": [{"i": 1, "j": 2, "tail": "x1*x2"}]}
+BAD_TABLE_VALUES = {
+    "relations_int": ({"relations": 5}, "relations: expected a JSON list, got int"),
+    "relation_int": ({"relations": [7]}, "relation 0: expected a JSON object, got int"),
+    "parameters_list": ({"parameters": [1]}, "parameters: expected a JSON object, got list"),
+    "tail_int": ({"relations": [{"i": 1, "j": 2, "tail": 5}]},
+                 "relation 0, tail: expected a JSON string, got int"),
+    "index_text": ({"relations": [{"i": "1", "j": 2, "tail": "x1*x2"}]},
+                   "relation 0, i: expected a JSON integer, got str"),
+    "dimension_text": ({"dimension": "x"}, "dimension: expected a JSON integer, got str"),
+    "dimension_zero": ({"dimension": 0}, "dimension: expected a positive integer, got 0"),
+}
+for fault, (_, message) in BAD_TABLE_VALUES.items():
+    FAILURE_POLICY["eval", f"table_{fault}"] = (
+        ["--phi", f"{{table_{fault}}}", "--lhs", "x1", "--rhs", "x2"], 2, f"error: {message}")
+    FAILURE_POLICY["verify", f"table_{fault}"] = (["--spec", f"{{phi_{fault}}}"], 2,
+                                                  f"error: {message}")
 
 
 @pytest.mark.parametrize("command, fault", sorted(FAILURE_POLICY))
@@ -669,6 +701,11 @@ def test_failure_policy(runner, tmp_path, command, fault):
         **{f"{{{fault}}}": json.dumps({"runs": [{"catalog": "log_canonical", **fields,
                                                  "probes": [{"kind": "overlaps"}]}]})
            for fault, (fields, _) in BAD_RUN_VALUES.items()},
+        **{f"{{table_{fault}}}": json.dumps({**GOOD_TABLE, **fields})
+           for fault, (fields, _) in BAD_TABLE_VALUES.items()},
+        **{f"{{phi_{fault}}}": json.dumps({"runs": [{"phi": str(tmp_path / f"table_{fault}.json"),
+                                                     "probes": [{"kind": "overlaps"}]}]})
+           for fault in BAD_TABLE_VALUES},
     }
     files = {"{dir}": tmp_path}
     for name, text in contents.items():
@@ -683,11 +720,60 @@ def test_failure_policy(runner, tmp_path, command, fault):
             text = text.replace(name, str(path))
         return text
 
-    result = runner.invoke(main, [command] + [fill(a) for a in args])
+    out = tmp_path / "report.json"  # a failed verify writes no report
+    report = ["--out", str(out)] if command == "verify" else []
+    result = runner.invoke(main, [command] + [fill(a) for a in args] + report)
     assert result.exit_code == code
     if first_line is None:
         assert result.stderr == "" and result.stdout == "3*x1*x2*x3^2\n"
         return
     assert isinstance(result.exception, SystemExit)  # no exception escaped
     assert result.stderr.splitlines()[0] == fill(first_line)
-    assert result.stdout == ""
+    assert result.stdout == "" and not out.exists()
+
+
+# a probe setting of the wrong JSON type, or a probe that would pass having
+# checked nothing: fault -> (the run, the probe, the error that names the
+# key, after the run and the probe it stands in); the probe runs after a
+# jacobi probe, so the run stops after one suite has run, and still writes
+# no report
+LOG_CANONICAL = {"catalog": "log_canonical", "d": 2, "hbar": [0.3]}
+WICK = {"catalog": "wick_log_canonical", "d": 2}
+BAD_PROBE_VALUES = {
+    "samples_null": (LOG_CANONICAL, {"kind": "degree_filtration", "samples": None},
+                     "samples: expected a JSON integer, got NoneType"),
+    "max_degree_text": (LOG_CANONICAL, {"kind": "oracle", "max_degree": "x"},
+                        "max_degree: expected a JSON integer, got str"),
+    "tol_text": (LOG_CANONICAL, {"kind": "oracle", "tol": "x"},
+                 "tol: expected a JSON number, got str"),
+    "Q_text": (LOG_CANONICAL, {"kind": "macgyver", "Q": "x"},
+               "Q: expected a JSON number, got str"),
+    "dims_text": (WICK, {"kind": "states_psd", "dims": "23"},
+                  "dims: expected a JSON list, got str"),
+    "rho_text": (LOG_CANONICAL, {"kind": "classical_limit", "rho": "ab"},
+                 "rho: expected a JSON list, got str"),
+    "rho_entry_text": (LOG_CANONICAL, {"kind": "submultiplicativity", "rho": [1.0, "x"]},
+                       "rho[1]: expected a JSON number, got str"),
+    "rho_missing": (LOG_CANONICAL, {"kind": "submultiplicativity"}, "needs 'rho'"),
+    "hbars_zero": (LOG_CANONICAL, {"kind": "classical_limit", "hbars": [0.1, 0.0]},
+                   "hbars: expected positive numbers, got 0.0"),
+    "hbars_empty": (WICK, {"kind": "states_psd", "hbars": []}, "hbars: expected a number, got []"),
+    "q_values_text": (LOG_CANONICAL, {"kind": "sigma_oracle", "q_values": ["x"]},
+                      "q_values: expected fractions, got 'x'"),
+    "samples_zero": (LOG_CANONICAL, {"kind": "degree_filtration", "samples": 0},
+                     "passed with no case checked"),
+    "first_order_without_table": ({"catalog": "symmetrized_log_canonical", "ring": "series"},
+                                  {"kind": "first_order", "pairs": 2}, "needs a relation table"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_PROBE_VALUES))
+def test_a_bad_probe_value_exits_2_naming_its_key_and_writes_no_report(runner, tmp_path, fault):
+    run, probe, message = BAD_PROBE_VALUES[fault]
+    spec_path, out = tmp_path / "spec.json", tmp_path / "report.json"
+    spec_path.write_text(json.dumps({"runs": [{**run, "probes": [{"kind": "jacobi"}, probe]}]}))
+    result = runner.invoke(main, ["verify", "--spec", str(spec_path), "--out", str(out)])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)  # no exception escaped
+    assert result.stderr.splitlines()[0] == f"error: run 0, probe 1 ({probe['kind']}): {message}"
+    assert not out.exists()

@@ -127,6 +127,16 @@ def test_macgyver_probe_nonquadratic_beta(rng):
     assert not report.meta["hypothesis_violations"]
 
 
+def test_macgyver_output_order_violation_detected(rng):
+    # beta too small: x^K * x^L has order |K| + |L| > beta (|K| + |L|)
+    inst = _star("log_canonical", 0.4)
+    report = macgyver_continuity_probe(inst.star, C=2.0, alpha=1.0, beta=0.5,
+                                       rng=rng, Q=1.0, samples=10, sweep_degree=3)
+    violations = report.meta["hypothesis_violations"]
+    assert violations and {v["kind"] for v in violations} == {"output_order"}
+    assert not report.passed
+
+
 def test_macgyver_zero_factor(rng):
     inst = _star("log_canonical", 0.4)
     zero = Polynomial.zero(inst.ring, 2)
@@ -160,6 +170,26 @@ def test_classical_limit_log_canonical():
     assert report.passed
     orders = report.meta["orders"]
     assert all(0.8 <= o <= 1.2 for o in orders)
+
+
+def test_classical_limit_fails_against_a_bracket_off_by_one_percent():
+    # the negative control of the probe above: the same nine pairs against
+    # 101/100 times the bracket; the residuals stop falling with h
+    rng = random.Random(17)
+    from starprod.catalog import catalog_poisson
+    from starprod.reduction import PoissonStructure
+    eta = catalog_poisson("log_canonical", d=2)
+    off = {key: b.scale(Fraction(101, 100)) for key, b in eta.brackets.items()}
+    scaled = PoissonStructure(eta.ring, eta.dim, off, eta.kind)
+    ring = make_ring("complex")
+    pairs = [(Polynomial.variable(ring, 2, 2), Polynomial.variable(ring, 2, 1))]
+    pairs += [(random_polynomial(rng, ring, 2, 3, 2), random_polynomial(rng, ring, 2, 3, 2))
+              for _ in range(8)]
+    report = classical_limit_probe(lambda h: _star("log_canonical", h).star, scaled, pairs,
+                                   (1.0, 1.0))
+    assert not report.passed
+    assert sum(case.margin < 0 for case in report.cases) == 7
+    assert all(order < 0.3 for order in report.meta["orders"])
 
 
 def test_classical_limit_constants_trivial():
